@@ -4,7 +4,7 @@ Subcommands: simulate, decompose, kpca, ae-train, ae-decompose, dhsic,
 tvd-curve, skg-mp, fit-dist, sweep, compare, pipeline. Global flags
 --seed, --threads, --output-dir and --config (a flat key = value file
 whose entries override the command line; keys are the long option names
-with dashes or underscores).
+with dashes or underscores). --threads affects only sweep and fit-dist.
 """
 
 from __future__ import annotations
@@ -120,7 +120,6 @@ def _pipeline_config(args, method: str | None = None) -> pl.PipelineConfig:
         delta_b=args.b,
         alpha=args.alpha,
         seed=args.seed,
-        threads=args.threads,
     )
 
 
@@ -220,9 +219,7 @@ def cmd_dhsic(args) -> None:
     nodes = [int(tok) for tok in args.nodes.split(",")]
     if len(nodes) < 2:
         raise ValueError("--nodes needs at least two comma-separated indices")
-    report = dhsic_test(
-        [view[:, i] for i in nodes], alpha=args.alpha, b=args.b, seed=args.seed, threads=args.threads
-    )
+    report = dhsic_test([view[:, i] for i in nodes], alpha=args.alpha, b=args.b, seed=args.seed)
     payload = {
         "nodes": nodes,
         "statistic": report.statistic,
@@ -232,6 +229,7 @@ def cmd_dhsic(args) -> None:
         "alpha": report.alpha,
         "b": report.b,
         "reject": report.reject,
+        "p_value": report.p_value,
         "degenerate_variables": list(report.degenerate_variables),
         "seed": args.seed,
     }
@@ -366,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"csisplit {__version__}")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--threads", type=int, default=1)
+    common.add_argument("--threads", type=int, default=1, help="worker threads for sweep and fit-dist")
     common.add_argument("--output-dir", default=".")
     common.add_argument("--config", default=None, help="flat key = value file overriding flags")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -8,20 +8,24 @@ per-variable Gaussian Gram matrices K^l (median-heuristic bandwidths):
          - (2/M^(d+1)) sum_i prod_l (sum_j K^l_ij)
 
 The critical value at level alpha comes from B Monte-Carlo re-samplings
-without replacement (each variable's sample order permuted independently),
-sorted ascending, indexed at ceil((B+1)(1-alpha)) plus the count of
-replicates tied with the observed statistic, clamped to B.
+without replacement, sorted ascending, indexed at ceil((B+1)(1-alpha)) plus
+the count of replicates tied with the observed statistic, clamped to B.
+Each replicate keeps variable 0 in place and permutes variables 1..d-1
+independently. This is the null of permuting every variable: the
+statistic is unchanged when all variables share one permutation, so
+permuting variable l by p_l equals permuting it by p_l o p_0^-1 with
+variable 0 fixed, and that permutation is again uniform.
 
 The normalized dependence level divides the statistic by the critical
 value and gates with the rejection indicator: zero whenever the test does
-not reject, stat/CV otherwise.
+not reject, stat/CV otherwise. The permutation p-value is
+(1 + #{replicates >= statistic}) / (B + 1).
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +42,7 @@ class DependenceReport:
     b: int
     reject: bool
     raw_ratio: float  # statistic / CV without the indicator gate
+    p_value: float  # (1 + #{null >= statistic}) / (B + 1)
     degenerate_variables: tuple[int, ...] = ()
 
 
@@ -88,48 +93,66 @@ def _prepare_grams(variables, sigmas=None):
     return grams, tuple(degenerate)
 
 
-def _statistic_from_grams(grams: list[np.ndarray]) -> float:
-    m = grams[0].shape[0]
-    d = len(grams)
-    prod = grams[0].copy()
-    for g in grams[1:]:
-        prod *= g
-    term1 = prod.sum() / m**2
-    term2 = math.prod(float(g.sum()) for g in grams) / float(m) ** (2 * d)
-    rowprod = grams[0].sum(axis=1)
-    for g in grams[1:]:
-        rowprod = rowprod * g.sum(axis=1)
-    term3 = 2.0 * rowprod.sum() / float(m) ** (d + 1)
-    return float(term1 + term2 - term3)
+class _PermutedStatistic:
+    """The statistic with variables 1..d-1 permuted relative to variable 0.
+
+    The term2 product of Gram sums and the row-sum vectors do not depend on
+    the permutation and are computed once. A call gathers each permuted Gram
+    K^l[p][:, p] into preallocated M x M buffers, so a replicate allocates no
+    M x M array; the row sums of that Gram are the permuted row sums.
+    """
+
+    def __init__(self, grams: list[np.ndarray]):
+        m, d = grams[0].shape[0], len(grams)
+        self.grams = grams
+        self.term2 = math.prod(float(g.sum()) for g in grams) / float(m) ** (2 * d)
+        self.rowsums = [g.sum(axis=1) for g in grams]
+        self.scale1 = 1.0 / float(m) ** 2
+        self.scale3 = 2.0 / float(m) ** (d + 1)
+        self.rows = np.empty((m, m))
+        self.prod = np.empty((m, m))
+        self.cols = np.empty((m, m)) if d > 2 else None
+
+    def __call__(self, perms: list[np.ndarray]) -> float:
+        # mode="clip": with out=, the default mode="raise" copies through a
+        # hidden buffer; the permutations are always in range
+        rowprod = self.rowsums[0].copy()
+        for i, (g, rs, p) in enumerate(zip(self.grams[1:], self.rowsums[1:], perms)):
+            np.take(g, p, axis=0, out=self.rows, mode="clip")
+            np.take(self.rows, p, axis=1, out=self.cols if i else self.prod, mode="clip")
+            if i:
+                self.prod *= self.cols
+            rowprod *= rs[p]
+        term1 = float(np.vdot(self.grams[0], self.prod)) * self.scale1
+        return term1 + self.term2 - float(rowprod.sum()) * self.scale3
+
+
+def _identity(grams: list[np.ndarray]) -> list[np.ndarray]:
+    return [np.arange(grams[0].shape[0])] * (len(grams) - 1)
 
 
 def dhsic_statistic(variables, sigmas=None) -> float:
     """Estimator of the d-variable HSIC from scalar observation sequences."""
     grams, _ = _prepare_grams(variables, sigmas)
-    return _statistic_from_grams(grams)
+    return _PermutedStatistic(grams)(_identity(grams))
 
 
-def permutation_statistics(variables, b: int, seed, sigmas=None, threads: int = 1) -> np.ndarray:
-    """B re-sampled statistics; replicate r uses its own RNG stream so the
-    result is independent of evaluation order."""
+def permutation_statistics(variables, b: int, seed, sigmas=None) -> np.ndarray:
+    """B statistics of the permutation null.
+
+    Variable 0 stays in place. One ``np.random.default_rng(seed)`` draws,
+    for replicate 0, 1, ..., B-1 in turn, one ``rng.permutation(M)`` for each
+    of variables 1..d-1 in variable order. With those permutations p_1..p_{d-1},
+    replicate r is ``dhsic_statistic([x_0, x_1[p_1], ..., x_{d-1}[p_{d-1}]])``.
+    """
     grams, _ = _prepare_grams(variables, sigmas)
     m = grams[0].shape[0]
-    children = _as_seed_sequence(seed).spawn(b)
-
-    def one(child) -> float:
-        rng = np.random.default_rng(child)
-        permuted = []
-        for g in grams:
-            p = rng.permutation(m)
-            permuted.append(g[np.ix_(p, p)])
-        return _statistic_from_grams(permuted)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            out = list(pool.map(one, children))
-    else:
-        out = [one(c) for c in children]
-    return np.asarray(out)
+    statistic = _PermutedStatistic(grams)
+    rng = np.random.default_rng(seed)
+    out = np.empty(b)
+    for r in range(b):
+        out[r] = statistic([rng.permutation(m) for _ in grams[1:]])
+    return out
 
 
 def _cv_index(b: int, alpha: float, ties: int) -> int:
@@ -141,34 +164,17 @@ def _cv_index(b: int, alpha: float, ties: int) -> int:
     return idx
 
 
-def critical_value(variables, alpha: float, b: int, seed, sigmas=None, threads: int = 1) -> float:
-    """Monte-Carlo critical value of the independence test."""
-    if b < 100:
-        raise ValueError("need at least 100 permutations")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
-    observed = dhsic_statistic(variables, sigmas)
-    stats = permutation_statistics(variables, b, seed, sigmas, threads)
-    ties = int(np.sum(stats == observed))
-    return float(np.sort(stats)[_cv_index(b, alpha, ties) - 1])
-
-
-def delta_bar(statistic: float, cv: float) -> float:
-    """statistic / cv when the test rejects (statistic > cv), else 0."""
-    if cv <= 0:
-        raise ValueError("critical value must be positive")
-    return statistic / cv if statistic > cv else 0.0
-
-
-def dhsic_test(variables, alpha: float = 0.05, b: int = 1000, seed=0, sigmas=None, threads: int = 1) -> DependenceReport:
-    """Full test: statistic, critical value, rejection and normalized level."""
+def dhsic_test(variables, alpha: float = 0.05, b: int = 1000, seed=0, sigmas=None) -> DependenceReport:
+    """Full test: statistic, critical value, rejection, normalized level and
+    permutation p-value."""
     if b < 100:
         raise ValueError("need at least 100 permutations")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     grams, degenerate = _prepare_grams(variables, sigmas)
-    observed = _statistic_from_grams(grams)
-    stats = permutation_statistics(variables, b, seed, sigmas, threads)
+    # the same arithmetic as the replicates, so that exact ties are ties
+    observed = _PermutedStatistic(grams)(_identity(grams))
+    stats = permutation_statistics(variables, b, seed, sigmas)
     ties = int(np.sum(stats == observed))
     cv = float(np.sort(stats)[_cv_index(b, alpha, ties) - 1])
     reject = observed > cv
@@ -181,6 +187,7 @@ def dhsic_test(variables, alpha: float = 0.05, b: int = 1000, seed=0, sigmas=Non
         b=b,
         reject=reject,
         raw_ratio=ratio,
+        p_value=(1 + int(np.sum(stats >= observed))) / (b + 1),
         degenerate_variables=degenerate,
     )
 
@@ -224,7 +231,6 @@ def avg_neighbor_delta_bar(
     alpha: float = 0.05,
     b: int = 1000,
     seed=0,
-    threads: int = 1,
 ) -> tuple[float, list[DependenceReport]]:
     """Average normalized dependence over (node, nearest-neighbor) pairs.
 
@@ -235,7 +241,7 @@ def avg_neighbor_delta_bar(
     groups = select_delta_pairs(geom, pairs)
     children = _as_seed_sequence(seed).spawn(len(groups))
     reports = [
-        dhsic_test([view[:, i], view[:, j]], alpha=alpha, b=b, seed=child, threads=threads)
+        dhsic_test([view[:, i], view[:, j]], alpha=alpha, b=b, seed=child)
         for (i, j), child in zip(groups, children)
     ]
     return float(np.mean([r.delta_bar for r in reports])), reports

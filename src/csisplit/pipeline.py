@@ -77,7 +77,6 @@ class PipelineConfig:
     delta_b: int = 1000
     alpha: float = 0.05
     seed: int = 0
-    threads: int = 1
 
     def validate(self) -> None:
         if self.source not in ("simulate", "files"):
@@ -89,6 +88,13 @@ class PipelineConfig:
         unknown = set(self.metrics) - set(ALL_METRICS)
         if unknown:
             raise ValueError(f"unknown metrics {sorted(unknown)}")
+        if "delta_bar" in self.metrics:
+            if self.delta_pairs < 1:
+                raise ValueError("delta_pairs must be at least 1")
+            if self.delta_b < 100:
+                raise ValueError("delta_b must be at least 100 permutations")
+            if not 0.0 < self.alpha < 1.0:
+                raise ValueError("alpha must lie in (0, 1)")
 
 
 def geometry_to_dict(geom: NodeGeometry) -> dict:
@@ -245,7 +251,6 @@ def compute_metrics(cfg: PipelineConfig, out: MethodOutput, geom: NodeGeometry) 
                 alpha=cfg.alpha,
                 b=cfg.delta_b,
                 seed=cfg.seed,
-                threads=cfg.threads,
             )
             results["avg_delta_bar"] = delta
         return results
@@ -303,14 +308,14 @@ def compare_methods(cfgs: list[PipelineConfig], output_dir=None) -> dict:
     raw_view = to_real_view(ul)
     original_cc = avg_neighbor_cc(raw_view, geom, k=base.k_neighbors)
     original_delta, _ = avg_neighbor_delta_bar(
-        raw_view, geom, pairs=base.delta_pairs, alpha=base.alpha, b=base.delta_b, seed=base.seed, threads=base.threads
+        raw_view, geom, pairs=base.delta_pairs, alpha=base.alpha, b=base.delta_b, seed=base.seed
     )
     rows = []
     for cfg in cfgs:
         out = apply_method(cfg, ul, dl, geom)
         residual_cc = avg_neighbor_cc(out.unpred_ul, geom, k=cfg.k_neighbors)
         residual_delta, _ = avg_neighbor_delta_bar(
-            out.unpred_ul, geom, pairs=cfg.delta_pairs, alpha=cfg.alpha, b=cfg.delta_b, seed=cfg.seed, threads=cfg.threads
+            out.unpred_ul, geom, pairs=cfg.delta_pairs, alpha=cfg.alpha, b=cfg.delta_b, seed=cfg.seed
         )
         mp = avg_mp(out.unpred_ul, out.unpred_dl).avg_mp
         rows.append(

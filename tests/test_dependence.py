@@ -7,8 +7,6 @@ from csisplit.core import NodeGeometry
 from csisplit.dependence import (
     _cv_index,
     avg_neighbor_cc,
-    critical_value,
-    delta_bar,
     dhsic_statistic,
     dhsic_test,
     gaussian_gram_1d,
@@ -118,42 +116,67 @@ def test_critical_value_is_indexed_order_statistic():
     rng = np.random.default_rng(7)
     variables = [rng.standard_normal(40), rng.standard_normal(40)]
     stats = permutation_statistics(variables, b=199, seed=123)
-    observed = dhsic_statistic(variables)
-    ties = int(np.sum(stats == observed))
+    report = dhsic_test(variables, alpha=0.5, b=199, seed=123)
+    ties = int(np.sum(stats == report.statistic))
     expected = np.sort(stats)[math.ceil(200 * 0.5) + ties - 1]
-    assert critical_value(variables, alpha=0.5, b=199, seed=123) == expected
+    assert report.critical_value == expected
 
 
 def test_critical_value_deterministic_under_seed():
     rng = np.random.default_rng(8)
     variables = [rng.standard_normal(30), rng.standard_normal(30)]
-    a = critical_value(variables, alpha=0.05, b=150, seed=9)
-    b = critical_value(variables, alpha=0.05, b=150, seed=9)
+    a = dhsic_test(variables, alpha=0.05, b=150, seed=9)
+    b = dhsic_test(variables, alpha=0.05, b=150, seed=9)
     assert a == b
-
-
-def test_critical_value_threaded_matches_serial():
-    rng = np.random.default_rng(12)
-    variables = [rng.standard_normal(30), rng.standard_normal(30)]
-    serial = permutation_statistics(variables, b=120, seed=4, threads=1)
-    threaded = permutation_statistics(variables, b=120, seed=4, threads=4)
-    assert np.array_equal(serial, threaded)
 
 
 def test_critical_value_input_validation():
     rng = np.random.default_rng(10)
     variables = [rng.standard_normal(20), rng.standard_normal(20)]
     with pytest.raises(ValueError):
-        critical_value(variables, alpha=0.05, b=50, seed=0)
+        dhsic_test(variables, alpha=0.05, b=50, seed=0)
     with pytest.raises(ValueError):
-        critical_value(variables, alpha=1.5, b=200, seed=0)
+        dhsic_test(variables, alpha=1.5, b=200, seed=0)
 
 
 def test_delta_bar_gating():
-    assert delta_bar(0.5, 1.0) == 0.0
-    assert delta_bar(2.0, 1.0) == 2.0
-    with pytest.raises(ValueError):
-        delta_bar(1.0, 0.0)
+    rng = np.random.default_rng(16)
+    x = rng.standard_normal(40)
+    independent = dhsic_test([x, rng.standard_normal(40)], b=100, seed=0)
+    dependent = dhsic_test([x, x + 0.1 * rng.standard_normal(40)], b=100, seed=0)
+    assert not independent.reject and independent.delta_bar == 0.0
+    assert dependent.reject and dependent.delta_bar == dependent.raw_ratio > 1.0
+
+
+def test_first_variable_fixed_identity():
+    # permuting x by p and y by q gives the statistic of x fixed and y by q o p^-1
+    rng = np.random.default_rng(17)
+    x, y = rng.standard_normal(40), rng.standard_normal(40)
+    p, q = rng.permutation(40), rng.permutation(40)
+    assert dhsic_statistic([x[p], y[q]]) == pytest.approx(
+        dhsic_statistic([x, y[q[np.argsort(p)]]]), abs=1e-12
+    )
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_permutation_statistics_replay_documented_draw_order(d):
+    rng = np.random.default_rng(18)
+    variables = [rng.standard_normal(40) for _ in range(d)]
+    stats = permutation_statistics(variables, b=25, seed=5)
+    replay = np.random.default_rng(5)
+    for value in stats:
+        permuted = [variables[0]] + [v[replay.permutation(40)] for v in variables[1:]]
+        assert value == pytest.approx(dhsic_statistic(permuted), abs=1e-12)
+
+
+def test_p_value_counts_the_null_at_or_above_the_statistic():
+    rng = np.random.default_rng(19)
+    variables = [rng.standard_normal(40), rng.standard_normal(40)]
+    stats = permutation_statistics(variables, b=150, seed=6)
+    report = dhsic_test(variables, b=150, seed=6)
+    assert report.p_value == (1 + sum(s >= report.statistic for s in stats)) / 151
+    x = rng.standard_normal(100)
+    assert dhsic_test([x, x.copy()], b=200, seed=1).p_value == 1 / 201
 
 
 def test_delta_bar_scale_invariance():
