@@ -5,7 +5,9 @@ neighbor-residual dot-product loss that penalizes correlation between the
 residual at a location and the residuals at its nearest neighbors. The dot
 product alone admits a trivial zero-residual minimizer and is unbounded
 below for anticorrelated residuals, so it is trained as a composite
-``dot + mu * mse`` (mu = 0 recovers the bare dot-product loss).
+``dot + mu * mse``. Anticorrelated residuals r and -r give
+(2 mu - 1) * ||r||^2, so the composite is bounded below only for mu > 0.5,
+and ``TrainConfig`` rejects any other mu for the e2 loss.
 
 The dot-product model consumes pair samples: each training column is a
 node's real-view vector concatenated with one neighbor's, one sample per
@@ -25,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
-from .core import NodeGeometry, nearest_neighbors
+from .core import NodeGeometry, neighbor_pairs
 
 _ACT_CODES = {"linear": 0, "tanh": 1, "softplus": 2, "relu": 3}
 _CODE_ACTS = {v: k for k, v in _ACT_CODES.items()}
@@ -209,6 +211,8 @@ class TrainConfig:
             raise ValueError("invalid optimizer parameters")
         if self.mode not in ("centralized", "localized"):
             raise ValueError("mode must be 'centralized' or 'localized'")
+        if self.loss == "e2" and not (math.isfinite(self.mu) and self.mu > 0.5):
+            raise ValueError(f"mu must be finite and above 0.5 for the e2 loss, got {self.mu}")
 
 
 @dataclass(frozen=True)
@@ -296,29 +300,32 @@ def decompose_ae(model: TrainedModel, view: np.ndarray) -> AeDecomposition:
 
 def build_pair_dataset(view: np.ndarray, geom: NodeGeometry, k: int = 8) -> tuple[np.ndarray, list[tuple[int, int]]]:
     """Stack (node, neighbor) column pairs for the dot-product model: one
-    sample per edge, width = 2 x per-node width."""
+    sample per edge, width = 2 x per-node width. Column i * k + r pairs node
+    i with its rank-r neighbor, in the order of :func:`neighbor_pairs`."""
     view = np.asarray(view, dtype=np.float64)
-    pairs = [(i, int(j)) for i in range(geom.n) for j in nearest_neighbors(geom, i, k)]
-    data = np.empty((2 * view.shape[0], len(pairs)))
-    for col, (i, j) in enumerate(pairs):
-        data[: view.shape[0], col] = view[:, i]
-        data[view.shape[0] :, col] = view[:, j]
-    return data, pairs
+    if view.ndim != 2 or view.shape[1] != geom.n:
+        raise ValueError(f"view must have one column per node ({geom.n}), got shape {view.shape}")
+    table = geom.neighbors(k)
+    half = view.shape[0]
+    data = np.empty((2 * half, table.size))
+    # mode="clip": with out=, the default mode="raise" copies through a
+    # hidden buffer; the indices are always in range
+    np.take(view, np.repeat(np.arange(geom.n), k), axis=1, out=data[:half], mode="clip")
+    np.take(view, table.ravel(), axis=1, out=data[half:], mode="clip")
+    return data, neighbor_pairs(geom, k)
 
 
 def decompose_ae_pairs(model: TrainedModel, view: np.ndarray, geom: NodeGeometry, k: int = 8) -> AeDecomposition:
     """Residuals for a pair-input model: each node's reconstruction is the
     average of the first-half outputs over its (node, neighbor) samples."""
     view = np.asarray(view, dtype=np.float64)
-    data, pairs = build_pair_dataset(view, geom, k)
+    data, _ = build_pair_dataset(view, geom, k)
     y, _ = forward(model.spec, model.weights, data / model.input_scale)
     half = view.shape[0]
     predictable = np.zeros_like(view)
-    counts = np.zeros(view.shape[1])
-    for col, (i, _) in enumerate(pairs):
-        predictable[:, i] += y[:half, col]
-        counts[i] += 1
-    predictable *= model.input_scale / counts[None, :]
+    for rank in range(k):  # rank by rank keeps the summation order of a per-pair loop
+        predictable += y[:half, rank::k]
+    predictable *= model.input_scale / k
     return AeDecomposition(predictable=predictable, unpredictable=view - predictable)
 
 

@@ -7,7 +7,9 @@ Conventions fixed here and relied on by every other module:
   the rows, n nodes across the columns;
 * the real view stacks real parts above imaginary parts, giving a
   (2m, n) float64 matrix ([Re; Im] column stacking);
-* all arithmetic is float64 / complex128.
+* all arithmetic is float64 / complex128;
+* node i's k nearest neighbors are row i of ``NodeGeometry.neighbors(k)``:
+  nearest first, equal distances in ascending node index.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from __future__ import annotations
 import enum
 import math
 import struct
-from dataclasses import dataclass
+from collections.abc import Iterator
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -107,60 +110,98 @@ def view_to_complex(view: np.ndarray) -> np.ndarray:
     return view[:m] + 1j * view[m:]
 
 
+#: entries of one block of rows of the node distance matrix; the neighbor
+#: table and the distinctness check hold one block at a time, never all n x n
+_BLOCK_ENTRIES = 1 << 16
+
+
+def _block_rows(n: int) -> int:
+    return max(1, _BLOCK_ENTRIES // n)
+
+
+def _squared_distance_blocks(pos: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """(start, d2) for each block of rows: d2[r, j] is the squared Euclidean
+    distance between nodes start + r and j, and infinite for j = start + r."""
+    n = pos.shape[0]
+    rows = _block_rows(n)
+    for start in range(0, n, rows):
+        delta = pos[None, :, :] - pos[start : start + rows, None, :]
+        d2 = np.einsum("bij,bij->bi", delta, delta)
+        own = np.arange(d2.shape[0])
+        d2[own, start + own] = np.inf
+        yield start, d2
+
+
 @dataclass(frozen=True)
 class NodeGeometry:
     """Node positions in R^2 or R^3 (meters) plus the neighbor rule defaults.
 
     Neighbor queries use Euclidean distance with ties broken by ascending
-    node index, so results are reproducible across platforms.
+    node index, so results are reproducible across platforms. Every neighbor
+    query reads the table of :meth:`neighbors`, built once per k.
     """
 
     positions: np.ndarray
     k: int = 8
     neighbor_radius: float | None = None
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pos = np.asarray(self.positions, dtype=np.float64)
-        if pos.ndim != 2 or pos.shape[1] not in (2, 3):
-            raise ValueError(f"positions must be (n, 2) or (n, 3), got {pos.shape}")
+        if pos.ndim != 2 or pos.shape[0] < 1 or pos.shape[1] not in (2, 3):
+            raise ValueError(f"positions must be (n, 2) or (n, 3) with n >= 1, got {pos.shape}")
         if not np.all(np.isfinite(pos)):
             raise ValueError("positions contain non-finite values")
-        # pairwise distinct
-        diff = pos[:, None, :] - pos[None, :, :]
-        d2 = np.einsum("ijk,ijk->ij", diff, diff)
-        np.fill_diagonal(d2, np.inf)
-        if np.min(d2) <= 0.0:
-            raise ValueError("node positions must be pairwise distinct")
+        for _, d2 in _squared_distance_blocks(pos):
+            if np.min(d2) <= 0.0:
+                raise ValueError("node positions must be pairwise distinct")
         object.__setattr__(self, "positions", _as_readonly(pos))
 
     @property
     def n(self) -> int:
         return self.positions.shape[0]
 
+    def neighbors(self, k: int) -> np.ndarray:
+        """Read-only (n, k) table: row i holds the k nodes closest to node i,
+        self excluded, nearest first.
+
+        Distances are ``sqrt`` of the summed squared coordinate differences;
+        a stable argsort of each row breaks equal distances by ascending node
+        index, so ``neighbors(k)[:, :j]`` equals ``neighbors(j)``. The table is
+        built once per k, a block of rows at a time, and the same array is
+        returned on every later call. Raises ValueError unless 1 <= k < n.
+        """
+        if k < 1:
+            raise ValueError("k must be >= 1")
+        if k >= self.n:
+            raise ValueError(f"insufficient nodes: k={k} with only {self.n} nodes")
+        table = self._tables.get(k)
+        if table is None:
+            table = np.empty((self.n, k), dtype=np.intp)
+            for start, d2 in _squared_distance_blocks(self.positions):
+                order = np.argsort(np.sqrt(d2), axis=1, kind="stable")
+                table[start : start + d2.shape[0]] = order[:, :k]
+            table.setflags(write=False)
+            table = self._tables.setdefault(k, table)  # one object even when threads race
+        return table
+
 
 def nearest_neighbors(geom: NodeGeometry, node: int, k: int) -> np.ndarray:
-    """Indices of the k nodes closest to ``node`` (self excluded).
+    """Indices of the k nodes closest to ``node`` (self excluded): a copy of
+    row ``node`` of ``geom.neighbors(k)``.
 
     Sorted by distance, ties by ascending index. Raises ValueError when
     k >= number of nodes.
     """
-    n = geom.n
-    if not 0 <= node < n:
-        raise ValueError(f"node index {node} out of range [0, {n})")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if k >= n:
-        raise ValueError(f"insufficient nodes: k={k} with only {n} nodes")
-    delta = geom.positions - geom.positions[node]
-    dist = np.sqrt(np.einsum("ij,ij->i", delta, delta))
-    dist[node] = np.inf
-    order = np.argsort(dist, kind="stable")  # stable keeps index order on ties
-    return order[:k].copy()
+    if not 0 <= node < geom.n:
+        raise ValueError(f"node index {node} out of range [0, {geom.n})")
+    return geom.neighbors(k)[node].copy()
 
 
 def neighbor_pairs(geom: NodeGeometry, k: int) -> list[tuple[int, int]]:
-    """All ordered (node, neighbor) pairs under the k-nearest-neighbor rule."""
-    return [(i, int(j)) for i in range(geom.n) for j in nearest_neighbors(geom, i, k)]
+    """All ordered (node, neighbor) pairs under the k-nearest-neighbor rule,
+    node-major, neighbors nearest first."""
+    return [(i, j) for i, row in enumerate(geom.neighbors(k).tolist()) for j in row]
 
 
 # ---------------------------------------------------------------------------

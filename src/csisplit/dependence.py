@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NodeGeometry, nearest_neighbors
+from .core import NodeGeometry
 
 
 @dataclass(frozen=True)
@@ -193,26 +193,26 @@ def dhsic_test(variables, alpha: float = 0.05, b: int = 1000, seed=0, sigmas=Non
 
 
 def pearson_cc(a, b) -> float:
-    """Sample Pearson correlation of two equal-length sequences."""
+    """Sample Pearson correlation of two equal-length sequences: the dot
+    product of the centred sequences over the product of their norms."""
     a = np.asarray(a, dtype=np.float64).ravel()
     b = np.asarray(b, dtype=np.float64).ravel()
     if a.size != b.size or a.size < 2:
         raise ValueError("need two equal-length sequences with >= 2 samples")
-    sa, sb = a.std(), b.std()
-    if sa == 0.0 or sb == 0.0:
+    a = a - a.mean()
+    b = b - b.mean()
+    norm_a, norm_b = math.sqrt(np.dot(a, a)), math.sqrt(np.dot(b, b))
+    if norm_a == 0.0 or norm_b == 0.0:
         raise ValueError("zero-variance sequence")
-    return float(np.mean((a - a.mean()) * (b - b.mean())) / (sa * sb))
+    return float(np.dot(a, b)) / (norm_a * norm_b)
 
 
 def avg_neighbor_cc(view: np.ndarray, geom: NodeGeometry, k: int | None = None) -> float:
-    """Mean |column|-wise Pearson CC over all (node, k-nearest-neighbor) pairs."""
-    view = np.asarray(view, dtype=np.float64)
-    kk = geom.k if k is None else k
-    vals = [
-        pearson_cc(view[:, i], view[:, j])
-        for i in range(geom.n)
-        for j in nearest_neighbors(geom, i, kk)
-    ]
+    """Signed mean of the Pearson CC between node columns of ``view`` over
+    all (node, k-nearest-neighbor) pairs."""
+    columns = np.ascontiguousarray(np.asarray(view, dtype=np.float64).T)
+    table = geom.neighbors(geom.k if k is None else k)
+    vals = [pearson_cc(columns[i], columns[j]) for i, row in enumerate(table.tolist()) for j in row]
     return float(np.mean(vals))
 
 
@@ -221,7 +221,8 @@ def select_delta_pairs(geom: NodeGeometry, pairs: int) -> list[tuple[int, int]]:
     averaged dependence metric."""
     pairs = min(pairs, geom.n)
     nodes = np.unique(np.linspace(0, geom.n - 1, pairs).round().astype(int))
-    return [(int(i), int(nearest_neighbors(geom, int(i), 1)[0])) for i in nodes]
+    nearest = geom.neighbors(1)[:, 0]
+    return [(int(i), int(nearest[i])) for i in nodes]
 
 
 def avg_neighbor_delta_bar(

@@ -83,6 +83,46 @@ def pairwise_tvd(samples_a, samples_b, bins: int = DEFAULT_BINS) -> float:
     return tvd(histogram(a, edges), histogram(b, edges))
 
 
+def _pair_edges(lo: np.ndarray, hi: np.ndarray, bins: int) -> np.ndarray:
+    """Row p is :func:`_shared_edges` for a pair with pooled minimum lo[p]
+    and maximum hi[p].
+
+    numpy.linspace with array end points does each row's arithmetic as it
+    does for scalar ones, unless some step underflows to zero; such a row
+    cannot be strictly increasing, so that case raises here as it does in
+    :func:`histogram`.
+    """
+    hi = np.where(hi <= lo, lo + np.maximum(np.abs(lo), 1.0) * 1e-12 + 1e-300, hi)
+    edges = np.linspace(lo, hi, bins + 1, axis=-1)
+    if np.any(np.diff(edges, axis=1) <= 0):
+        raise ValueError("bin edges must be strictly increasing")
+    return edges
+
+
+def _bin_counts(samples: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """(pairs, bins) counts of column p of ``samples`` on row p of ``edges``.
+
+    Every sample lies on its pair's grid. Its bin is the number of interior
+    edges at or below it, which is numpy.histogram's rule for explicit
+    edges: bins are half open except the last, which holds the top edge.
+    The bin is first estimated by arithmetic, then moved one edge at a time
+    until that rule holds.
+    """
+    pairs, bins = edges.shape[0], edges.shape[1] - 1
+    pair = np.arange(pairs)
+    lo, width = edges[:, 0], edges[:, -1] - edges[:, 0]
+    guess = np.clip((samples - lo) / width * bins, 0, bins - 1).astype(np.intp)
+    lower = pair * (bins + 1)  # flat index of each pair's first edge
+    index = lower + guess
+    flat = edges.ravel()
+    while (down := samples < flat[index]).any():
+        index -= down
+    while (up := (index < lower + bins - 1) & (samples >= flat[index + 1])).any():
+        index += up
+    bin_of_pair = index - lower + pair * bins
+    return np.bincount(bin_of_pair.ravel(), minlength=pairs * bins).reshape(pairs, bins)
+
+
 def avg_neighbor_tvd(
     fingerprints: np.ndarray,
     geom: NodeGeometry,
@@ -93,10 +133,26 @@ def avg_neighbor_tvd(
 
     ``fingerprints`` holds one amplitude sample set per node: shape
     (samples, n). Each pair gets its own shared 'bins'-bin grid over the
-    pooled min/max.
+    pooled min/max, and its TVD equals :func:`pairwise_tvd` of the two
+    columns. The pairs of one neighbor rank are scored together.
     """
+    if bins < 1:
+        raise ValueError("need at least one bin")
     fp = np.asarray(fingerprints, dtype=np.float64)
-    pairs = neighbor_pairs(geom, geom.k if k is None else k)
-    vals = np.array([pairwise_tvd(fp[:, i], fp[:, j], bins=bins) for i, j in pairs])
+    if fp.ndim != 2 or fp.shape[1] != geom.n:
+        raise ValueError(f"fingerprints must have one column per node ({geom.n}), got shape {fp.shape}")
+    if not np.all(np.isfinite(fp)):
+        raise ValueError("fingerprints contain non-finite values")
+    kk = geom.k if k is None else k
+    table = geom.neighbors(kk)
+    lo_node, hi_node = fp.min(axis=0), fp.max(axis=0)
+    vals = np.empty((geom.n, kk))
+    for rank in range(kk):
+        other = table[:, rank]
+        edges = _pair_edges(np.minimum(lo_node, lo_node[other]), np.maximum(hi_node, hi_node[other]), bins)
+        probs_a = _bin_counts(fp, edges) / fp.shape[0]
+        probs_b = _bin_counts(fp[:, other], edges) / fp.shape[0]
+        vals[:, rank] = 0.5 * np.sum(np.abs(probs_a - probs_b), axis=1)
+    vals = vals.ravel()
     vals.setflags(write=False)
-    return FingerprintReport(pairs=pairs, pair_tvd=vals, avg_tvd=float(np.mean(vals)))
+    return FingerprintReport(pairs=neighbor_pairs(geom, kk), pair_tvd=vals, avg_tvd=float(np.mean(vals)))

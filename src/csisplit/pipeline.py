@@ -95,6 +95,8 @@ class PipelineConfig:
                 raise ValueError("delta_b must be at least 100 permutations")
             if not 0.0 < self.alpha < 1.0:
                 raise ValueError("alpha must lie in (0, 1)")
+        if self.method == "ae2" and not (math.isfinite(self.ae_loss_mu) and self.ae_loss_mu > 0.5):
+            raise ValueError(f"ae_loss_mu must be finite and above 0.5 for method ae2, got {self.ae_loss_mu}")
 
 
 def geometry_to_dict(geom: NodeGeometry) -> dict:

@@ -61,16 +61,20 @@ def avg_mp(unpredictable_ul: np.ndarray, unpredictable_dl: np.ndarray) -> SkgRep
     """Average mismatch probability over nodes.
 
     Inputs are real views (2m, n); each node's column is quantized as one
-    time series (real coordinates above imaginary), per direction.
+    time series (real coordinates above imaginary), per direction, exactly
+    as :func:`quantize_median` quantizes it.
     """
     ul = np.asarray(unpredictable_ul, dtype=np.float64)
     dl = np.asarray(unpredictable_dl, dtype=np.float64)
     if ul.shape != dl.shape:
         raise ValueError(f"shape mismatch: {ul.shape} vs {dl.shape}")
-    mps = np.empty(ul.shape[1])
-    for node in range(ul.shape[1]):
-        ba = quantize_median(ul[:, node], node=node, direction=Direction.UPLINK)
-        bb = quantize_median(dl[:, node], node=node, direction=Direction.DOWNLINK)
-        mps[node] = mismatch_probability(ba, bb)
+    if ul.ndim != 2:
+        raise ValueError(f"inputs must be (2m, n) real views, got shape {ul.shape}")
+    if ul.shape[0] < 2:
+        raise ValueError("need at least 2 samples to quantize")
+    mid = (ul.shape[0] - 1) // 2  # the lower median's order statistic, as in lower_median
+    bits_ul = ul > np.partition(ul, mid, axis=0)[mid]
+    bits_dl = dl > np.partition(dl, mid, axis=0)[mid]
+    mps = np.mean(bits_ul != bits_dl, axis=0)
     mps.setflags(write=False)
     return SkgReport(per_node_mp=mps, avg_mp=float(np.mean(mps)))

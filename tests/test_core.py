@@ -4,6 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from csisplit.simulate import SimConfig, grid_positions
+
+from csisplit import core
 from csisplit.core import (
     BadMagicError,
     CsiFileError,
@@ -14,6 +17,7 @@ from csisplit.core import (
     TruncatedFileError,
     from_real_view,
     nearest_neighbors,
+    neighbor_pairs,
     read_csi_csv,
     read_csi_file,
     to_real_view,
@@ -127,6 +131,64 @@ def test_neighbors_insufficient_nodes():
 def test_geometry_rejects_duplicate_positions():
     with pytest.raises(ValueError, match="distinct"):
         NodeGeometry(positions=np.array([[0.0, 0.0], [0.0, 0.0]]))
+
+
+def test_geometry_rejects_duplicates_in_different_row_blocks():
+    n = 600
+    assert core._block_rows(n) < n - 1  # nodes 0 and n-1 are checked in different blocks
+    positions = np.random.default_rng(3).uniform(size=(n, 2))
+    NodeGeometry(positions=positions)
+    positions[-1] = positions[0]
+    with pytest.raises(ValueError, match="distinct"):
+        NodeGeometry(positions=positions)
+
+
+def test_geometry_rejects_no_nodes():
+    with pytest.raises(ValueError, match="n >= 1"):
+        NodeGeometry(positions=np.zeros((0, 2)))
+
+
+def _per_node_neighbors(positions, k):
+    """The per-node neighbor query the table replaced: one distance row per
+    node, self at infinity, stable argsort."""
+    rows = []
+    for node in range(len(positions)):
+        delta = positions - positions[node]
+        dist = np.sqrt(np.einsum("ij,ij->i", delta, delta))
+        dist[node] = np.inf
+        rows.append(np.argsort(dist, kind="stable")[:k])
+    return np.array(rows)
+
+
+@pytest.mark.parametrize(
+    "positions",
+    [
+        grid_positions(SimConfig(grid_shape=(20, 20))),  # origin (100, -10): exact distance ties
+        grid_positions(SimConfig(grid_shape=(40, 40))),
+        np.random.default_rng(4).uniform(-50.0, 50.0, size=(300, 3)),
+    ],
+    ids=["grid20", "grid40", "random3d"],
+)
+def test_neighbor_table_matches_per_node_query(positions):
+    geom = NodeGeometry(positions=positions)
+    for k in (1, 8):
+        assert np.array_equal(geom.neighbors(k), _per_node_neighbors(geom.positions, k))
+
+
+def test_neighbor_table_is_cached_read_only_and_nested():
+    geom = NodeGeometry(positions=grid_positions(SimConfig(grid_shape=(6, 7))))
+    table = geom.neighbors(8)
+    assert table.shape == (42, 8) and not table.flags.writeable
+    assert geom.neighbors(8) is table
+    assert np.array_equal(geom.neighbors(1), table[:, :1])
+    assert list(nearest_neighbors(geom, 9, 8)) == table[9].tolist()
+    assert neighbor_pairs(geom, 8) == [(i, j) for i in range(42) for j in table[i].tolist()]
+    with pytest.raises(ValueError, match="insufficient nodes"):
+        geom.neighbors(42)
+    with pytest.raises(ValueError, match="k must be"):
+        geom.neighbors(0)
+    with pytest.raises(ValueError, match="out of range"):
+        nearest_neighbors(geom, 42, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -218,13 +218,26 @@ def test_pearson_basic():
         pearson_cc(np.ones(4), a)
 
 
+def test_pearson_matches_the_moment_form():
+    rng = np.random.default_rng(16)
+    for _ in range(200):
+        m = int(rng.integers(2, 600))
+        a = rng.standard_normal(m) * 10.0 ** rng.uniform(-5, 5)
+        b = 0.7 * a / a.std() + rng.standard_normal(m)
+        moment = np.mean((a - a.mean()) * (b - b.mean())) / (a.std() * b.std())
+        assert abs(pearson_cc(a, b) - moment) <= 1e-15
+    with pytest.raises(ValueError, match="variance"):
+        pearson_cc(a, np.full(m, 2.5))
+    with pytest.raises(ValueError, match="equal-length"):
+        pearson_cc(a, a[:-1])
+
+
 def test_avg_neighbor_cc_and_pair_selection():
     geom = NodeGeometry(positions=np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]), k=1)
     rng = np.random.default_rng(15)
     base = rng.standard_normal(50)
     view = np.column_stack([base, base, -base, -base])
-    # pairs: (0,1), (1,0), (2,3)... wait (1,0 or 2): 1's nearest is 0 or 2 (tie -> 0)
-    cc = avg_neighbor_cc(view, geom, k=1)
-    assert -1.0 <= cc <= 1.0
+    # nearest neighbors 1, 0, 1 (tie with 3 -> 1) and 2: CCs +1, +1, -1, +1, a signed mean of 0.5
+    assert avg_neighbor_cc(view, geom, k=1) == pytest.approx(0.5, abs=1e-15)
     pairs = select_delta_pairs(geom, pairs=2)
     assert pairs == [(0, 1), (3, 2)]

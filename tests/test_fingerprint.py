@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csisplit.core import NodeGeometry
+from csisplit.core import NodeGeometry, neighbor_pairs
 from csisplit.fingerprint import (
     EmpiricalMeasure,
     avg_neighbor_tvd,
@@ -11,6 +11,7 @@ from csisplit.fingerprint import (
     pairwise_tvd,
     tvd,
 )
+from csisplit.simulate import SimConfig, simulate
 
 
 def test_histogram_single_bin_mass():
@@ -102,3 +103,74 @@ def test_avg_neighbor_tvd_disjoint_ranges_one():
 def test_pairwise_tvd_degenerate_identical_constant():
     # both nodes constant at the same value: zero distance, not an error
     assert pairwise_tvd(np.full(10, 2.0), np.full(10, 2.0)) == 0.0
+
+
+def _per_pair_tvd(fp, geom, k, bins):
+    """The per-pair loop the rank-wise computation replaced."""
+    return np.array([pairwise_tvd(fp[:, i], fp[:, j], bins=bins) for i, j in neighbor_pairs(geom, k)])
+
+
+def _awkward_fingerprints():
+    """Random 3-D nodes whose columns include constants (a degenerate pooled
+    range when two meet), values on the grid edges and ties."""
+    rng = np.random.default_rng(5)
+    geom = NodeGeometry(positions=rng.uniform(size=(40, 3)))
+    fp = rng.gamma(2.0, size=(33, 40))
+    fp[:, :12] = 2.5  # constants: many neighbor pairs have lo == hi
+    fp[:, 12:14] = 0.0
+    fp[:, 14:24] = rng.integers(0, 9, size=(33, 10))  # integers on the edges of an 8-bin grid over [0, 8]
+    fp[0, 14:24], fp[1, 14:24] = 0.0, 8.0
+    fp[:, 24] = 1e16 + 2.0 * np.arange(33)  # a range far above its spacing
+    return fp, geom
+
+
+@pytest.mark.parametrize("k, bins", [(1, 8), (3, 8), (8, 32), (5, 1)])
+def test_avg_neighbor_tvd_equals_per_pair_loop(k, bins):
+    fp, geom = _awkward_fingerprints()
+    report = avg_neighbor_tvd(fp, geom, k=k, bins=bins)
+    assert np.array_equal(report.pair_tvd, _per_pair_tvd(fp, geom, k, bins))
+    assert report.pairs == neighbor_pairs(geom, k)
+    assert report.avg_tvd == float(np.mean(_per_pair_tvd(fp, geom, k, bins)))
+
+
+def test_avg_neighbor_tvd_equals_per_pair_loop_on_and_beside_the_edges():
+    # every pooled range is [0.3, 1.9], so the 32-bin grid is `edges`; on it,
+    # the arithmetic bin estimate is one too low for some edges and one too
+    # high for some samples just below an edge
+    edges = np.linspace(0.3, 1.9, 33)
+    below = np.nextafter(edges, -np.inf)
+    below[0] = edges[0]
+    inside = np.random.default_rng(6).uniform(0.3, 1.9, 33)
+    inside[:2] = 0.3, 1.9
+    fp = np.column_stack([edges, below, inside, edges[::-1]])
+    geom = NodeGeometry(positions=np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [4.0, 0.0]]))
+    report = avg_neighbor_tvd(fp, geom, k=3, bins=32)
+    assert np.array_equal(report.pair_tvd, _per_pair_tvd(fp, geom, 3, 32))
+    assert np.count_nonzero(report.pair_tvd) >= 6
+
+
+def test_avg_neighbor_tvd_equals_per_pair_loop_on_simulated_fingerprints():
+    out = simulate(SimConfig(grid_shape=(8, 8), m=64, seed=6))
+    fp = np.abs(out.uplink.data)
+    report = avg_neighbor_tvd(fp, out.geometry, k=8)
+    assert np.array_equal(report.pair_tvd, _per_pair_tvd(fp, out.geometry, 8, 32))
+
+
+def test_avg_neighbor_tvd_rejects_a_grid_that_cannot_increase():
+    # a pooled range of two subnormal steps holds no strictly increasing 8-bin grid
+    geom = NodeGeometry(positions=np.array([[0.0, 0.0], [1.0, 0.0]]), k=1)
+    fp = np.column_stack([np.zeros(4), np.full(4, 1e-323)])
+    with pytest.raises(ValueError, match="strictly increasing"):
+        pairwise_tvd(fp[:, 0], fp[:, 1], bins=8)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        avg_neighbor_tvd(fp, geom, k=1, bins=8)
+
+
+def test_avg_neighbor_tvd_rejects_non_finite_or_misshaped_fingerprints():
+    geom = NodeGeometry(positions=np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]), k=1)
+    fp = np.ones((5, 3))
+    fp[2, 1] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        avg_neighbor_tvd(fp, geom, k=1)
+    with pytest.raises(ValueError, match="one column per node"):
+        avg_neighbor_tvd(np.ones((5, 2)), geom, k=1)

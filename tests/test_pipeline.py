@@ -23,6 +23,15 @@ def test_bad_delta_bar_settings_fail_before_any_stage(field, value):
     dataclasses.replace(cfg, metrics=("tvd", "cc", "mp")).validate()
 
 
+@pytest.mark.parametrize("mu", [0.5, 0.0, float("nan")])
+def test_bad_ae2_mu_fails_before_any_stage(mu):
+    cfg = pipeline.PipelineConfig(sim=SMALL, method="ae2", ae_loss_mu=mu)
+    with pytest.raises(ValueError, match="ae_loss_mu"):
+        pipeline.run_pipeline(cfg)
+    # ae1 trains on the reconstruction loss alone, which does not use mu
+    dataclasses.replace(cfg, method="ae1").validate()
+
+
 def test_cli_dhsic_payload_carries_the_p_value(tmp_path):
     uplink = simulate(SMALL).uplink
     write_csi_file(uplink, tmp_path / "uplink.csi")

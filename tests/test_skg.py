@@ -87,3 +87,27 @@ def test_avg_mp_independent_near_half():
 def test_avg_mp_shape_mismatch():
     with pytest.raises(ValueError):
         avg_mp(np.zeros((4, 2)), np.zeros((4, 3)))
+
+
+def _per_node_mp(ul, dl):
+    """The per-node loop the column-wise computation replaced."""
+    return np.array(
+        [mismatch_probability(quantize_median(ul[:, i]), quantize_median(dl[:, i])) for i in range(ul.shape[1])]
+    )
+
+
+@pytest.mark.parametrize("length", [2, 3, 8, 9, 64, 65])
+def test_avg_mp_equals_per_node_loop(length):
+    rng = np.random.default_rng(length)
+    ul = rng.standard_normal((length, 12))
+    dl = ul + 0.5 * rng.standard_normal((length, 12))
+    ul[:, 0] = 3.0  # constant: every bit 0
+    ul[:, 1], dl[:, 1] = np.round(ul[:, 1]), np.round(dl[:, 1])  # ties at the median
+    report = avg_mp(ul, dl)
+    assert np.array_equal(report.per_node_mp, _per_node_mp(ul, dl))
+    assert report.avg_mp == float(np.mean(_per_node_mp(ul, dl)))
+
+
+def test_avg_mp_needs_two_samples():
+    with pytest.raises(ValueError, match="at least 2 samples"):
+        avg_mp(np.zeros((1, 3)), np.zeros((1, 3)))
