@@ -27,12 +27,16 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
-from .core import NodeGeometry, neighbor_pairs
+from .core import NodeGeometry
 
 _ACT_CODES = {"linear": 0, "tanh": 1, "softplus": 2, "relu": 3}
 _CODE_ACTS = {v: k for k, v in _ACT_CODES.items()}
 
 WEIGHTS_MAGIC = b"AEW1"
+
+
+class WeightsFileError(ValueError):
+    """Malformed autoencoder weights file."""
 
 
 def _act(name: str, z: np.ndarray) -> np.ndarray:
@@ -136,26 +140,6 @@ def forward(spec: MlpSpec, weights: Weights, x: np.ndarray) -> tuple[np.ndarray,
     return (y[:, 0], code[:, 0]) if single else (y, code)
 
 
-def loss_e1(x: np.ndarray, y: np.ndarray) -> float:
-    """Mean squared reconstruction error over batch columns."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64).T).T
-    y = np.atleast_2d(np.asarray(y, dtype=np.float64).T).T
-    return float(np.mean(np.sum((x - y) ** 2, axis=0)))
-
-
-def loss_e2(residuals: np.ndarray, neighbor_sets) -> float:
-    """(1/N) sum_n sum_{m in U(n)} <r_n, r_m> on per-node residual columns."""
-    r = np.asarray(residuals, dtype=np.float64)
-    n = r.shape[1]
-    if len(neighbor_sets) != n:
-        raise ValueError("need one neighbor set per node")
-    total = 0.0
-    for i, neigh in enumerate(neighbor_sets):
-        for j in neigh:
-            total += float(r[:, i] @ r[:, j])
-    return total / n
-
-
 def _loss_grad(x: np.ndarray, y: np.ndarray, loss: str, mu: float) -> tuple[float, np.ndarray]:
     """Batch loss and dL/dy for the two training objectives."""
     batch = x.shape[1]
@@ -200,7 +184,6 @@ class TrainConfig:
     epochs: int = 200
     seed: int = 0
     mode: str = "centralized"  # or "localized"
-    k_neighbors: int = 8
     mu: float = 1.0  # reconstruction weight inside the e2 composite; must exceed 0.5 or the
     # loss is unbounded below (anticorrelated residuals give (2 mu - 1) * ||r||^2)
 
@@ -298,10 +281,10 @@ def decompose_ae(model: TrainedModel, view: np.ndarray) -> AeDecomposition:
     return AeDecomposition(predictable=predictable, unpredictable=view - predictable)
 
 
-def build_pair_dataset(view: np.ndarray, geom: NodeGeometry, k: int = 8) -> tuple[np.ndarray, list[tuple[int, int]]]:
+def build_pair_dataset(view: np.ndarray, geom: NodeGeometry, k: int = 8) -> np.ndarray:
     """Stack (node, neighbor) column pairs for the dot-product model: one
     sample per edge, width = 2 x per-node width. Column i * k + r pairs node
-    i with its rank-r neighbor, in the order of :func:`neighbor_pairs`."""
+    i with its rank-r neighbor, in the order of ``core.neighbor_pairs``."""
     view = np.asarray(view, dtype=np.float64)
     if view.ndim != 2 or view.shape[1] != geom.n:
         raise ValueError(f"view must have one column per node ({geom.n}), got shape {view.shape}")
@@ -312,14 +295,14 @@ def build_pair_dataset(view: np.ndarray, geom: NodeGeometry, k: int = 8) -> tupl
     # hidden buffer; the indices are always in range
     np.take(view, np.repeat(np.arange(geom.n), k), axis=1, out=data[:half], mode="clip")
     np.take(view, table.ravel(), axis=1, out=data[half:], mode="clip")
-    return data, neighbor_pairs(geom, k)
+    return data
 
 
 def decompose_ae_pairs(model: TrainedModel, view: np.ndarray, geom: NodeGeometry, k: int = 8) -> AeDecomposition:
     """Residuals for a pair-input model: each node's reconstruction is the
     average of the first-half outputs over its (node, neighbor) samples."""
     view = np.asarray(view, dtype=np.float64)
-    data, _ = build_pair_dataset(view, geom, k)
+    data = build_pair_dataset(view, geom, k)
     y, _ = forward(model.spec, model.weights, data / model.input_scale)
     half = view.shape[0]
     predictable = np.zeros_like(view)
@@ -330,10 +313,11 @@ def decompose_ae_pairs(model: TrainedModel, view: np.ndarray, geom: NodeGeometry
 
 
 def train_for_mode(
-    spec: MlpSpec, cfg: TrainConfig, ul_dataset: np.ndarray, dl_dataset: np.ndarray
+    spec: MlpSpec, cfg: TrainConfig, ul_dataset: np.ndarray, dl_dataset: np.ndarray | None
 ) -> tuple[TrainedModel, TrainedModel]:
-    """Centralized: one model fitted on the uplink data serves both sides.
-    Localized: each side trains on its own observations (run in parallel)."""
+    """Centralized: one model fitted on the uplink data serves both sides,
+    and ``dl_dataset`` is not read (it may be None). Localized: each side
+    trains on its own observations (run in parallel)."""
     if cfg.mode == "centralized":
         model = train(ul_dataset, spec, cfg)
         return model, model
@@ -367,29 +351,41 @@ def write_weights(model: TrainedModel, path) -> None:
 
 
 def read_weights(path) -> TrainedModel:
+    """Read the format of :func:`write_weights`. Every count and code is
+    checked against the file before anything is allocated from it; any
+    malformed file raises :class:`WeightsFileError`."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    if len(raw) < 4 or raw[:4] != WEIGHTS_MAGIC:
-        raise ValueError(f"bad weights magic in {path}")
-    off = 4
-    version, n_dims = struct.unpack_from("<II", raw, off)
-    off += 8
+    if len(raw) < 12:
+        raise WeightsFileError(f"truncated header: {len(raw)} bytes, need at least 12")
+    if raw[:4] != WEIGHTS_MAGIC:
+        raise WeightsFileError(f"bad weights magic in {path}")
+    version, n_dims = struct.unpack_from("<II", raw, 4)
     if version != 1:
-        raise ValueError(f"unsupported weights version {version}")
-    dims = struct.unpack_from(f"<{n_dims}I", raw, off)
-    off += 4 * n_dims
-    codes = struct.unpack_from(f"<{n_dims - 1}B", raw, off)
-    off += n_dims - 1
-    (scale,) = struct.unpack_from("<d", raw, off)
-    off += 8
-    spec = MlpSpec(layer_dims=dims, activations=tuple(_CODE_ACTS[c] for c in codes))
+        raise WeightsFileError(f"unsupported weights version {version}")
+    header = 12 + 4 * n_dims + (n_dims - 1) + 8
+    if n_dims < 2 or header > len(raw):
+        raise WeightsFileError(f"{n_dims} layer dims do not fit a {len(raw)}-byte file")
+    dims = struct.unpack_from(f"<{n_dims}I", raw, 12)
+    codes = raw[12 + 4 * n_dims : header - 8]
+    if any(c not in _CODE_ACTS for c in codes):
+        raise WeightsFileError(f"unknown activation code among {sorted(set(codes))}")
+    (scale,) = struct.unpack_from("<d", raw, header - 8)
+    if not (math.isfinite(scale) and scale > 0):
+        raise WeightsFileError(f"input scale {scale} is not positive and finite")
+    expected = header + 8 * sum(d_out * (d_in + 1) for d_in, d_out in zip(dims[:-1], dims[1:]))
+    if expected != len(raw):
+        raise WeightsFileError(f"payload needs {expected} bytes in all, file has {len(raw)}")
+    try:
+        spec = MlpSpec(layer_dims=dims, activations=tuple(_CODE_ACTS[c] for c in codes))
+    except ValueError as exc:
+        raise WeightsFileError(f"invalid architecture: {exc}") from exc
     weights = []
+    off = header
     for d_in, d_out in zip(dims[:-1], dims[1:]):
         w = np.frombuffer(raw, dtype="<f8", count=d_out * d_in, offset=off).reshape(d_out, d_in).copy()
         off += 8 * d_out * d_in
         b = np.frombuffer(raw, dtype="<f8", count=d_out, offset=off).copy()
         off += 8 * d_out
         weights.append((w, b))
-    if off != len(raw):
-        raise ValueError("weights file has trailing bytes")
     return TrainedModel(spec=spec, weights=weights, input_scale=scale, history=[])

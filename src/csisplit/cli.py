@@ -1,10 +1,15 @@
 """Command-line interface.
 
-Subcommands: simulate, decompose, kpca, ae-train, ae-decompose, dhsic,
-tvd-curve, skg-mp, fit-dist, sweep, compare, pipeline. Global flags
---seed, --threads, --output-dir and --config (a flat key = value file
-whose entries override the command line; keys are the long option names
-with dashes or underscores). --threads affects only sweep and fit-dist.
+Subcommands: simulate, decompose, ae-train, ae-decompose, dhsic,
+tvd-curve, skg-mp, fit-dist, sweep, compare, pipeline. ``decompose
+--method {pca,kpca}`` splits one CSI file with the same fit as the
+pipeline and writes predictable.csi, unpredictable.csi and decompose.json
+(the method's details); ae-train and ae-decompose persist and apply
+autoencoder weights. Global flags --seed, --threads, --output-dir and
+--config (a flat key = value file whose entries override the command
+line; keys are the long option names with dashes or underscores).
+--threads affects only sweep and fit-dist. Every option shared by
+several subcommands is declared once, with one default and one help.
 """
 
 from __future__ import annotations
@@ -18,21 +23,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, pipeline as pl
-from .autoencoder import (
-    TrainConfig,
-    build_pair_dataset,
-    decompose_ae,
-    decompose_ae_pairs,
-    default_mlp_spec,
-    read_weights,
-    train,
-    write_weights,
-)
+from .autoencoder import TrainConfig, build_pair_dataset, default_mlp_spec, read_weights, train, write_weights
 from .core import from_real_view, read_csi_file, to_real_view, write_csi_file
 from .dependence import dhsic_test
 from .distfit import ALL_FAMILIES, PHASE_FAMILIES, fit_families
-from .kpca import KERNEL_VARIANTS, decompose_kpca, fit_kpca
-from .pca import DecompConfig, decompose, fit_pca, sweep
+from .kpca import KERNEL_VARIANTS
+from .pca import fit_pca, sweep
 from .simulate import SimConfig, simulate
 from .skg import avg_mp
 
@@ -72,55 +68,54 @@ def _out(args, name: str) -> Path:
     return directory / name
 
 
+#: SimConfig fields that are options of the same name
+_SIM_OPTIONS = (
+    "m",
+    "snr_db",
+    "rician_k",
+    "path_loss_exponent",
+    "shadowing_sigma_db",
+    "shadowing_corr_m",
+    "phase_sigma_rad",
+    "phase_corr_m",
+    "speed_mps",
+    "carrier_hz",
+    "snapshot_interval_s",
+    "los_doppler_frac",
+    "diffuse_corr_m",
+)
+#: PipelineConfig fields whose option has another name
+_PIPELINE_OPTIONS = {
+    "ul_path": "input_ul",
+    "dl_path": "input_dl",
+    "geometry_path": "geometry",
+    "ae_loss_mu": "mu",
+    "k_neighbors": "k",
+    "delta_b": "b",
+}
+
+
 def _sim_config(args) -> SimConfig:
     return SimConfig(
         grid_shape=(args.grid_rows, args.grid_cols),
         grid_spacing_m=args.spacing,
-        m=args.m,
-        snr_db=args.snr_db,
-        rician_k=args.rician_k,
-        path_loss_exponent=args.path_loss_exponent,
-        shadowing_sigma_db=args.shadowing_sigma_db,
-        shadowing_corr_m=args.shadowing_corr_m,
-        phase_sigma_rad=args.phase_sigma_rad,
-        phase_corr_m=args.phase_corr_m,
-        speed_mps=args.speed_mps,
-        carrier_hz=args.carrier_hz,
-        snapshot_interval_s=args.snapshot_interval_s,
-        los_doppler_frac=args.los_doppler_frac,
-        diffuse_corr_m=args.diffuse_corr_m,
         seed=args.seed,
+        **{name: getattr(args, name) for name in _SIM_OPTIONS},
     )
 
 
-def _pipeline_config(args, method: str | None = None) -> pl.PipelineConfig:
-    sim = _sim_config(args) if hasattr(args, "m") else SimConfig(seed=args.seed)
-    return pl.PipelineConfig(
-        source=getattr(args, "source", "files"),
-        ul_path=getattr(args, "input_ul", None),
-        dl_path=getattr(args, "input_dl", None),
-        geometry_path=getattr(args, "geometry", None),
-        sim=sim,
-        method=method or args.method,
-        d_hat=args.d_hat,
-        d1=args.d1,
-        d2=args.d2,
-        gamma=args.gamma,
-        sigma=args.sigma,
-        kernel_variant=args.kernel_variant,
-        ae_loss_mu=args.mu,
-        ae_epochs=args.ae_epochs,
-        ae_batch_size=args.ae_batch_size,
-        ae_learning_rate=args.ae_learning_rate,
-        ae_mode=args.ae_mode,
-        metrics=tuple(args.metrics.split(",")) if args.metrics else pl.ALL_METRICS,
-        k_neighbors=args.k,
-        bins=args.bins,
-        delta_pairs=args.delta_pairs,
-        delta_b=args.b,
-        alpha=args.alpha,
-        seed=args.seed,
-    )
+def _pipeline_config(args, **overrides) -> pl.PipelineConfig:
+    """The PipelineConfig of the options the subcommand declares; fields
+    without an option keep their defaults."""
+    values = {}
+    for f in dataclasses.fields(pl.PipelineConfig):
+        option = _PIPELINE_OPTIONS.get(f.name, f.name)
+        if hasattr(args, option):
+            values[f.name] = getattr(args, option)
+    if "metrics" in values:
+        values["metrics"] = tuple(values["metrics"].split(",")) if values["metrics"] else pl.ALL_METRICS
+    values["sim"] = _sim_config(args) if hasattr(args, "m") else SimConfig(seed=args.seed)
+    return pl.PipelineConfig(**{**values, **overrides})
 
 
 # ---------------------------------------------------------------------------
@@ -134,37 +129,26 @@ def cmd_simulate(args) -> None:
     print(json.dumps(paths, sort_keys=True, indent=2))
 
 
+def _write_split(args, csi, split, predictable_path=None, unpredictable_path=None) -> dict[str, str]:
+    """Split a CSI file's real view and write both parts as CSI files with
+    the input's direction and SNR; returns their paths."""
+    paths = {
+        "predictable": str(predictable_path or _out(args, "predictable.csi")),
+        "unpredictable": str(unpredictable_path or _out(args, "unpredictable.csi")),
+    }
+    for part, path in zip(split(to_real_view(csi)), paths.values()):
+        write_csi_file(from_real_view(part, direction=csi.direction, snr_db=csi.snr_db), path)
+    return paths
+
+
 def cmd_decompose(args) -> None:
     csi = read_csi_file(args.input)
     view = to_real_view(csi)
-    basis = fit_pca(view)
-    dec = decompose(view, basis, DecompConfig(d_hat=args.d_hat, d1=args.d1, d2=args.d2))
-    pred = from_real_view(dec.predictable, direction=csi.direction, snr_db=csi.snr_db)
-    unpred = from_real_view(dec.unpredictable, direction=csi.direction, snr_db=csi.snr_db)
-    pred_path = args.output_predictable or _out(args, "predictable.csi")
-    unpred_path = args.output_unpredictable or _out(args, "unpredictable.csi")
-    write_csi_file(pred, pred_path)
-    write_csi_file(unpred, unpred_path)
-    print(json.dumps({"predictable": str(pred_path), "unpredictable": str(unpred_path)}, sort_keys=True, indent=2))
-
-
-def cmd_kpca(args) -> None:
-    csi = read_csi_file(args.input)
-    model = fit_kpca(csi, args.d_hat, sigma=args.sigma, variant=args.kernel_variant)
-    pred, resid, diag = decompose_kpca(model, csi, gamma=args.gamma)
-    write_csi_file(pred, _out(args, "predictable.csi"))
-    write_csi_file(resid, _out(args, "residual.csi"))
-    report = {
-        "d_hat": int(model.alphas.shape[1]),
-        "eigenvalues": diag.eigenvalues.tolist(),
-        "asymmetry_norm": diag.asymmetry_norm,
-        "bandwidth_sigma": diag.bandwidth_sigma,
-        "score_bandwidth": diag.score_bandwidth,
-        "gamma": diag.gamma,
-        "condition_estimate": diag.condition_estimate,
-    }
-    pl.write_report(report, _out(args, "kpca.json"))
-    print(json.dumps({"predictable": str(_out(args, "predictable.csi")), "residual": str(_out(args, "residual.csi"))}))
+    split, _, details = pl.FITS[args.method](_pipeline_config(args), view, view, None)
+    paths = _write_split(args, csi, split, args.output_predictable, args.output_unpredictable)
+    paths["details"] = str(_out(args, "decompose.json"))
+    pl.write_report(details, paths["details"])
+    print(json.dumps(paths, sort_keys=True, indent=2))
 
 
 def cmd_ae_train(args) -> None:
@@ -173,8 +157,7 @@ def cmd_ae_train(args) -> None:
     if args.loss == "e2":
         if not args.geometry:
             raise ValueError("--geometry is required for the e2 loss (neighbor pairs)")
-        geom = pl.read_geometry(args.geometry)
-        dataset, _ = build_pair_dataset(view, geom, args.k)
+        dataset = build_pair_dataset(view, pl.read_geometry(args.geometry), args.k)
     else:
         dataset = view
     spec = default_mlp_spec(dataset.shape[0], args.d_hat)
@@ -184,7 +167,6 @@ def cmd_ae_train(args) -> None:
         batch_size=args.ae_batch_size,
         epochs=args.ae_epochs,
         seed=args.seed,
-        k_neighbors=args.k,
         mu=args.mu,
     )
     log_path = args.log or _out(args, "ae_train_log.jsonl")
@@ -195,22 +177,9 @@ def cmd_ae_train(args) -> None:
 
 
 def cmd_ae_decompose(args) -> None:
-    csi = read_csi_file(args.input)
-    view = to_real_view(csi)
-    model = read_weights(args.weights)
-    if model.spec.input_dim == view.shape[0]:
-        dec = decompose_ae(model, view)
-    elif model.spec.input_dim == 2 * view.shape[0]:
-        if not args.geometry:
-            raise ValueError("--geometry is required for pair-input weights")
-        dec = decompose_ae_pairs(model, view, pl.read_geometry(args.geometry), args.k)
-    else:
-        raise ValueError(f"weights expect input dim {model.spec.input_dim}, data real view is {view.shape[0]}")
-    pred = from_real_view(dec.predictable, direction=csi.direction, snr_db=csi.snr_db)
-    unpred = from_real_view(dec.unpredictable, direction=csi.direction, snr_db=csi.snr_db)
-    write_csi_file(pred, _out(args, "predictable.csi"))
-    write_csi_file(unpred, _out(args, "residual.csi"))
-    print(json.dumps({"predictable": str(_out(args, "predictable.csi")), "residual": str(_out(args, "residual.csi"))}))
+    geom = pl.read_geometry(args.geometry) if args.geometry else None
+    split = pl.ae_split(read_weights(args.weights), geom, args.k)
+    print(json.dumps(_write_split(args, read_csi_file(args.input), split), sort_keys=True, indent=2))
 
 
 def cmd_dhsic(args) -> None:
@@ -316,47 +285,52 @@ def cmd_pipeline(args) -> None:
 
 def _add_sim_flags(p: argparse.ArgumentParser) -> None:
     defaults = SimConfig()
-    p.add_argument("--m", type=int, default=defaults.m, help="snapshots per node")
     p.add_argument("--grid-rows", type=int, default=defaults.grid_shape[0])
     p.add_argument("--grid-cols", type=int, default=defaults.grid_shape[1])
     p.add_argument("--spacing", type=float, default=defaults.grid_spacing_m, help="grid spacing [m]")
-    p.add_argument("--snr-db", type=float, default=defaults.snr_db)
-    p.add_argument("--rician-k", type=float, default=defaults.rician_k)
-    p.add_argument("--path-loss-exponent", type=float, default=defaults.path_loss_exponent)
-    p.add_argument("--shadowing-sigma-db", type=float, default=defaults.shadowing_sigma_db)
-    p.add_argument("--shadowing-corr-m", type=float, default=defaults.shadowing_corr_m)
-    p.add_argument("--phase-sigma-rad", type=float, default=defaults.phase_sigma_rad)
-    p.add_argument("--phase-corr-m", type=float, default=defaults.phase_corr_m)
-    p.add_argument("--speed-mps", type=float, default=defaults.speed_mps)
-    p.add_argument("--carrier-hz", type=float, default=defaults.carrier_hz)
-    p.add_argument("--snapshot-interval-s", type=float, default=defaults.snapshot_interval_s)
-    p.add_argument("--los-doppler-frac", type=float, default=defaults.los_doppler_frac)
-    p.add_argument("--diffuse-corr-m", type=float, default=defaults.diffuse_corr_m)
+    for name in _SIM_OPTIONS:
+        value = getattr(defaults, name)
+        help_text = "snapshots per node" if name == "m" else None
+        p.add_argument(f"--{name.replace('_', '-')}", type=type(value), default=value, help=help_text)
 
 
-def _add_method_flags(p: argparse.ArgumentParser, with_method: bool = True) -> None:
-    if with_method:
-        p.add_argument("--method", choices=pl.METHODS, default="pca")
-    p.add_argument("--d-hat", type=int, default=1, help="predictable rank")
-    p.add_argument("--d1", type=int, default=3, help="unpredictable band start (1-based)")
-    p.add_argument("--d2", type=int, default=20, help="unpredictable band end (inclusive)")
-    p.add_argument("--gamma", type=float, default=None, help="kernel ridge regularizer")
-    p.add_argument("--sigma", type=float, default=None, help="kernel bandwidth override")
-    p.add_argument("--kernel-variant", choices=KERNEL_VARIANTS, default="conjugate")
-    p.add_argument("--mu", type=float, default=1.0, help="reconstruction weight in the e2 composite loss")
-    p.add_argument("--ae-epochs", type=int, default=200)
-    p.add_argument("--ae-batch-size", type=int, default=32)
-    p.add_argument("--ae-learning-rate", type=float, default=1e-3)
-    p.add_argument("--ae-mode", choices=("centralized", "localized"), default="centralized")
+_DEFAULTS = pl.PipelineConfig()
+
+#: the options that several subcommands take, each with its one default and help
+_FLAGS = {
+    "input": dict(required=True, help="CSI file"),
+    "input-ul": dict(default=None, help="uplink CSI file"),
+    "input-dl": dict(default=None, help="downlink CSI file"),
+    "geometry": dict(default=None, help="node geometry JSON"),
+    "d-hat": dict(type=int, default=_DEFAULTS.d_hat, help="predictable rank"),
+    "d1": dict(type=int, default=_DEFAULTS.d1, help="PCA unpredictable band start (1-based)"),
+    "d2": dict(type=int, default=_DEFAULTS.d2, help="PCA unpredictable band end (inclusive)"),
+    "gamma": dict(type=float, default=_DEFAULTS.gamma, help="kernel ridge regularizer (default 1e-3 trace(K_Y)/N)"),
+    "sigma": dict(type=float, default=_DEFAULTS.sigma, help="kernel bandwidth override (default: median rule)"),
+    "kernel-variant": dict(choices=KERNEL_VARIANTS, default=_DEFAULTS.kernel_variant),
+    "mu": dict(type=float, default=_DEFAULTS.ae_loss_mu, help="reconstruction weight in the e2 composite loss"),
+    "ae-epochs": dict(type=int, default=_DEFAULTS.ae_epochs),
+    "ae-batch-size": dict(type=int, default=_DEFAULTS.ae_batch_size),
+    "ae-learning-rate": dict(type=float, default=_DEFAULTS.ae_learning_rate),
+    "ae-mode": dict(choices=("centralized", "localized"), default=_DEFAULTS.ae_mode),
+    "metrics": dict(default=",".join(_DEFAULTS.metrics), help="comma-separated metric subset"),
+    "k": dict(type=int, default=_DEFAULTS.k_neighbors, help="neighbors per node"),
+    "bins": dict(type=int, default=_DEFAULTS.bins, help="fingerprint histogram bins"),
+    "delta-pairs": dict(
+        type=int, default=_DEFAULTS.delta_pairs, help="node pairs in the dependence average (sweep: 0 skips it)"
+    ),
+    "b": dict(type=int, default=_DEFAULTS.delta_b, help="permutation count"),
+    "alpha": dict(type=float, default=_DEFAULTS.alpha, help="test significance level"),
+}
+_KPCA_FLAGS = ("gamma", "sigma", "kernel-variant")
+_AE_FLAGS = ("mu", "ae-epochs", "ae-batch-size", "ae-learning-rate", "ae-mode")
+_METHOD_FLAGS = ("d-hat", "d1", "d2", *_KPCA_FLAGS, *_AE_FLAGS)
+_METRIC_FLAGS = ("metrics", "k", "bins", "delta-pairs", "b", "alpha")
 
 
-def _add_metric_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--metrics", default="tvd,cc,delta_bar,mp", help="comma-separated metric subset")
-    p.add_argument("--k", type=int, default=8, help="neighbors per node")
-    p.add_argument("--bins", type=int, default=32, help="fingerprint histogram bins")
-    p.add_argument("--delta-pairs", type=int, default=16, help="node pairs in the dependence average")
-    p.add_argument("--b", type=int, default=1000, help="permutation count")
-    p.add_argument("--alpha", type=float, default=0.05, help="test significance level")
+def _add_flags(p: argparse.ArgumentParser, *names: str, required: tuple[str, ...] = ()) -> None:
+    for name in names:
+        p.add_argument(f"--{name}", **{**_FLAGS[name], **({"required": True} if name in required else {})})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -368,106 +342,69 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--output-dir", default=".")
     common.add_argument("--config", default=None, help="flat key = value file overriding flags")
     sub = parser.add_subparsers(dest="command", required=True)
+    files = ("input-ul", "input-dl", "geometry")
 
     p = sub.add_parser("simulate", parents=[common], help="generate a synthetic reciprocal dataset")
     _add_sim_flags(p)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("decompose", parents=[common], help="PCA split of a CSI file")
-    p.add_argument("--input", required=True)
-    p.add_argument("--d-hat", type=int, default=1)
-    p.add_argument("--d1", type=int, default=3)
-    p.add_argument("--d2", type=int, default=20)
+    p = sub.add_parser("decompose", parents=[common], help="PCA or kernel-PCA split of a CSI file")
+    p.add_argument("--method", choices=("pca", "kpca"), default="pca", help="decomposition method")
+    _add_flags(p, "input", "d-hat", "d1", "d2", *_KPCA_FLAGS)
     p.add_argument("--output-predictable", default=None)
     p.add_argument("--output-unpredictable", default=None)
     p.set_defaults(func=cmd_decompose)
 
-    p = sub.add_parser("kpca", parents=[common], help="kernel-PCA split of a CSI file")
-    p.add_argument("--input", required=True)
-    p.add_argument("--d-hat", type=int, default=1)
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--sigma", type=float, default=None)
-    p.add_argument("--kernel-variant", choices=KERNEL_VARIANTS, default="conjugate")
-    p.set_defaults(func=cmd_kpca)
-
     p = sub.add_parser("ae-train", parents=[common], help="train an autoencoder on a CSI file")
-    p.add_argument("--input", required=True)
-    p.add_argument("--geometry", default=None)
-    p.add_argument("--d-hat", type=int, default=1)
+    _add_flags(p, "input", "geometry", "d-hat", "ae-epochs", "ae-batch-size", "ae-learning-rate", "mu", "k")
     p.add_argument("--loss", choices=("e1", "e2"), default="e1")
-    p.add_argument("--ae-epochs", type=int, default=200)
-    p.add_argument("--ae-batch-size", type=int, default=32)
-    p.add_argument("--ae-learning-rate", type=float, default=1e-3)
-    p.add_argument("--mu", type=float, default=1.0)
-    p.add_argument("--k", type=int, default=8)
     p.add_argument("--weights-out", default=None)
     p.add_argument("--log", default=None, help="JSON-lines training log path")
     p.set_defaults(func=cmd_ae_train)
 
     p = sub.add_parser("ae-decompose", parents=[common], help="apply trained weights to a CSI file")
-    p.add_argument("--input", required=True)
+    _add_flags(p, "input", "geometry", "k")
     p.add_argument("--weights", required=True)
-    p.add_argument("--geometry", default=None)
-    p.add_argument("--k", type=int, default=8)
     p.set_defaults(func=cmd_ae_decompose)
 
     p = sub.add_parser("dhsic", parents=[common], help="independence test between node sequences")
-    p.add_argument("--input", required=True)
+    _add_flags(p, "input", "alpha", "b")
     p.add_argument("--nodes", required=True, help="comma-separated node indices (d >= 2)")
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--b", type=int, default=1000)
     p.set_defaults(func=cmd_dhsic)
 
     p = sub.add_parser("tvd-curve", parents=[common], help="fingerprint separability vs rank")
-    p.add_argument("--input", required=True)
-    p.add_argument("--geometry", required=True)
+    _add_flags(p, "input", "geometry", "bins", "k", required=("geometry",))
     p.add_argument("--d-hat-max", type=int, default=10)
-    p.add_argument("--bins", type=int, default=32)
-    p.add_argument("--k", type=int, default=8)
     p.set_defaults(func=cmd_tvd_curve)
 
     p = sub.add_parser("skg-mp", parents=[common], help="uplink/downlink mismatch probability")
-    p.add_argument("--input-ul", required=True)
-    p.add_argument("--input-dl", required=True)
+    _add_flags(p, "input-ul", "input-dl", required=files)
     p.set_defaults(func=cmd_skg_mp)
 
     p = sub.add_parser("fit-dist", parents=[common], help="fit amplitude/phase distributions")
-    p.add_argument("--input", required=True)
+    _add_flags(p, "input")
     p.add_argument("--component", choices=("amplitude", "phase"), default="amplitude")
     p.set_defaults(func=cmd_fit_dist)
 
     p = sub.add_parser("sweep", parents=[common], help="metric grid over unpredictable bands")
-    p.add_argument("--input-ul", required=True)
-    p.add_argument("--input-dl", required=True)
-    p.add_argument("--geometry", required=True)
+    _add_flags(p, *files, "delta-pairs", "b", "alpha", "k", required=files)
     p.add_argument("--d1-min", type=int, default=1)
     p.add_argument("--d1-max", type=int, default=21)
     p.add_argument("--d2-min", type=int, default=2)
     p.add_argument("--d2-max", type=int, default=30)
     p.add_argument("--step", type=int, default=2)
-    p.add_argument("--delta-pairs", type=int, default=0, help="0 skips the dependence metric")
-    p.add_argument("--b", type=int, default=1000)
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--k", type=int, default=8)
-    p.set_defaults(func=cmd_sweep)
+    p.set_defaults(func=cmd_sweep, delta_pairs=0)
 
     p = sub.add_parser("compare", parents=[common], help="method comparison table on one dataset")
-    p.add_argument("--input-ul", required=True)
-    p.add_argument("--input-dl", required=True)
-    p.add_argument("--geometry", required=True)
-    p.add_argument("--methods", default="none,pca,kpca,ae1,ae2")
-    _add_method_flags(p, with_method=False)
-    _add_metric_flags(p)
+    _add_flags(p, *files, *_METHOD_FLAGS, *_METRIC_FLAGS, required=files)
+    p.add_argument("--methods", default=",".join(pl.METHODS))
     p.set_defaults(func=cmd_compare, source="files", method="none")
 
     p = sub.add_parser("pipeline", parents=[common], help="dataset -> method -> metrics report")
     p.add_argument("--source", choices=("simulate", "files"), default="simulate")
-    p.add_argument("--input-ul", default=None)
-    p.add_argument("--input-dl", default=None)
-    p.add_argument("--geometry", default=None)
+    p.add_argument("--method", choices=pl.METHODS, default=_DEFAULTS.method, help="decomposition method")
+    _add_flags(p, *files, *_METHOD_FLAGS, *_METRIC_FLAGS)
     _add_sim_flags(p)
-    _add_method_flags(p)
-    _add_metric_flags(p)
     p.set_defaults(func=cmd_pipeline)
 
     return parser

@@ -1,5 +1,5 @@
 """Shared data model: complex CSI matrices, real-concatenated views, node
-geometry and the binary/CSV file formats used to exchange datasets.
+geometry and the binary file format used to exchange datasets.
 
 Conventions fixed here and relied on by every other module:
 
@@ -132,19 +132,19 @@ def _squared_distance_blocks(pos: np.ndarray) -> Iterator[tuple[int, np.ndarray]
         yield start, d2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NodeGeometry:
     """Node positions in R^2 or R^3 (meters) plus the neighbor rule defaults.
 
     Neighbor queries use Euclidean distance with ties broken by ascending
     node index, so results are reproducible across platforms. Every neighbor
-    query reads the table of :meth:`neighbors`, built once per k.
+    query reads the table of :meth:`neighbors`, built once per k and cached
+    on the object; equality and hashing are by identity, like the cache.
     """
 
     positions: np.ndarray
     k: int = 8
-    neighbor_radius: float | None = None
-    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _tables: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         pos = np.asarray(self.positions, dtype=np.float64)
@@ -248,32 +248,3 @@ def read_csi_file(path) -> CsiMatrix:
     payload = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size)
     data = (payload[0::2] + 1j * payload[1::2]).reshape((m, n), order="F")
     return CsiMatrix(data, direction=Direction(direction), snr_db=None if math.isnan(snr) else snr)
-
-
-def read_csi_csv(path, direction: Direction = Direction.UPLINK, snr_db: float | None = None) -> CsiMatrix:
-    """CSV import for measurement exports.
-
-    Expected header ``re_1,im_1,re_2,im_2,...`` with one row per snapshot;
-    column pair k holds node k's sample.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if not header:
-            raise CsiFileError("empty CSV file")
-        cols = [c.strip() for c in header.split(",")]
-        want = [f"{tag}_{i + 1}" for i in range(len(cols) // 2) for tag in ("re", "im")]
-        if len(cols) % 2 != 0 or cols != want:
-            raise CsiFileError(f"unexpected CSV header {header!r}; want re_1,im_1,...")
-        body = np.loadtxt(fh, delimiter=",", dtype=np.float64, ndmin=2)
-    if body.shape[1] != len(cols):
-        raise CsiFileError(f"row width {body.shape[1]} != header width {len(cols)}")
-    return CsiMatrix(body[:, 0::2] + 1j * body[:, 1::2], direction=direction, snr_db=snr_db)
-
-
-def write_csi_csv(csi: CsiMatrix, path) -> None:
-    """Companion writer for :func:`read_csi_csv` (spreadsheet interoperability)."""
-    header = ",".join(f"re_{k + 1},im_{k + 1}" for k in range(csi.n))
-    body = np.empty((csi.m, 2 * csi.n))
-    body[:, 0::2] = csi.data.real
-    body[:, 1::2] = csi.data.imag
-    np.savetxt(path, body, delimiter=",", header=header, comments="")

@@ -12,8 +12,11 @@ so any future kernel variant stays eigensolver-safe. A --kernel-variant
 switch selects the plain ||h_i - h_j|| kernel for comparison.
 
 Predictable components are rebuilt by kernel ridge regression from the
-projection scores (no iterative pre-image); the unpredictable part is the
-exact residual. No tail-truncation denoising happens on this path.
+projection scores (no iterative pre-image): the fit solves once for the
+n x n ridge map (K_Y + gamma I)^-1 K_Y, with the ridge gamma a fit
+parameter, and a decomposition is one product with that map; the
+unpredictable part is the exact residual. No tail-truncation denoising
+happens on this path.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import numpy as np
 from scipy import linalg
 
 from .core import CsiMatrix
+from .pca import _fix_signs
 
 KERNEL_VARIANTS = ("conjugate", "standard")
 
@@ -38,7 +42,6 @@ class GramMatrix:
     k: np.ndarray
     bandwidth_sigma: float
     asymmetry_norm: float
-    variant: str = "conjugate"
 
     def __post_init__(self):
         arr = np.asarray(self.k, dtype=np.float64)
@@ -47,23 +50,21 @@ class GramMatrix:
 
 
 @dataclass(frozen=True)
-class KpcaModel:
-    centered_gram: np.ndarray
-    alphas: np.ndarray  # (n, d_hat), column i = V_i / sqrt(lambda_i)
-    eigenvalues: np.ndarray  # descending, of the (1/N)-scaled problem
-    scores: np.ndarray  # (d_hat, n) projections of the training columns
-    train_columns: np.ndarray  # (m, n) complex columns the model was fitted on
-    gram: GramMatrix
-
-
-@dataclass(frozen=True)
 class KpcaDiagnostics:
-    eigenvalues: np.ndarray
     asymmetry_norm: float
     bandwidth_sigma: float
     score_bandwidth: float
     gamma: float
     condition_estimate: float
+
+
+@dataclass(frozen=True)
+class KpcaModel:
+    alphas: np.ndarray  # (n, d_hat), column i = V_i / sqrt(lambda_i)
+    eigenvalues: np.ndarray  # descending, of the (1/N)-scaled problem
+    ridge_map: np.ndarray  # (n, n) = (K_Y + gamma I)^-1 K_Y
+    shape: tuple[int, int]  # (m, n) of the columns the model was fitted on
+    diagnostics: KpcaDiagnostics
 
 
 def _pairwise_sq_dists(columns: np.ndarray, variant: str) -> np.ndarray:
@@ -107,7 +108,7 @@ def gaussian_gram(columns: np.ndarray, sigma: float | None = None, variant: str 
     k = np.exp(-d2 / (2.0 * sigma * sigma))
     asym = float(np.linalg.norm(k - k.T))
     k = 0.5 * (k + k.T)
-    return GramMatrix(k=k, bandwidth_sigma=float(sigma), asymmetry_norm=asym, variant=variant)
+    return GramMatrix(k=k, bandwidth_sigma=float(sigma), asymmetry_norm=asym)
 
 
 def center_gram(k: np.ndarray) -> np.ndarray:
@@ -120,37 +121,47 @@ def center_gram(k: np.ndarray) -> np.ndarray:
     return k - row - col + k.mean()
 
 
-def fit_kpca(csi: CsiMatrix, d_hat: int, sigma: float | None = None, variant: str = "conjugate") -> KpcaModel:
-    """Solve the centered-Gram eigenproblem K~ a = N lambda a and retain the
-    top d_hat components as scaled eigenvectors and projection scores."""
+def fit_kpca(
+    csi: CsiMatrix, d_hat: int, sigma: float | None = None, variant: str = "conjugate", gamma: float | None = None
+) -> KpcaModel:
+    """Solve the centered-Gram eigenproblem K~ a = N lambda a, retain the
+    top d_hat components as scaled eigenvectors, and fit the ridge map of
+    :func:`decompose_kpca` on the training columns' projection scores."""
     h = csi.data
     n = h.shape[1]
     if not 1 <= d_hat <= n - 1:
         raise ValueError(f"d_hat must lie in [1, {n - 1}]")
+    if gamma is not None and gamma <= 0:
+        raise ValueError("ridge gamma must be positive")
     gram = gaussian_gram(h, sigma=sigma, variant=variant)
     centered = center_gram(gram.k)
+    bandwidth, asymmetry = gram.bandwidth_sigma, gram.asymmetry_norm
+    del gram
     evals, evecs = np.linalg.eigh(centered)
     order = np.argsort(evals)[::-1]
     lambdas = np.clip(evals[order] / n, 0.0, None)
-    vectors = evecs[:, order]
-    # deterministic sign: first nonzero entry positive
-    for i in range(vectors.shape[1]):
-        nz = np.nonzero(np.abs(vectors[:, i]) > 1e-12)[0]
-        if nz.size and vectors[nz[0], i] < 0:
-            vectors[:, i] *= -1.0
     rank = int(np.sum(lambdas > EIGENVALUE_FLOOR))
     if d_hat > rank:
         warnings.warn(f"d_hat={d_hat} exceeds numerical rank {rank}; truncating", RuntimeWarning)
         d_hat = rank
-    alphas = vectors[:, :d_hat] / np.sqrt(lambdas[:d_hat])[None, :]
+    top = _fix_signs(evecs[:, order[:d_hat]].T).T
+    del evecs
+    alphas = top / np.sqrt(lambdas[:d_hat])[None, :]
     scores = alphas.T @ centered
+    del centered  # the n x n eigenproblem arrays go before the ridge allocates its own
+    ridge_map, score_sigma, gamma, condition = _ridge_map(scores, gamma)
     return KpcaModel(
-        centered_gram=centered,
         alphas=alphas,
         eigenvalues=lambdas,
-        scores=scores,
-        train_columns=h.copy(),
-        gram=gram,
+        ridge_map=ridge_map,
+        shape=h.shape,
+        diagnostics=KpcaDiagnostics(
+            asymmetry_norm=asymmetry,
+            bandwidth_sigma=bandwidth,
+            score_bandwidth=score_sigma,
+            gamma=gamma,
+            condition_estimate=condition,
+        ),
     )
 
 
@@ -159,53 +170,36 @@ def default_gamma(k_scores: np.ndarray) -> float:
     return 1e-3 * float(np.trace(k_scores)) / k_scores.shape[0]
 
 
-def reconstruct_predictable(
-    model: KpcaModel, csi: CsiMatrix, gamma: float | None = None
-) -> tuple[CsiMatrix, KpcaDiagnostics]:
-    """Kernel ridge reconstruction of the predictable part.
-
-    H_hat = B K_Y with B = H (K_Y + gamma I)^-1, where K_Y is the real
-    Gaussian Gram over the model's score columns (its own median
-    bandwidth). Solved as an SPD linear system, never by explicit inverse.
-    """
-    h = csi.data
-    if h.shape != model.train_columns.shape:
-        raise ValueError("matrix shape differs from the fitted columns")
-    y = model.scores
-    d2 = (
-        np.sum(y * y, axis=0)[:, None]
-        + np.sum(y * y, axis=0)[None, :]
-        - 2.0 * (y.T @ y)
-    )
-    d2 = np.maximum(d2, 0.0)
+def _ridge_map(y: np.ndarray, gamma: float | None) -> tuple[np.ndarray, float, float, float]:
+    """(K_Y + gamma I)^-1 K_Y, where K_Y is the real Gaussian Gram over the
+    score columns y (its own median bandwidth), solved as an SPD system and
+    never by explicit inverse; also the score bandwidth, gamma and the
+    condition estimate of K_Y + gamma I."""
+    sq = np.sum(y * y, axis=0)
+    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (y.T @ y), 0.0)
     score_sigma = median_bandwidth(d2)
     k_scores = np.exp(-d2 / (2.0 * score_sigma * score_sigma))
+    del d2
     if gamma is None:
         gamma = default_gamma(k_scores)
-    if gamma <= 0:
-        raise ValueError("ridge gamma must be positive")
-    regularized = k_scores + gamma * np.eye(k_scores.shape[0])
+    regularized = k_scores.copy()
+    regularized.flat[:: k_scores.shape[0] + 1] += gamma
     eigs = np.linalg.eigvalsh(regularized)
     condition = float(eigs[-1] / eigs[0]) if eigs[0] > 0 else math.inf
     if condition > 1e12:
         warnings.warn(f"ill-conditioned ridge system (condition ~ {condition:.3g})", RuntimeWarning)
-    mapping = linalg.solve(regularized, k_scores, assume_a="pos")  # (K_Y + gI)^-1 K_Y
-    predictable = h @ mapping
-    diag = KpcaDiagnostics(
-        eigenvalues=model.eigenvalues,
-        asymmetry_norm=model.gram.asymmetry_norm,
-        bandwidth_sigma=model.gram.bandwidth_sigma,
-        score_bandwidth=score_sigma,
-        gamma=float(gamma),
-        condition_estimate=condition,
+    ridge_map = linalg.solve(regularized, k_scores, assume_a="pos", overwrite_a=True)
+    return ridge_map, score_sigma, float(gamma), condition
+
+
+def decompose_kpca(model: KpcaModel, csi: CsiMatrix) -> tuple[CsiMatrix, CsiMatrix]:
+    """Predictable part H_hat = H (K_Y + gamma I)^-1 K_Y with the fitted
+    ridge map, plus the exact residual H - H_hat."""
+    h = csi.data
+    if h.shape != model.shape:
+        raise ValueError("matrix shape differs from the fitted columns")
+    predictable = h @ model.ridge_map
+    return (
+        CsiMatrix(predictable, direction=csi.direction, snr_db=csi.snr_db),
+        CsiMatrix(h - predictable, direction=csi.direction, snr_db=csi.snr_db),
     )
-    return CsiMatrix(predictable, direction=csi.direction, snr_db=csi.snr_db), diag
-
-
-def decompose_kpca(
-    model: KpcaModel, csi: CsiMatrix, gamma: float | None = None
-) -> tuple[CsiMatrix, CsiMatrix, KpcaDiagnostics]:
-    """Predictable part via ridge reconstruction plus the exact residual."""
-    predictable, diag = reconstruct_predictable(model, csi, gamma=gamma)
-    residual = CsiMatrix(csi.data - predictable.data, direction=csi.direction, snr_db=csi.snr_db)
-    return predictable, residual, diag

@@ -61,13 +61,13 @@ class Decomposition:
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    """Make the first nonzero entry of each eigenvector row positive."""
-    out = vectors.copy()
-    for row in out:
+    """Make the first nonzero entry of each eigenvector row positive, in
+    place; returns ``vectors``."""
+    for row in vectors:
         nz = np.nonzero(np.abs(row) > 1e-12)[0]
         if nz.size and row[nz[0]] < 0:
             row *= -1.0
-    return out
+    return vectors
 
 
 def fit_pca(view: np.ndarray) -> PcaBasis:
@@ -81,7 +81,7 @@ def fit_pca(view: np.ndarray) -> PcaBasis:
     evals, evecs = np.linalg.eigh(cov)
     order = np.argsort(evals)[::-1]
     evals = np.clip(evals[order], 0.0, None)
-    vectors = _fix_signs(evecs[:, order].T)
+    vectors = _fix_signs(evecs.T[order])
     return PcaBasis(eigenvectors=vectors, eigenvalues=evals, mean=mean)
 
 

@@ -13,12 +13,14 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from . import __version__
 from .autoencoder import (
     TrainConfig,
+    TrainedModel,
     build_pair_dataset,
     decompose_ae,
     decompose_ae_pairs,
@@ -29,6 +31,7 @@ from .core import (
     CsiMatrix,
     Direction,
     NodeGeometry,
+    from_real_view,
     read_csi_file,
     to_real_view,
     view_to_complex,
@@ -41,7 +44,6 @@ from .pca import DecompConfig, decompose, fit_pca
 from .simulate import SimConfig, SimOutput, simulate
 from .skg import avg_mp
 
-METHODS = ("none", "pca", "kpca", "ae1", "ae2")
 ALL_METRICS = ("tvd", "cc", "delta_bar", "mp")
 
 
@@ -104,7 +106,18 @@ def geometry_to_dict(geom: NodeGeometry) -> dict:
 
 
 def geometry_from_dict(obj: dict) -> NodeGeometry:
-    return NodeGeometry(positions=np.asarray(obj["positions"], dtype=np.float64), k=int(obj.get("k", 8)))
+    """Inverse of :func:`geometry_to_dict`; a ValueError names the bad key."""
+    if not isinstance(obj, dict) or "positions" not in obj:
+        raise ValueError("geometry must be a JSON object with a 'positions' key")
+    try:
+        positions = np.asarray(obj["positions"], dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"geometry 'positions' is not a numeric matrix: {exc}") from exc
+    try:
+        k = int(obj.get("k", 8))
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"geometry 'k' is not an integer: {exc}") from exc
+    return NodeGeometry(positions=positions, k=k)
 
 
 def write_geometry(geom: NodeGeometry, path) -> None:
@@ -157,78 +170,110 @@ def load_dataset(cfg: PipelineConfig) -> tuple[CsiMatrix, CsiMatrix, NodeGeometr
         raise PipelineError("dataset", exc) from exc
 
 
+#: maps a (2m, n) real view to its (predictable, unpredictable) real views
+Split = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+
+
+def _fit_none(cfg: PipelineConfig, ul_view, dl_view, geom) -> tuple[Split, Split, dict]:
+    def split(view):
+        return view, view
+
+    return split, split, {"method": "none"}
+
+
+def _fit_pca(cfg: PipelineConfig, ul_view, dl_view, geom) -> tuple[Split, Split, dict]:
+    basis = fit_pca(ul_view)
+    dcfg = DecompConfig(d_hat=cfg.d_hat, d1=cfg.d1, d2=cfg.d2)
+
+    def split(view):
+        dec = decompose(view, basis, dcfg)
+        return dec.predictable, dec.unpredictable
+
+    return split, split, {"method": "pca", "d_hat": cfg.d_hat, "d1": cfg.d1, "d2": cfg.d2}
+
+
+def _fit_kpca(cfg: PipelineConfig, ul_view, dl_view, geom) -> tuple[Split, Split, dict]:
+    model = fit_kpca(
+        from_real_view(ul_view), max(cfg.d_hat, 1), sigma=cfg.sigma, variant=cfg.kernel_variant, gamma=cfg.gamma
+    )
+
+    def split(view):
+        predictable, residual = decompose_kpca(model, from_real_view(view))
+        return to_real_view(predictable), to_real_view(residual)
+
+    details = {
+        "method": "kpca",
+        "d_hat": model.alphas.shape[1],
+        "eigenvalues": model.eigenvalues,
+        **dataclasses.asdict(model.diagnostics),
+    }
+    return split, split, details
+
+
+def ae_split(model: TrainedModel, geom: NodeGeometry | None, k: int) -> Split:
+    """Split by a trained autoencoder: a per-node model when its input width
+    is the view's, a (node, neighbor) pair model when it is twice that."""
+
+    def split(view):
+        if model.spec.input_dim == view.shape[0]:
+            dec = decompose_ae(model, view)
+        elif model.spec.input_dim == 2 * view.shape[0]:
+            if geom is None:
+                raise ValueError("a pair-input model needs the node geometry")
+            dec = decompose_ae_pairs(model, view, geom, k)
+        else:
+            raise ValueError(f"model expects input dim {model.spec.input_dim}, the real view has {view.shape[0]}")
+        return dec.predictable, dec.unpredictable
+
+    return split
+
+
+def _fit_ae(cfg: PipelineConfig, ul_view, dl_view, geom) -> tuple[Split, Split, dict]:
+    """ae1 trains on node columns, ae2 on (node, neighbor) pairs; a
+    centralized model trains on the uplink alone."""
+    tc = TrainConfig(
+        loss="e1" if cfg.method == "ae1" else "e2",
+        learning_rate=cfg.ae_learning_rate,
+        batch_size=cfg.ae_batch_size,
+        epochs=cfg.ae_epochs,
+        seed=cfg.seed,
+        mode=cfg.ae_mode,
+        mu=cfg.ae_loss_mu,
+    )
+    if cfg.method == "ae1":
+        data_ul, data_dl = ul_view, dl_view
+    else:
+        data_ul = build_pair_dataset(ul_view, geom, cfg.k_neighbors)
+        data_dl = build_pair_dataset(dl_view, geom, cfg.k_neighbors) if cfg.ae_mode == "localized" else None
+    spec = default_mlp_spec(data_ul.shape[0], max(cfg.d_hat, 1))
+    model_ul, model_dl = train_for_mode(spec, tc, data_ul, data_dl)
+    details = {
+        "method": cfg.method,
+        "d_hat": max(cfg.d_hat, 1),
+        "mode": cfg.ae_mode,
+        "epochs": cfg.ae_epochs,
+        "final_loss_ul": model_ul.final_loss,
+        "final_loss_dl": model_dl.final_loss,
+    }
+    return ae_split(model_ul, geom, cfg.k_neighbors), ae_split(model_dl, geom, cfg.k_neighbors), details
+
+
+#: method -> fit(cfg, ul_view, dl_view, geom) -> (uplink split, downlink split, details)
+FITS = {"none": _fit_none, "pca": _fit_pca, "kpca": _fit_kpca, "ae1": _fit_ae, "ae2": _fit_ae}
+METHODS = tuple(FITS)
+
+
 def apply_method(cfg: PipelineConfig, ul: CsiMatrix, dl: CsiMatrix, geom: NodeGeometry) -> MethodOutput:
     try:
+        if cfg.method not in FITS:
+            raise ValueError(f"unknown method {cfg.method!r}")
         ul_view, dl_view = to_real_view(ul), to_real_view(dl)
-        if cfg.method == "none":
-            return MethodOutput(
-                fingerprint=np.abs(ul.data), unpred_ul=ul_view, unpred_dl=dl_view, details={"method": "none"}
-            )
-        if cfg.method == "pca":
-            basis = fit_pca(ul_view)
-            dcfg = DecompConfig(d_hat=cfg.d_hat, d1=cfg.d1, d2=cfg.d2)
-            dec_ul = decompose(ul_view, basis, dcfg)
-            dec_dl = decompose(dl_view, basis, dcfg)
-            return MethodOutput(
-                fingerprint=np.abs(view_to_complex(dec_ul.predictable)),
-                unpred_ul=dec_ul.unpredictable,
-                unpred_dl=dec_dl.unpredictable,
-                details={"method": "pca", "d_hat": cfg.d_hat, "d1": cfg.d1, "d2": cfg.d2},
-            )
-        if cfg.method == "kpca":
-            model = fit_kpca(ul, max(cfg.d_hat, 1), sigma=cfg.sigma, variant=cfg.kernel_variant)
-            pred_ul, resid_ul, diag = decompose_kpca(model, ul, gamma=cfg.gamma)
-            _, resid_dl, _ = decompose_kpca(model, dl, gamma=cfg.gamma)
-            return MethodOutput(
-                fingerprint=np.abs(pred_ul.data),
-                unpred_ul=to_real_view(resid_ul),
-                unpred_dl=to_real_view(resid_dl),
-                details={
-                    "method": "kpca",
-                    "d_hat": max(cfg.d_hat, 1),
-                    "gamma": diag.gamma,
-                    "bandwidth_sigma": diag.bandwidth_sigma,
-                    "asymmetry_norm": diag.asymmetry_norm,
-                    "condition_estimate": diag.condition_estimate,
-                },
-            )
-        if cfg.method in ("ae1", "ae2"):
-            tc = TrainConfig(
-                loss="e1" if cfg.method == "ae1" else "e2",
-                learning_rate=cfg.ae_learning_rate,
-                batch_size=cfg.ae_batch_size,
-                epochs=cfg.ae_epochs,
-                seed=cfg.seed,
-                mode=cfg.ae_mode,
-                k_neighbors=cfg.k_neighbors,
-                mu=cfg.ae_loss_mu,
-            )
-            if cfg.method == "ae1":
-                spec = default_mlp_spec(ul_view.shape[0], max(cfg.d_hat, 1))
-                model_ul, model_dl = train_for_mode(spec, tc, ul_view, dl_view)
-                dec_ul = decompose_ae(model_ul, ul_view)
-                dec_dl = decompose_ae(model_dl, dl_view)
-            else:
-                spec = default_mlp_spec(2 * ul_view.shape[0], max(cfg.d_hat, 1))
-                pairs_ul, _ = build_pair_dataset(ul_view, geom, cfg.k_neighbors)
-                pairs_dl, _ = build_pair_dataset(dl_view, geom, cfg.k_neighbors)
-                model_ul, model_dl = train_for_mode(spec, tc, pairs_ul, pairs_dl)
-                dec_ul = decompose_ae_pairs(model_ul, ul_view, geom, cfg.k_neighbors)
-                dec_dl = decompose_ae_pairs(model_dl, dl_view, geom, cfg.k_neighbors)
-            return MethodOutput(
-                fingerprint=np.abs(view_to_complex(dec_ul.predictable)),
-                unpred_ul=dec_ul.unpredictable,
-                unpred_dl=dec_dl.unpredictable,
-                details={
-                    "method": cfg.method,
-                    "d_hat": max(cfg.d_hat, 1),
-                    "mode": cfg.ae_mode,
-                    "epochs": cfg.ae_epochs,
-                    "final_loss_ul": model_ul.final_loss,
-                    "final_loss_dl": model_dl.final_loss,
-                },
-            )
-        raise ValueError(f"unknown method {cfg.method!r}")
+        split_ul, split_dl, details = FITS[cfg.method](cfg, ul_view, dl_view, geom)
+        predictable, unpred_ul = split_ul(ul_view)
+        _, unpred_dl = split_dl(dl_view)
+        return MethodOutput(
+            fingerprint=np.abs(view_to_complex(predictable)), unpred_ul=unpred_ul, unpred_dl=unpred_dl, details=details
+        )
     except PipelineError:
         raise
     except Exception as exc:
@@ -290,44 +335,32 @@ def run_pipeline(cfg: PipelineConfig, output_dir=None) -> dict:
 
 def compare_methods(cfgs: list[PipelineConfig], output_dir=None) -> dict:
     """Same dataset, several methods; one row per method with original and
-    residual dependence/correlation plus the mismatch probability."""
+    residual dependence/correlation plus the mismatch probability. The
+    residual scores are the method's pipeline metrics, the original ones
+    those of method none, whatever metrics the configs name."""
     if not cfgs:
         raise ValueError("need at least one config")
     base = cfgs[0]
-    for other in cfgs[1:]:
-        same_source = (
-            other.source == base.source
-            and other.sim == base.sim
-            and other.ul_path == base.ul_path
-            and other.dl_path == base.dl_path
-            and other.geometry_path == base.geometry_path
-        )
-        if not same_source:
-            raise PipelineError("compare", ValueError("dataset mismatch across configs"))
-    for cfg in cfgs:
+    dataset_fields = ("source", "sim", "ul_path", "dl_path", "geometry_path")
+    if any(getattr(cfg, f) != getattr(base, f) for cfg in cfgs[1:] for f in dataset_fields):
+        raise PipelineError("compare", ValueError("dataset mismatch across configs"))
+    scored = [dataclasses.replace(cfg, metrics=("cc", "delta_bar", "mp")) for cfg in cfgs]
+    for cfg in scored:
         cfg.validate()
     ul, dl, geom = load_dataset(base)
-    raw_view = to_real_view(ul)
-    original_cc = avg_neighbor_cc(raw_view, geom, k=base.k_neighbors)
-    original_delta, _ = avg_neighbor_delta_bar(
-        raw_view, geom, pairs=base.delta_pairs, alpha=base.alpha, b=base.delta_b, seed=base.seed
-    )
+    none = dataclasses.replace(scored[0], method="none")
+    original = compute_metrics(none, apply_method(none, ul, dl, geom), geom)
     rows = []
-    for cfg in cfgs:
-        out = apply_method(cfg, ul, dl, geom)
-        residual_cc = avg_neighbor_cc(out.unpred_ul, geom, k=cfg.k_neighbors)
-        residual_delta, _ = avg_neighbor_delta_bar(
-            out.unpred_ul, geom, pairs=cfg.delta_pairs, alpha=cfg.alpha, b=cfg.delta_b, seed=cfg.seed
-        )
-        mp = avg_mp(out.unpred_ul, out.unpred_dl).avg_mp
+    for cfg in scored:
+        residual = compute_metrics(cfg, apply_method(cfg, ul, dl, geom), geom)
         rows.append(
             {
                 "method": cfg.method,
-                "original_cc": original_cc,
-                "residual_cc": residual_cc,
-                "original_delta_bar": original_delta,
-                "residual_delta_bar": residual_delta,
-                "mp": mp,
+                "original_cc": original["avg_cc"],
+                "residual_cc": residual["avg_cc"],
+                "original_delta_bar": original["avg_delta_bar"],
+                "residual_delta_bar": residual["avg_delta_bar"],
+                "mp": residual["avg_mp"],
             }
         )
     report = {
@@ -356,12 +389,10 @@ def tvd_curve(
     basis = fit_pca(view)
     records = []
     for d in range(d_hat_max + 1):
-        if d == 0:
-            fp = np.abs(ul.data)
-        else:
-            dec = decompose(view, basis, DecompConfig(d_hat=d, d1=1, d2=view.shape[0]))
-            fp = np.abs(view_to_complex(dec.predictable))
-        rep = avg_neighbor_tvd(fp, geom, k=k, bins=bins)
+        predictable = view  # rank 0: the raw measurements
+        if d > 0:
+            predictable = decompose(view, basis, DecompConfig(d_hat=d, d1=1, d2=view.shape[0])).predictable
+        rep = avg_neighbor_tvd(np.abs(view_to_complex(predictable)), geom, k=k, bins=bins)
         records.append({"d_hat": d, "avg_tvd": rep.avg_tvd})
     return records
 

@@ -93,17 +93,6 @@ def grid_positions(cfg: SimConfig) -> np.ndarray:
     return np.column_stack([gx.ravel(), gy.ravel()])
 
 
-def correlated_gaussian_field(positions: np.ndarray, corr_m: float, rng: np.random.Generator) -> np.ndarray:
-    """One draw of a unit-variance Gaussian field with covariance
-    exp(-d_ij / corr_m) over the given positions (Cholesky factorization)."""
-    pos = np.asarray(positions, dtype=np.float64)
-    diff = pos[:, None, :] - pos[None, :, :]
-    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    cov = np.exp(-dist / corr_m)
-    chol = np.linalg.cholesky(cov + 1e-10 * np.eye(pos.shape[0]))
-    return chol @ rng.standard_normal(pos.shape[0])
-
-
 def _spatial_chol(positions: np.ndarray, corr_m: float) -> np.ndarray:
     diff = positions[:, None, :] - positions[None, :, :]
     dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))

@@ -18,10 +18,8 @@ from csisplit.core import (
     from_real_view,
     nearest_neighbors,
     neighbor_pairs,
-    read_csi_csv,
     read_csi_file,
     to_real_view,
-    write_csi_csv,
     write_csi_file,
 )
 
@@ -191,6 +189,15 @@ def test_neighbor_table_is_cached_read_only_and_nested():
         nearest_neighbors(geom, 42, 1)
 
 
+def test_geometry_equality_and_hash_are_identity():
+    positions = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]])
+    a, b = NodeGeometry(positions), NodeGeometry(positions.copy())
+    assert a == a and a != b
+    assert hash(a) == hash(a) and len({a, b}) == 2
+    a.neighbors(1)
+    assert 1 in a._tables and not b._tables  # the cache belongs to one object
+
+
 # ---------------------------------------------------------------------------
 # file format
 # ---------------------------------------------------------------------------
@@ -263,19 +270,3 @@ def test_trailing_bytes_rejected(tmp_path):
     path.write_bytes(path.read_bytes() + b"\x00")
     with pytest.raises(CsiFileError, match="trailing"):
         read_csi_file(path)
-
-
-def test_csv_round_trip(tmp_path):
-    rng = np.random.default_rng(5)
-    csi = CsiMatrix(rng.standard_normal((7, 3)) + 1j * rng.standard_normal((7, 3)))
-    path = tmp_path / "x.csv"
-    write_csi_csv(csi, path)
-    back = read_csi_csv(path)
-    assert np.array_equal(back.data, csi.data)
-
-
-def test_csv_bad_header(tmp_path):
-    path = tmp_path / "x.csv"
-    path.write_text("foo,bar\n1,2\n")
-    with pytest.raises(CsiFileError, match="header"):
-        read_csi_csv(path)

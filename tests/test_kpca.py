@@ -2,16 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.stats import spearmanr
 
 from csisplit.core import CsiMatrix, to_real_view
-from csisplit.kpca import (
-    center_gram,
-    decompose_kpca,
-    fit_kpca,
-    gaussian_gram,
-    reconstruct_predictable,
-)
+from csisplit.kpca import center_gram, decompose_kpca, fit_kpca, gaussian_gram
 from csisplit.pca import fit_pca
 
 
@@ -112,9 +107,10 @@ def test_fit_eigen_identity_holds():
     rng = np.random.default_rng(5)
     csi = CsiMatrix(_random_columns(rng, m=5, n=10))
     model = fit_kpca(csi, d_hat=3)
+    centered = center_gram(gaussian_gram(csi.data).k)
     n = 10
     for i in range(3):
-        lhs = model.centered_gram @ model.alphas[:, i]
+        lhs = centered @ model.alphas[:, i]
         rhs = n * model.eigenvalues[i] * model.alphas[:, i]
         assert np.linalg.norm(lhs - rhs) <= 1e-6 * n * model.eigenvalues[i]
 
@@ -142,16 +138,17 @@ def test_fit_truncates_beyond_numerical_rank():
 
 def test_fit_scores_have_zero_mean():
     rng = np.random.default_rng(7)
-    model = fit_kpca(CsiMatrix(_random_columns(rng, m=6, n=12)), d_hat=4)
-    assert np.max(np.abs(model.scores.mean(axis=1))) <= 1e-8
+    csi = CsiMatrix(_random_columns(rng, m=6, n=12))
+    model = fit_kpca(csi, d_hat=4)
+    scores = model.alphas.T @ center_gram(gaussian_gram(csi.data).k)
+    assert np.max(np.abs(scores.mean(axis=1))) <= 1e-8
 
 
 def test_reconstruct_ridge_shrinkage_limit():
     rng = np.random.default_rng(8)
     csi = CsiMatrix(_random_columns(rng, m=5, n=10))
-    model = fit_kpca(csi, d_hat=3)
-    pred6, _ = reconstruct_predictable(model, csi, gamma=1e6)
-    pred8, _ = reconstruct_predictable(model, csi, gamma=1e8)
+    pred6, _ = decompose_kpca(fit_kpca(csi, d_hat=3, gamma=1e6), csi)
+    pred8, _ = decompose_kpca(fit_kpca(csi, d_hat=3, gamma=1e8), csi)
     assert np.linalg.norm(pred6.data) < 1e-3 * np.linalg.norm(csi.data)
     ratio = np.linalg.norm(pred8.data) / np.linalg.norm(pred6.data)
     assert ratio == pytest.approx(1e-2, rel=1e-2)
@@ -161,26 +158,24 @@ def test_reconstruct_near_interpolation():
     rng = np.random.default_rng(9)
     csi = CsiMatrix(_random_columns(rng, m=6, n=12))
     with pytest.warns(RuntimeWarning, match="numerical rank"):
-        model = fit_kpca(csi, d_hat=11)  # truncates to the kernel rank
-    pred, diag = reconstruct_predictable(model, csi, gamma=1e-8)
+        model = fit_kpca(csi, d_hat=11, gamma=1e-8)  # truncates to the kernel rank
+    pred, _ = decompose_kpca(model, csi)
     rel = np.linalg.norm(csi.data - pred.data) / np.linalg.norm(csi.data)
     assert rel <= 0.05
-    assert diag.gamma == 1e-8
+    assert model.diagnostics.gamma == 1e-8
 
 
 def test_reconstruct_gamma_validation():
     rng = np.random.default_rng(10)
     csi = CsiMatrix(_random_columns(rng, m=4, n=8))
-    model = fit_kpca(csi, d_hat=2)
-    with pytest.raises(ValueError):
-        reconstruct_predictable(model, csi, gamma=0.0)
+    with pytest.raises(ValueError, match="gamma"):
+        fit_kpca(csi, d_hat=2, gamma=0.0)
 
 
 def test_residual_is_exact_subtraction():
     rng = np.random.default_rng(11)
     csi = CsiMatrix(_random_columns(rng, m=5, n=9))
-    model = fit_kpca(csi, d_hat=3)
-    pred, resid, _ = decompose_kpca(model, csi, gamma=1e-2)
+    pred, resid = decompose_kpca(fit_kpca(csi, d_hat=3, gamma=1e-2), csi)
     assert np.array_equal(resid.data, csi.data - pred.data)
 
 
@@ -192,8 +187,7 @@ def test_reconstruction_error_non_increasing_in_rank():
     csi = CsiMatrix(cols)
     errors = []
     for d_hat in range(1, 11):
-        model = fit_kpca(csi, d_hat)
-        pred, _ = reconstruct_predictable(model, csi, gamma=1e-4)
+        pred, _ = decompose_kpca(fit_kpca(csi, d_hat, gamma=1e-4), csi)
         errors.append(float(np.linalg.norm(csi.data - pred.data)))
     assert np.all(np.diff(errors) <= 1e-9)
 
@@ -205,7 +199,8 @@ def test_wide_bandwidth_matches_pca_ordering():
     csi = CsiMatrix(cols)
     model = fit_kpca(csi, d_hat=1, sigma=500.0)
     pca_scores = (fit_pca(to_real_view(csi)).eigenvectors[0] @ to_real_view(csi))
-    rho = spearmanr(model.scores[0], pca_scores).statistic
+    scores = model.alphas.T @ center_gram(gaussian_gram(csi.data, sigma=500.0).k)
+    rho = spearmanr(scores[0], pca_scores).statistic
     assert abs(rho) >= 0.99
 
 
@@ -215,4 +210,21 @@ def test_shape_mismatch_rejected():
     other = CsiMatrix(_random_columns(rng, m=4, n=9))
     model = fit_kpca(csi, d_hat=2)
     with pytest.raises(ValueError):
-        reconstruct_predictable(model, other)
+        decompose_kpca(model, other)
+
+
+def test_decompose_reuses_the_fitted_ridge_map(monkeypatch):
+    rng = np.random.default_rng(15)
+    csi = CsiMatrix(_random_columns(rng, m=5, n=9))
+    other = CsiMatrix(_random_columns(rng, m=5, n=9))
+    model = fit_kpca(csi, d_hat=2)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("decompose_kpca must not factorize")
+
+    for name in ("eigh", "eigvalsh", "solve"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
+    monkeypatch.setattr(scipy.linalg, "solve", forbidden)
+    pred, resid = decompose_kpca(model, other)
+    assert np.array_equal(pred.data, other.data @ model.ridge_map)
+    assert np.array_equal(resid.data, other.data - pred.data)

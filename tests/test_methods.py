@@ -103,9 +103,10 @@ def test_autoencoder_methods_equal_direct_train_and_decompose(dataset, method, m
 
 
 def test_compare_rows_equal_the_pipeline_metrics():
-    cfgs = [_cfg(method) for method in pipeline.METHODS]
+    methods = pipeline.METHODS[::-1]  # none last, so the original columns cannot come from the first row
+    cfgs = [_cfg(method) for method in methods]
     rows = pipeline.compare_methods(cfgs)["rows"]
-    assert [row["method"] for row in rows] == list(pipeline.METHODS)
+    assert [row["method"] for row in rows] == list(methods)
     original = pipeline.run_pipeline(_cfg("none"))["metrics"]
     for cfg, row in zip(cfgs, rows):
         metrics = pipeline.run_pipeline(cfg)["metrics"]
@@ -118,32 +119,37 @@ def test_compare_rows_equal_the_pipeline_metrics():
 
 def _run_cli(tmp_path, argv):
     assert cli.main(argv + ["--output-dir", str(tmp_path)]) == 0
-    return read_csi_file(tmp_path / "predictable.csi"), read_csi_file(tmp_path / "unpredictable.csi")
+    details = json.loads((tmp_path / "decompose.json").read_text(encoding="utf-8"))
+    return read_csi_file(tmp_path / "predictable.csi"), read_csi_file(tmp_path / "unpredictable.csi"), details
 
 
 def test_cli_pca_decompose_files_equal_the_direct_split(tmp_path, dataset):
     ul = dataset[0]
     write_csi_file(ul, tmp_path / "ul.csi")
-    pred, unpred = _run_cli(tmp_path, ["decompose", "--input", str(tmp_path / "ul.csi"), "--d-hat", "2", "--d2", "10"])
+    argv = ["decompose", "--input", str(tmp_path / "ul.csi"), "--d-hat", "2", "--d2", "10"]
+    pred, unpred, details = _run_cli(tmp_path, argv)
     view = to_real_view(ul)
     dec = decompose(view, fit_pca(view), DecompConfig(d_hat=2, d1=3, d2=10))
     assert np.array_equal(to_real_view(pred), dec.predictable)
     assert np.array_equal(to_real_view(unpred), dec.unpredictable)
     assert pred.direction == unpred.direction == ul.direction
     assert pred.snr_db == unpred.snr_db == ul.snr_db
+    assert details == {"method": "pca", "d_hat": 2, "d1": 3, "d2": 10}
 
 
 def test_cli_kpca_decompose_files_equal_the_direct_split(tmp_path, dataset):
     ul = dataset[0]
     write_csi_file(ul, tmp_path / "ul.csi")
-    argv = ["kpca", "--input", str(tmp_path / "ul.csi"), "--d-hat", "2", "--gamma", "0.01"]
-    assert cli.main(argv + ["--output-dir", str(tmp_path)]) == 0
-    pred, unpred = read_csi_file(tmp_path / "predictable.csi"), read_csi_file(tmp_path / "residual.csi")
-    details = json.loads((tmp_path / "kpca.json").read_text(encoding="utf-8"))
-    model = fit_kpca(ul, 2)
-    want_pred, want_unpred, diag = decompose_kpca(model, ul, gamma=0.01)
+    argv = ["decompose", "--method", "kpca", "--input", str(tmp_path / "ul.csi"), "--d-hat", "2", "--gamma", "0.01"]
+    pred, unpred, details = _run_cli(tmp_path, argv)
+    model = fit_kpca(ul, 2, gamma=0.01)
+    want_pred, want_unpred = decompose_kpca(model, ul)
     assert np.array_equal(pred.data, want_pred.data)
     assert np.array_equal(unpred.data, want_unpred.data)
     assert details["gamma"] == 0.01 and details["d_hat"] == 2
-    assert details["condition_estimate"] == diag.condition_estimate
-    assert details["eigenvalues"] == diag.eigenvalues.tolist()
+    assert details["condition_estimate"] == model.diagnostics.condition_estimate
+    assert details["eigenvalues"] == model.eigenvalues.tolist()
+    # every field the former kpca.json carried
+    assert set(details) >= {
+        "d_hat", "eigenvalues", "asymmetry_norm", "bandwidth_sigma", "score_bandwidth", "gamma", "condition_estimate"
+    }

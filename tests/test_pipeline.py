@@ -1,10 +1,12 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from csisplit import cli, pipeline
-from csisplit.core import to_real_view, write_csi_file
+from csisplit.autoencoder import decompose_ae_pairs, read_weights
+from csisplit.core import read_csi_file, to_real_view, write_csi_file
 from csisplit.dependence import dhsic_test
 from csisplit.simulate import SimConfig, simulate
 
@@ -42,3 +44,41 @@ def test_cli_dhsic_payload_carries_the_p_value(tmp_path):
     expected = dhsic_test([view[:, 0], view[:, 1]], b=100, seed=3)
     assert payload["p_value"] == expected.p_value
     assert payload["statistic"] == expected.statistic
+
+
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        ("[[0, 0], [1, 0]]", "JSON object"),
+        ('{"k": 2}', "'positions'"),
+        ('{"positions": [[0, 0], [1]]}', "'positions'"),
+        ('{"positions": "abc"}', "'positions'"),
+        ('{"positions": [[0, 0], [1, 0]], "k": [1]}', "'k'"),
+    ],
+)
+def test_bad_geometry_file_raises_a_value_error_naming_the_key(tmp_path, text, match):
+    path = tmp_path / "geometry.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=match):
+        pipeline.read_geometry(path)
+
+
+def test_geometry_file_round_trip(tmp_path):
+    geom = simulate(SMALL).geometry
+    pipeline.write_geometry(geom, tmp_path / "geometry.json")
+    back = pipeline.read_geometry(tmp_path / "geometry.json")
+    assert np.array_equal(back.positions, geom.positions) and back.k == geom.k
+
+
+def test_cli_ae_decompose_applies_the_trained_pair_model(tmp_path):
+    out = simulate(SMALL)
+    write_csi_file(out.uplink, tmp_path / "uplink.csi")
+    pipeline.write_geometry(out.geometry, tmp_path / "geometry.json")
+    files = ["--input", str(tmp_path / "uplink.csi"), "--geometry", str(tmp_path / "geometry.json"), "--k", "4"]
+    common = ["--output-dir", str(tmp_path)]
+    assert cli.main(["ae-train", *files, "--loss", "e2", "--ae-epochs", "1", *common]) == 0
+    assert cli.main(["ae-decompose", *files, "--weights", str(tmp_path / "ae.weights"), *common]) == 0
+    view = to_real_view(out.uplink)
+    dec = decompose_ae_pairs(read_weights(tmp_path / "ae.weights"), view, out.geometry, 4)
+    assert np.array_equal(to_real_view(read_csi_file(tmp_path / "predictable.csi")), dec.predictable)
+    assert np.array_equal(to_real_view(read_csi_file(tmp_path / "unpredictable.csi")), dec.unpredictable)
