@@ -144,6 +144,7 @@ def _write_split(args, csi, split, predictable_path=None, unpredictable_path=Non
 def cmd_decompose(args) -> None:
     csi = read_csi_file(args.input)
     view = to_real_view(csi)
+    # pca and kpca fit on the one view they split and need no geometry
     split, _, details = pl.FITS[args.method](_pipeline_config(args), view, view, None)
     paths = _write_split(args, csi, split, args.output_predictable, args.output_unpredictable)
     paths["details"] = str(_out(args, "decompose.json"))
@@ -329,6 +330,7 @@ _METRIC_FLAGS = ("metrics", "k", "bins", "delta-pairs", "b", "alpha")
 
 
 def _add_flags(p: argparse.ArgumentParser, *names: str, required: tuple[str, ...] = ()) -> None:
+    """Add the shared options ``names`` to ``p``; those in ``required`` become mandatory."""
     for name in names:
         p.add_argument(f"--{name}", **{**_FLAGS[name], **({"required": True} if name in required else {})})
 
