@@ -81,7 +81,7 @@ def fit_pca(view: np.ndarray) -> PcaBasis:
     evals, evecs = np.linalg.eigh(cov)
     order = np.argsort(evals)[::-1]
     evals = np.clip(evals[order], 0.0, None)
-    vectors = _fix_signs(evecs.T[order])
+    vectors = _fix_signs(evecs[:, order].T.copy())
     return PcaBasis(eigenvectors=vectors, eigenvalues=evals, mean=mean)
 
 
