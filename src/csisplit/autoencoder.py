@@ -21,7 +21,6 @@ import dataclasses
 import json
 import math
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -317,17 +316,15 @@ def train_for_mode(
 ) -> tuple[TrainedModel, TrainedModel]:
     """Centralized: one model fitted on the uplink data serves both sides,
     and ``dl_dataset`` is not read (it may be None). Localized: each side
-    trains on its own observations (run in parallel)."""
+    trains on its own observations, the uplink first, each with its own
+    seed spawned from ``cfg.seed``."""
     if cfg.mode == "centralized":
         model = train(ul_dataset, spec, cfg)
         return model, model
     seeds = np.random.SeedSequence(cfg.seed).spawn(2)
     cfg_ul = dataclasses.replace(cfg, seed=int(seeds[0].generate_state(1)[0]))
     cfg_dl = dataclasses.replace(cfg, seed=int(seeds[1].generate_state(1)[0]))
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        fut_ul = pool.submit(train, ul_dataset, spec, cfg_ul)
-        fut_dl = pool.submit(train, dl_dataset, spec, cfg_dl)
-        return fut_ul.result(), fut_dl.result()
+    return train(ul_dataset, spec, cfg_ul), train(dl_dataset, spec, cfg_dl)
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,9 @@ tvd-curve, skg-mp, fit-dist, sweep, compare, pipeline. ``decompose
 --method {pca,kpca}`` splits one CSI file with the same fit as the
 pipeline and writes predictable.csi, unpredictable.csi and decompose.json
 (the method's details); ae-train and ae-decompose persist and apply
-autoencoder weights. Global flags --seed, --threads, --output-dir and
---config (a flat key = value file whose entries override the command
-line; keys are the long option names with dashes or underscores).
---threads affects only sweep and fit-dist. Every option shared by
+autoencoder weights. Global flags --seed, --output-dir and --config (a
+flat key = value file whose entries override the command line; keys are
+the long option names with dashes or underscores). Every option shared by
 several subcommands is declared once, with one default and one help.
 """
 
@@ -232,7 +231,7 @@ def cmd_fit_dist(args) -> None:
     else:
         samples = np.angle(csi.data).ravel()
         families = PHASE_FAMILIES
-    results = fit_families(samples, families, threads=args.threads)
+    results = fit_families(samples, families)
     payload = [dataclasses.asdict(r) for r in results]
     pl.write_report({"component": args.component, "fits": payload}, _out(args, "fit_dist.json"))
     print(json.dumps(pl._jsonify(payload), sort_keys=True, indent=2))
@@ -256,7 +255,6 @@ def cmd_sweep(args) -> None:
         delta_b=args.b,
         delta_alpha=args.alpha,
         seed=args.seed,
-        threads=args.threads,
     )
     records = [dataclasses.asdict(c) for c in cells]
     pl.write_report({"seed": args.seed, "cells": records}, _out(args, "sweep.json"))
@@ -340,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"csisplit {__version__}")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--threads", type=int, default=1, help="worker threads for sweep and fit-dist")
     common.add_argument("--output-dir", default=".")
     common.add_argument("--config", default=None, help="flat key = value file overriding flags")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -1,11 +1,15 @@
 """Kernel independence testing between node observation sequences.
 
 The d-variable Hilbert-Schmidt independence criterion is estimated from
-per-variable Gaussian Gram matrices K^l (median-heuristic bandwidths):
+per-variable Gaussian Gram matrices K^l:
 
     stat = (1/M^2)  sum_ij prod_l K^l_ij
          + (1/M^2d) prod_l sum_ij K^l_ij
          - (2/M^(d+1)) sum_i prod_l (sum_j K^l_ij)
+
+K^l_ij = exp(-(x_i - x_j)^2 / sigma^2) with the median-heuristic sigma =
+sqrt(median off-diagonal (x_i - x_j)^2 / 2); kpca's 2 sigma^2 differs on
+purpose: one convention would move outputs.
 
 The critical value at level alpha comes from B Monte-Carlo re-samplings
 without replacement, sorted ascending, indexed at ceil((B+1)(1-alpha)) plus

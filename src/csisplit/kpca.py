@@ -11,6 +11,9 @@ is nevertheless symmetrized explicitly and the asymmetry norm reported,
 so any future kernel variant stays eigensolver-safe. A --kernel-variant
 switch selects the plain ||h_i - h_j|| kernel for comparison.
 
+The median-heuristic sigma = sqrt(median off-diagonal ||.||^2 / 2) enters
+as 2 sigma^2; dependence's sigma^2 differs on purpose: one would move outputs.
+
 Predictable components are rebuilt by kernel ridge regression from the
 projection scores (no iterative pre-image): the fit solves once for the
 n x n ridge map (K_Y + gamma I)^-1 K_Y, with the ridge gamma a fit

@@ -9,7 +9,6 @@ aggregate) and applied to both link directions.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,14 +127,12 @@ def sweep(
     delta_b: int = 1000,
     delta_alpha: float = 0.05,
     seed=0,
-    threads: int = 1,
 ) -> list[SweepCell]:
     """Metric grid over unpredictable bands (d1, d2), d1 <= d2 only.
 
     Per cell: average neighbor Pearson CC of the uplink band, average
     uplink/downlink mismatch probability, and (when delta_pairs > 0) the
-    averaged normalized dependence. Cells are independent; output is
-    ordered by (d1, d2) regardless of evaluation order.
+    averaged normalized dependence. Cells are ordered by (d1, d2).
     """
     d1s = sorted(set(int(v) for v in d1_grid))
     d2s = sorted(set(int(v) for v in d2_grid))
@@ -146,10 +143,8 @@ def sweep(
     u = basis.eigenvectors
     w_ul = u @ (ul - basis.mean[:, None])
     w_dl = u @ (dl - basis.mean[:, None])
-    cells = [(a, b) for a in d1s for b in d2s if a <= b]
-
-    def one(cell: tuple[int, int]) -> SweepCell:
-        a, b = cell
+    cells = []
+    for a, b in ((a, b) for a in d1s for b in d2s if a <= b):
         band_ul = u[a - 1 : b].T @ w_ul[a - 1 : b]
         band_dl = u[a - 1 : b].T @ w_dl[a - 1 : b]
         cc = avg_neighbor_cc(band_ul, geom, k)
@@ -159,11 +154,5 @@ def sweep(
             delta, _ = avg_neighbor_delta_bar(
                 band_ul, geom, pairs=delta_pairs, alpha=delta_alpha, b=delta_b, seed=seed
             )
-        return SweepCell(d1=a, d2=b, avg_cc=cc, avg_mp=mp, delta_bar=delta)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            out = list(pool.map(one, cells))
-    else:
-        out = [one(c) for c in cells]
-    return sorted(out, key=lambda c: (c.d1, c.d2))
+        cells.append(SweepCell(d1=a, d2=b, avg_cc=cc, avg_mp=mp, delta_bar=delta))
+    return cells

@@ -87,6 +87,8 @@ class PipelineConfig:
             raise ValueError("file source needs ul_path, dl_path and geometry_path")
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}")
+        if self.method in ("kpca", "ae1", "ae2") and self.d_hat < 1:
+            raise ValueError(f"d_hat must be at least 1 for method {self.method}, got {self.d_hat}")
         unknown = set(self.metrics) - set(ALL_METRICS)
         if unknown:
             raise ValueError(f"unknown metrics {sorted(unknown)}")
@@ -194,7 +196,7 @@ def _fit_pca(cfg: PipelineConfig, ul_view, dl_view, geom) -> tuple[Split, Split,
 
 def _fit_kpca(cfg: PipelineConfig, ul_view, dl_view, geom) -> tuple[Split, Split, dict]:
     model = fit_kpca(
-        from_real_view(ul_view), max(cfg.d_hat, 1), sigma=cfg.sigma, variant=cfg.kernel_variant, gamma=cfg.gamma
+        from_real_view(ul_view), cfg.d_hat, sigma=cfg.sigma, variant=cfg.kernel_variant, gamma=cfg.gamma
     )
 
     def split(view):
@@ -245,11 +247,11 @@ def _fit_ae(cfg: PipelineConfig, ul_view, dl_view, geom) -> tuple[Split, Split, 
     else:
         data_ul = build_pair_dataset(ul_view, geom, cfg.k_neighbors)
         data_dl = build_pair_dataset(dl_view, geom, cfg.k_neighbors) if cfg.ae_mode == "localized" else None
-    spec = default_mlp_spec(data_ul.shape[0], max(cfg.d_hat, 1))
+    spec = default_mlp_spec(data_ul.shape[0], cfg.d_hat)
     model_ul, model_dl = train_for_mode(spec, tc, data_ul, data_dl)
     details = {
         "method": cfg.method,
-        "d_hat": max(cfg.d_hat, 1),
+        "d_hat": cfg.d_hat,
         "mode": cfg.ae_mode,
         "epochs": cfg.ae_epochs,
         "final_loss_ul": model_ul.final_loss,

@@ -105,6 +105,16 @@ def test_gram_median_heuristic_bandwidth():
     assert k[0, 1] == pytest.approx(math.exp(-1.0 / 2.0))
 
 
+def test_gram_convention_is_sigma_squared_at_the_median_bandwidth():
+    # the dependence convention; kpca.gaussian_gram divides by 2 sigma^2 on purpose
+    x = np.random.default_rng(4).standard_normal(11)
+    d2 = np.subtract.outer(x, x) ** 2
+    sigma = math.sqrt(np.median(d2[np.triu_indices(11, k=1)]) / 2.0)
+    k, got_sigma, degen = gaussian_gram_1d(x)
+    assert not degen and got_sigma == pytest.approx(sigma, rel=1e-12)
+    assert np.allclose(k, np.exp(-d2 / sigma**2), rtol=0.0, atol=1e-12)
+
+
 def test_cv_index_arithmetic():
     assert _cv_index(999, 0.5, 0) == 500
     assert _cv_index(1000, 0.05, 0) == 951

@@ -66,6 +66,17 @@ def test_gram_median_bandwidth_matches_oracle():
     assert gram.bandwidth_sigma == pytest.approx(math.sqrt(np.median(d2) / 2.0), rel=1e-12)
 
 
+def test_gram_convention_is_two_sigma_squared_at_the_median_bandwidth():
+    # kpca's convention; dependence.gaussian_gram_1d divides by sigma^2 on purpose
+    rng = np.random.default_rng(3)
+    cols = _random_columns(rng, m=5, n=9)
+    d2 = np.array([[float(np.sum(np.abs(a - np.conj(b)) ** 2)) for b in cols.T] for a in cols.T])
+    sigma = math.sqrt(np.median(d2[np.triu_indices(9, k=1)]) / 2.0)
+    gram = gaussian_gram(cols)
+    assert gram.bandwidth_sigma == pytest.approx(sigma, rel=1e-12)
+    assert np.allclose(gram.k, np.exp(-d2 / (2.0 * sigma**2)), rtol=0.0, atol=1e-12)
+
+
 def test_gram_degenerate_bandwidth_error():
     col = np.array([1.0, 2.0], dtype=complex)  # real-valued: conj is identity
     cols = np.column_stack([col, col, col])

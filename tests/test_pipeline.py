@@ -34,6 +34,15 @@ def test_bad_ae2_mu_fails_before_any_stage(mu):
     dataclasses.replace(cfg, method="ae1").validate()
 
 
+@pytest.mark.parametrize("method", ["kpca", "ae1", "ae2"])
+def test_d_hat_zero_fails_before_any_stage_for_fitted_ranks(method):
+    cfg = pipeline.PipelineConfig(sim=SMALL, method=method, d_hat=0)
+    with pytest.raises(ValueError, match="d_hat must be at least 1"):
+        pipeline.run_pipeline(cfg)
+    # PCA allows rank 0: an all-zero predictable part
+    dataclasses.replace(cfg, method="pca").validate()
+
+
 def test_cli_dhsic_payload_carries_the_p_value(tmp_path):
     uplink = simulate(SMALL).uplink
     write_csi_file(uplink, tmp_path / "uplink.csi")
