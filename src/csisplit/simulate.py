@@ -93,10 +93,17 @@ def grid_positions(cfg: SimConfig) -> np.ndarray:
     return np.column_stack([gx.ravel(), gy.ravel()])
 
 
-def _spatial_chol(positions: np.ndarray, corr_m: float) -> np.ndarray:
+def _distances(positions: np.ndarray) -> np.ndarray:
     diff = positions[:, None, :] - positions[None, :, :]
-    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    return np.linalg.cholesky(np.exp(-dist / corr_m) + 1e-10 * np.eye(positions.shape[0]))
+    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+
+
+def _spatial_chol(dist: np.ndarray, corr_m: float) -> np.ndarray:
+    """Cholesky factor of the exponential correlation exp(-d / corr_m), with
+    1e-10 added to the diagonal."""
+    corr = np.exp(-dist / corr_m)
+    corr.flat[:: dist.shape[0] + 1] += 1e-10
+    return np.linalg.cholesky(corr)
 
 
 def temporal_correlation(cfg: SimConfig) -> float:
@@ -115,6 +122,16 @@ def simulate(cfg: SimConfig) -> SimOutput:
     m = cfg.m
     geometry = NodeGeometry(positions=positions, k=min(8, n - 1))
 
+    # one distance matrix, and one factorization per distinct correlation
+    # length (shadowing and phase share theirs by default)
+    dist = _distances(positions)
+    chols: dict[float, np.ndarray] = {}
+
+    def spatial_chol(corr_m: float) -> np.ndarray:
+        if corr_m not in chols:
+            chols[corr_m] = _spatial_chol(dist, corr_m)
+        return chols[corr_m]
+
     ss = np.random.SeedSequence(cfg.seed)
     rng_shadow, rng_phase, rng_diffuse, rng_pilot, rng_nul, rng_ndl = (
         np.random.default_rng(c) for c in ss.spawn(6)
@@ -126,11 +143,11 @@ def simulate(cfg: SimConfig) -> SimOutput:
     nodes3 = np.column_stack([positions, np.zeros(n)])
     dist_bs = np.linalg.norm(nodes3 - bs, axis=1)
     pl_amp = (cfg.reference_distance_m / dist_bs) ** (cfg.path_loss_exponent / 2.0)
-    shadow_db = cfg.shadowing_sigma_db * (_spatial_chol(positions, cfg.shadowing_corr_m) @ rng_shadow.standard_normal(n))
+    shadow_db = cfg.shadowing_sigma_db * (spatial_chol(cfg.shadowing_corr_m) @ rng_shadow.standard_normal(n))
     amp = pl_amp * 10.0 ** (shadow_db / 20.0)
 
     # specular component with smooth phase field and slow common drift
-    phase = cfg.phase_sigma_rad * (_spatial_chol(positions, cfg.phase_corr_m) @ rng_phase.standard_normal(n))
+    phase = cfg.phase_sigma_rad * (spatial_chol(cfg.phase_corr_m) @ rng_phase.standard_normal(n))
     f_d = cfg.speed_mps * cfg.carrier_hz / SPEED_OF_LIGHT
     drift = 2.0 * math.pi * cfg.los_doppler_frac * f_d * cfg.snapshot_interval_s * np.arange(m)
     if math.isinf(cfg.rician_k):
@@ -148,7 +165,7 @@ def simulate(cfg: SimConfig) -> SimOutput:
     scale = math.sqrt(max(0.0, 1.0 - rho * rho))
     for t in range(1, m):
         v[:, t] = rho * v[:, t - 1] + scale * innov[:, t]
-    diffuse = _spatial_chol(positions, cfg.diffuse_corr_m) @ v if k_diff > 0 else np.zeros((n, m), dtype=np.complex128)
+    diffuse = spatial_chol(cfg.diffuse_corr_m) @ v if k_diff > 0 else np.zeros((n, m), dtype=np.complex128)
 
     h = amp[:, None] * (specular + k_diff * diffuse)
     large = amp[:, None] * specular

@@ -1,4 +1,5 @@
-"""The simulator against what it claims: fixed bytes for a fixed seed."""
+"""The simulator against what it claims: fixed bytes for a fixed seed, the
+configured temporal correlation of the diffuse part and the configured SNR."""
 
 import hashlib
 import math
@@ -6,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from csisplit.simulate import SimConfig, simulate
+from csisplit.simulate import SimConfig, simulate, temporal_correlation
 
 # sha256 of the uplink, downlink, truth and large-scale CSI and the node
 # positions, in that order. The grids are small enough that BLAS runs the
@@ -43,3 +44,29 @@ def _digest(out) -> str:
 def test_fixed_seed_gives_fixed_bytes(name):
     cfg, want = GOLDEN_HASHES[name]
     assert _digest(simulate(cfg)) == want
+
+
+@pytest.mark.parametrize("kwargs", [{}, {"temporal_rho": 0.5}, {"temporal_rho": 0.0}, {"temporal_rho": 0.97}])
+def test_diffuse_lag_one_autocorrelation_is_the_configured_one(kwargs):
+    cfg = SimConfig(**kwargs)
+    out = simulate(cfg)
+    # truth minus the specular part is the diffuse part, A_n sqrt(1/(K+1)) v_n
+    diffuse = out.truth.data - out.large_scale.data
+    diffuse = diffuse / np.sqrt(np.mean(np.abs(diffuse) ** 2, axis=0))  # equal weight per node
+    lag1 = np.sum(diffuse[1:] * np.conj(diffuse[:-1])) / np.sum(np.abs(diffuse[:-1]) ** 2)
+    # 102,400 samples; measured errors were below 0.005 at every rho here
+    assert lag1.real == pytest.approx(temporal_correlation(cfg), abs=0.02)
+    assert abs(lag1.imag) < 0.02
+
+
+@pytest.mark.parametrize("snr_db", [5.0, 20.0, 35.0])
+def test_uplink_downlink_difference_power_matches_the_snr(snr_db):
+    cfg = SimConfig(snr_db=snr_db, seed=2)
+    out = simulate(cfg)
+    # A_n^2 from the specular part, |large_scale| = A_n sqrt(K/(K+1))
+    amp2 = np.abs(out.large_scale.data) ** 2 * (cfg.rician_k + 1.0) / cfg.rician_k
+    # UL - DL is the difference of two independent noises, each of power A_n^2 10^(-snr/10)
+    noise = np.mean(np.abs(out.uplink.data - out.downlink.data) ** 2 / (2.0 * amp2))
+    signal = np.mean(np.abs(out.truth.data) ** 2 / amp2)
+    assert -10.0 * math.log10(noise) == pytest.approx(snr_db, abs=0.05)
+    assert 10.0 * math.log10(signal / noise) == pytest.approx(snr_db, abs=0.2)
