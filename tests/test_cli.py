@@ -57,6 +57,13 @@ def test_sweep_files_equal_the_direct_sweep(dataset, tmp_path):
     assert {r["delta_bar"] for r in rows} == {""}
 
 
+def test_sweep_band_beyond_the_basis_exits_1(dataset, tmp_path, capsys):
+    # the 4x4, m=16 set has a 32-dimensional basis
+    assert cli.main(["sweep", *_files(dataset), "--d2-max", "40", "--output-dir", str(tmp_path)]) == 1
+    assert "band (1, 40) invalid for dimension 32" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.json").exists()
+
+
 @pytest.mark.parametrize(
     "component, families, part", [("amplitude", ALL_FAMILIES, np.abs), ("phase", PHASE_FAMILIES, np.angle)]
 )

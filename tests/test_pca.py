@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
-from csisplit.core import NodeGeometry
+from csisplit.core import NodeGeometry, to_real_view
+from csisplit.dependence import avg_neighbor_cc
 from csisplit.pca import DecompConfig, Decomposition, PcaBasis, decompose, fit_pca, sweep
+from csisplit.simulate import SimConfig, simulate
+from csisplit.skg import avg_mp
 
 
 def _centered(view):
@@ -137,9 +140,6 @@ def test_sweep_single_cell_and_full_band():
     cell = cells[0]
     assert (cell.d1, cell.d2) == (1, 12)
     # no truncation: the (1, 2M) band is the full centered signal
-    from csisplit.dependence import avg_neighbor_cc
-    from csisplit.skg import avg_mp
-
     centered_ul = _centered(view_ul)
     centered_dl = view_dl - basis.mean[:, None]
     assert cell.avg_cc == pytest.approx(avg_neighbor_cc(centered_ul, _toy_geometry(6), 1), abs=1e-9)
@@ -159,3 +159,60 @@ def test_sweep_empty_grid_error():
     view = rng.standard_normal((4, 6))
     with pytest.raises(ValueError):
         sweep(view, view, fit_pca(view), [], [2], _toy_geometry(6))
+
+
+@pytest.mark.parametrize(
+    "grid, step",
+    # every default cell at 8x8; every other d1 and d2 at 20x20, which keeps
+    # the oracle's 3,200 pearson_cc calls per cell to 33 cells
+    [((8, 8), 2), ((20, 20), 4)],
+)
+def test_sweep_cells_equal_the_per_pair_loop_on_the_band(grid, step):
+    out = simulate(SimConfig(grid_shape=grid, seed=1))
+    ul, dl = to_real_view(out.uplink), to_real_view(out.downlink)
+    basis = fit_pca(ul)
+    cells = sweep(ul, dl, basis, range(1, 22, step), range(2, 31, step), out.geometry, k=8)
+    assert len(cells) == {2: 110, 4: 33}[step]
+    for cell in cells:
+        band = DecompConfig(d_hat=0, d1=cell.d1, d2=cell.d2)
+        band_ul = decompose(ul, basis, band).unpredictable
+        band_dl = decompose(dl, basis, band).unpredictable
+        assert abs(cell.avg_cc - avg_neighbor_cc(band_ul, out.geometry, 8)) <= 1e-12, (cell.d1, cell.d2)
+        assert cell.avg_mp == avg_mp(band_ul, band_dl).avg_mp, (cell.d1, cell.d2)
+
+
+def test_sweep_k_defaults_to_the_geometry_k():
+    out = simulate(SimConfig(grid_shape=(4, 4), m=8))
+    ul = to_real_view(out.uplink)
+    basis = fit_pca(ul)
+    assert sweep(ul, ul, basis, [2], [9], out.geometry) == sweep(ul, ul, basis, [2], [9], out.geometry, k=out.geometry.k)
+    band_ul = decompose(ul, basis, DecompConfig(d_hat=0, d1=2, d2=9)).unpredictable
+    cell = sweep(ul, ul, basis, [2], [9], out.geometry, k=3)[0]
+    assert cell.avg_cc == pytest.approx(avg_neighbor_cc(band_ul, out.geometry, 3), abs=1e-12)
+
+
+def test_sweep_rejects_bands_outside_the_basis():
+    out = simulate(SimConfig(grid_shape=(4, 4), m=4))
+    ul, dl = to_real_view(out.uplink), to_real_view(out.downlink)
+    basis = fit_pca(ul)
+    assert basis.dim == 8
+    with pytest.raises(ValueError, match=r"band \(1, 30\) invalid for dimension 8"):
+        sweep(ul, dl, basis, [1], [8, 30], out.geometry)
+    with pytest.raises(ValueError, match=r"band \(0, 8\) invalid for dimension 8"):
+        sweep(ul, dl, basis, [0, 1], [8], out.geometry)
+    assert [(c.d1, c.d2) for c in sweep(ul, dl, basis, [1, 9], [8], out.geometry)] == [(1, 8)]
+
+
+def test_sweep_zero_variance_band_column_raises_like_pearson_cc():
+    # with the identity basis the scores are the view itself, so node 0's
+    # band (3, 4) is exactly zero
+    view = np.random.default_rng(13).standard_normal((4, 5))
+    view[2:, 0] = 0.0
+    basis = PcaBasis(eigenvectors=np.eye(4), eigenvalues=np.ones(4), mean=np.zeros(4))
+    geom = _toy_geometry(5)
+    band_ul = decompose(view, basis, DecompConfig(d_hat=0, d1=3, d2=4)).unpredictable
+    with pytest.raises(ValueError, match="zero-variance sequence"):
+        avg_neighbor_cc(band_ul, geom, 1)
+    with pytest.raises(ValueError, match="zero-variance sequence"):
+        sweep(view, view, basis, [3], [4], geom, k=1)
+    assert len(sweep(view, view, basis, [1], [4], geom, k=1)) == 1
