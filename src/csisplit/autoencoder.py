@@ -297,11 +297,16 @@ def build_pair_dataset(view: np.ndarray, geom: NodeGeometry, k: int = 8) -> np.n
     return data
 
 
-def decompose_ae_pairs(model: TrainedModel, view: np.ndarray, geom: NodeGeometry, k: int = 8) -> AeDecomposition:
+def decompose_ae_pairs(
+    model: TrainedModel, view: np.ndarray, geom: NodeGeometry, k: int = 8, data: np.ndarray | None = None
+) -> AeDecomposition:
     """Residuals for a pair-input model: each node's reconstruction is the
-    average of the first-half outputs over its (node, neighbor) samples."""
+    average of the first-half outputs over its (node, neighbor) samples.
+    ``data``, when given, is ``build_pair_dataset(view, geom, k)``, already
+    built (for training), and is used instead of building it again."""
     view = np.asarray(view, dtype=np.float64)
-    data = build_pair_dataset(view, geom, k)
+    if data is None:
+        data = build_pair_dataset(view, geom, k)
     y, _ = forward(model.spec, model.weights, data / model.input_scale)
     half = view.shape[0]
     predictable = np.zeros_like(view)

@@ -212,9 +212,15 @@ def _fit_kpca(cfg: PipelineConfig, ul_view, dl_view, geom) -> tuple[Split, Split
     return split, split, details
 
 
-def ae_split(model: TrainedModel, geom: NodeGeometry | None, k: int) -> Split:
+def ae_split(
+    model: TrainedModel, geom: NodeGeometry | None, k: int, built: tuple[np.ndarray, np.ndarray | None] | None = None
+) -> Split:
     """Split by a trained autoencoder: a per-node model when its input width
-    is the view's, a (node, neighbor) pair model when it is twice that."""
+    is the view's, a (node, neighbor) pair model when it is twice that.
+    ``built`` = (view, its pair data or None), as built for training: the
+    first split of that same view array uses the data instead of building it
+    again, and then lets it go."""
+    held = [built] if built else []
 
     def split(view):
         if model.spec.input_dim == view.shape[0]:
@@ -222,7 +228,8 @@ def ae_split(model: TrainedModel, geom: NodeGeometry | None, k: int) -> Split:
         elif model.spec.input_dim == 2 * view.shape[0]:
             if geom is None:
                 raise ValueError("a pair-input model needs the node geometry")
-            dec = decompose_ae_pairs(model, view, geom, k)
+            data = held.pop()[1] if held and held[0][0] is view else None
+            dec = decompose_ae_pairs(model, view, geom, k, data)
         else:
             raise ValueError(f"model expects input dim {model.spec.input_dim}, the real view has {view.shape[0]}")
         return dec.predictable, dec.unpredictable
@@ -257,7 +264,11 @@ def _fit_ae(cfg: PipelineConfig, ul_view, dl_view, geom) -> tuple[Split, Split, 
         "final_loss_ul": model_ul.final_loss,
         "final_loss_dl": model_dl.final_loss,
     }
-    return ae_split(model_ul, geom, cfg.k_neighbors), ae_split(model_dl, geom, cfg.k_neighbors), details
+    k = cfg.k_neighbors
+    if cfg.method == "ae1":
+        return ae_split(model_ul, geom, k), ae_split(model_dl, geom, k), details
+    # the pair splits reuse the training data, so each direction's is built at most once
+    return ae_split(model_ul, geom, k, (ul_view, data_ul)), ae_split(model_dl, geom, k, (dl_view, data_dl)), details
 
 
 #: method -> fit(cfg, ul_view, dl_view, geom) -> (uplink split, downlink split, details)

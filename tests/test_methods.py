@@ -7,8 +7,16 @@ import json
 import numpy as np
 import pytest
 
-from csisplit import cli, pipeline
-from csisplit.autoencoder import TrainConfig, decompose_ae, decompose_ae_pairs, default_mlp_spec, train, train_for_mode
+from csisplit import autoencoder, cli, pipeline
+from csisplit.autoencoder import (
+    TrainConfig,
+    build_pair_dataset,
+    decompose_ae,
+    decompose_ae_pairs,
+    default_mlp_spec,
+    train,
+    train_for_mode,
+)
 from csisplit.core import read_csi_file, to_real_view, view_to_complex, write_csi_file
 from csisplit.kpca import decompose_kpca, fit_kpca
 from csisplit.pca import DecompConfig, decompose, fit_pca
@@ -100,6 +108,25 @@ def test_autoencoder_methods_equal_direct_train_and_decompose(dataset, method, m
     assert np.array_equal(got.unpred_dl, dec_dl.unpredictable)
     assert got.details["final_loss_ul"] == model_ul.final_loss
     assert got.details["final_loss_dl"] == model_dl.final_loss
+
+
+@pytest.mark.parametrize("mode", ["centralized", "localized"])
+def test_ae2_builds_each_directions_pair_data_once(dataset, monkeypatch, mode):
+    ul, dl, geom = dataset
+    built = []
+
+    def counting_build(view, geom, k=8):
+        built.append(view)
+        return build_pair_dataset(view, geom, k)
+
+    monkeypatch.setattr(autoencoder, "build_pair_dataset", counting_build)
+    monkeypatch.setattr(pipeline, "build_pair_dataset", counting_build)
+    pipeline.apply_method(_cfg("ae2", ae_mode=mode), ul, dl, geom)
+    # centralized: the uplink's for training, the downlink's for its split;
+    # localized: both for training, and the splits reuse them
+    assert len(built) == 2
+    assert np.array_equal(built[0], to_real_view(ul))
+    assert np.array_equal(built[1], to_real_view(dl))
 
 
 def test_compare_rows_equal_the_pipeline_metrics():
