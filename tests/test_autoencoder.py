@@ -15,6 +15,7 @@ from csisplit.autoencoder import (
     decompose_ae_pairs,
     default_mlp_spec,
     forward,
+    gradient,
     init_weights,
     read_weights,
     write_weights,
@@ -161,3 +162,31 @@ def test_mutated_weights_either_load_or_raise_a_typed_error(tmp_path_factory, da
     except WeightsFileError:
         return
     assert model.spec.input_dim == model.spec.layer_dims[-1]
+
+
+@pytest.mark.parametrize("loss, width, mu", [("e1", 6, 0.0), ("e2", 8, 1.0)])
+def test_gradient_matches_central_differences(loss, width, mu):
+    rng = np.random.default_rng(0)
+    spec = default_mlp_spec(width, 2)
+    # nonzero biases, so that no unit starts exactly at a relu kink
+    weights = [(w, 0.1 * rng.standard_normal(b.shape)) for w, b in init_weights(spec, rng)]
+    batch = rng.standard_normal((width, 16))
+    grads, _ = gradient(spec, weights, batch, loss=loss, mu=mu)
+    h = 1e-6
+    for layer, (w, b) in enumerate(weights):
+        for param, grad in ((w, grads[layer][0]), (b, grads[layer][1])):
+            flat = param.reshape(-1)  # a view: writes move the network's parameter
+            idx = rng.choice(flat.size, size=min(flat.size, 12), replace=False)
+            numeric = np.empty(idx.size)
+            for t, i in enumerate(idx):
+                old = flat[i]
+                flat[i] = old + h
+                up = gradient(spec, weights, batch, loss=loss, mu=mu)[1]
+                flat[i] = old - h
+                down = gradient(spec, weights, batch, loss=loss, mu=mu)[1]
+                flat[i] = old
+                numeric[t] = (up - down) / (2 * h)
+            exact = grad.reshape(-1)[idx]
+            scale = max(np.linalg.norm(exact), np.linalg.norm(numeric))
+            assert scale > 0, (layer, param.shape)
+            assert np.linalg.norm(numeric - exact) / scale < 1e-3, (layer, param.shape)

@@ -131,7 +131,8 @@ def test_fit_low_rank_line_concentrates_mass():
     direction = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     cols = np.outer(direction, np.linspace(0.0, 0.02, 15))
     cols = cols + direction[:, None]  # keep columns distinct but clustered
-    model = fit_kpca(CsiMatrix(cols), d_hat=2, sigma=50.0)
+    with pytest.warns(RuntimeWarning, match="d_hat=2 exceeds numerical rank 1; truncating"):
+        model = fit_kpca(CsiMatrix(cols), d_hat=2, sigma=50.0)
     lam = model.eigenvalues
     assert lam[0] / lam.sum() >= 0.99
 
