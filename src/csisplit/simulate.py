@@ -93,17 +93,24 @@ def grid_positions(cfg: SimConfig) -> np.ndarray:
     return np.column_stack([gx.ravel(), gy.ravel()])
 
 
-def _distances(positions: np.ndarray) -> np.ndarray:
-    diff = positions[:, None, :] - positions[None, :, :]
-    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-
-
 def _spatial_chol(dist: np.ndarray, corr_m: float) -> np.ndarray:
     """Cholesky factor of the exponential correlation exp(-d / corr_m), with
     1e-10 added to the diagonal."""
     corr = np.exp(-dist / corr_m)
     corr.flat[:: dist.shape[0] + 1] += 1e-10
     return np.linalg.cholesky(corr)
+
+
+def _correlated_fields(positions: np.ndarray, fields: list[tuple[float, np.ndarray]]) -> list[np.ndarray]:
+    """L @ x for each (corr_m, x) in ``fields``, with L the Cholesky factor of
+    the nodes' exponential correlation over corr_m. The distance matrix is
+    built once and each distinct corr_m is factorized once; all of it is
+    released on return."""
+    diff = positions[:, None, :] - positions[None, :, :]
+    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    del diff
+    chols = {corr_m: _spatial_chol(dist, corr_m) for corr_m in dict.fromkeys(c for c, _ in fields)}
+    return [chols[corr_m] @ x for corr_m, x in fields]
 
 
 def temporal_correlation(cfg: SimConfig) -> float:
@@ -122,42 +129,17 @@ def simulate(cfg: SimConfig) -> SimOutput:
     m = cfg.m
     geometry = NodeGeometry(positions=positions, k=min(8, n - 1))
 
-    # one distance matrix, and one factorization per distinct correlation
-    # length (shadowing and phase share theirs by default)
-    dist = _distances(positions)
-    chols: dict[float, np.ndarray] = {}
-
-    def spatial_chol(corr_m: float) -> np.ndarray:
-        if corr_m not in chols:
-            chols[corr_m] = _spatial_chol(dist, corr_m)
-        return chols[corr_m]
-
     ss = np.random.SeedSequence(cfg.seed)
     rng_shadow, rng_phase, rng_diffuse, rng_pilot, rng_nul, rng_ndl = (
         np.random.default_rng(c) for c in ss.spawn(6)
     )
-
-    # large-scale amplitude: path loss normalized at the reference distance,
-    # times spatially correlated log-normal shadowing
-    bs = np.asarray(cfg.bs_position, dtype=np.float64)
-    nodes3 = np.column_stack([positions, np.zeros(n)])
-    dist_bs = np.linalg.norm(nodes3 - bs, axis=1)
-    pl_amp = (cfg.reference_distance_m / dist_bs) ** (cfg.path_loss_exponent / 2.0)
-    shadow_db = cfg.shadowing_sigma_db * (spatial_chol(cfg.shadowing_corr_m) @ rng_shadow.standard_normal(n))
-    amp = pl_amp * 10.0 ** (shadow_db / 20.0)
-
-    # specular component with smooth phase field and slow common drift
-    phase = cfg.phase_sigma_rad * (spatial_chol(cfg.phase_corr_m) @ rng_phase.standard_normal(n))
-    f_d = cfg.speed_mps * cfg.carrier_hz / SPEED_OF_LIGHT
-    drift = 2.0 * math.pi * cfg.los_doppler_frac * f_d * cfg.snapshot_interval_s * np.arange(m)
     if math.isinf(cfg.rician_k):
         k_spec, k_diff = 1.0, 0.0
     else:
         k_spec = math.sqrt(cfg.rician_k / (cfg.rician_k + 1.0))
         k_diff = math.sqrt(1.0 / (cfg.rician_k + 1.0))
-    specular = k_spec * np.exp(1j * (phase[:, None] + drift[None, :]))
 
-    # diffuse component: temporal AR(1) per node, then short-range spatial mixing
+    # diffuse sequences: temporal AR(1) per node
     rho = temporal_correlation(cfg)
     innov = (rng_diffuse.standard_normal((n, m)) + 1j * rng_diffuse.standard_normal((n, m))) / math.sqrt(2.0)
     v = np.empty((n, m), dtype=np.complex128)
@@ -165,7 +147,30 @@ def simulate(cfg: SimConfig) -> SimOutput:
     scale = math.sqrt(max(0.0, 1.0 - rho * rho))
     for t in range(1, m):
         v[:, t] = rho * v[:, t - 1] + scale * innov[:, t]
-    diffuse = spatial_chol(cfg.diffuse_corr_m) @ v if k_diff > 0 else np.zeros((n, m), dtype=np.complex128)
+
+    # the spatially correlated fields: shadowing, the specular phase offsets
+    # and the diffuse sequences' short-range mixing across nodes (shadowing
+    # and phase share one factorization at the default lengths)
+    fields = [(cfg.shadowing_corr_m, rng_shadow.standard_normal(n)), (cfg.phase_corr_m, rng_phase.standard_normal(n))]
+    if k_diff > 0:
+        fields.append((cfg.diffuse_corr_m, v))
+    shadow_field, phase_field, *mixed = _correlated_fields(positions, fields)
+
+    # large-scale amplitude: path loss normalized at the reference distance,
+    # times spatially correlated log-normal shadowing
+    bs = np.asarray(cfg.bs_position, dtype=np.float64)
+    nodes3 = np.column_stack([positions, np.zeros(n)])
+    dist_bs = np.linalg.norm(nodes3 - bs, axis=1)
+    pl_amp = (cfg.reference_distance_m / dist_bs) ** (cfg.path_loss_exponent / 2.0)
+    shadow_db = cfg.shadowing_sigma_db * shadow_field
+    amp = pl_amp * 10.0 ** (shadow_db / 20.0)
+
+    # specular component with smooth phase field and slow common drift
+    phase = cfg.phase_sigma_rad * phase_field
+    f_d = cfg.speed_mps * cfg.carrier_hz / SPEED_OF_LIGHT
+    drift = 2.0 * math.pi * cfg.los_doppler_frac * f_d * cfg.snapshot_interval_s * np.arange(m)
+    specular = k_spec * np.exp(1j * (phase[:, None] + drift[None, :]))
+    diffuse = mixed[0] if k_diff > 0 else np.zeros((n, m), dtype=np.complex128)
 
     h = amp[:, None] * (specular + k_diff * diffuse)
     large = amp[:, None] * specular
