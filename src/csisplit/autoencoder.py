@@ -303,11 +303,13 @@ def decompose_ae_pairs(
     """Residuals for a pair-input model: each node's reconstruction is the
     average of the first-half outputs over its (node, neighbor) samples.
     ``data``, when given, is ``build_pair_dataset(view, geom, k)``, already
-    built (for training), and is used instead of building it again."""
+    built (for training), and is used instead of building it again; the
+    caller hands it over, since it is scaled in place."""
     view = np.asarray(view, dtype=np.float64)
     if data is None:
         data = build_pair_dataset(view, geom, k)
-    y, _ = forward(model.spec, model.weights, data / model.input_scale)
+    data /= model.input_scale  # in place: no second pair-sized array
+    y, _ = forward(model.spec, model.weights, data)
     half = view.shape[0]
     predictable = np.zeros_like(view)
     for rank in range(k):  # rank by rank keeps the summation order of a per-pair loop
