@@ -216,3 +216,16 @@ def test_sweep_zero_variance_band_column_raises_like_pearson_cc():
     with pytest.raises(ValueError, match="zero-variance sequence"):
         sweep(view, view, basis, [3], [4], geom, k=1)
     assert len(sweep(view, view, basis, [1], [4], geom, k=1)) == 1
+
+
+def test_sweep_keeps_its_digits_under_a_dominant_leading_component():
+    # eigenvalue 1 is ~1e16 times the rest: sums differenced from component 1
+    # would cancel every band that starts after it
+    rng = np.random.default_rng(14)
+    view = np.outer(rng.standard_normal(16), 1e8 * rng.standard_normal(30)) + rng.standard_normal((16, 30))
+    geom = NodeGeometry(positions=np.column_stack([np.arange(30.0), np.zeros(30)]), k=2)
+    basis = fit_pca(view)
+    assert basis.eigenvalues[0] > 1e15 * basis.eigenvalues[1]
+    for cell in sweep(view, view, basis, [1, 2, 3, 5], [4, 9, 16], geom):
+        band = decompose(view, basis, DecompConfig(d_hat=0, d1=cell.d1, d2=cell.d2)).unpredictable
+        assert abs(cell.avg_cc - avg_neighbor_cc(band, geom, 2)) <= 1e-12, (cell.d1, cell.d2)
