@@ -159,6 +159,8 @@ def test_sweep_empty_grid_error():
     view = rng.standard_normal((4, 6))
     with pytest.raises(ValueError):
         sweep(view, view, fit_pca(view), [], [2], _toy_geometry(6))
+    with pytest.raises(ValueError, match="no band with d1 <= d2"):
+        sweep(view, view, fit_pca(view), [3], [2], _toy_geometry(6))
 
 
 @pytest.mark.parametrize(
