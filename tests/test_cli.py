@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from csisplit import cli, pipeline
-from csisplit.core import read_csi_file, to_real_view
+from csisplit.autoencoder import decompose_ae, read_weights
+from csisplit.core import CsiMatrix, read_csi_file, to_real_view, write_csi_file
 from csisplit.distfit import ALL_FAMILIES, PHASE_FAMILIES, fit_families
 from csisplit.pca import fit_pca, sweep
 
@@ -121,3 +122,104 @@ def test_decompose_kpca_rejects_d_hat_zero(dataset, tmp_path, capsys):
     assert cli.main([*argv, "--output-dir", str(tmp_path)]) == 1
     assert "d_hat must lie in" in capsys.readouterr().err
     assert not (tmp_path / "predictable.csi").exists()
+
+
+@pytest.fixture(scope="module")
+def weights(dataset, tmp_path_factory):
+    """Two-epoch e1 (per-node) and e2 (pair) weights trained on the uplink."""
+    directory = tmp_path_factory.mktemp("weights")
+    paths = {}
+    for loss in ("e1", "e2"):
+        paths[loss] = directory / f"{loss}.weights"
+        argv = ["ae-train", "--input", str(dataset / "uplink.csi"), "--geometry", str(dataset / "geometry.json")]
+        argv += ["--loss", loss, "--ae-epochs", "2", "--weights-out", str(paths[loss]), "--output-dir", str(directory)]
+        assert cli.main(argv) == 0
+    return paths
+
+
+def test_ae_decompose_e1_files_equal_decompose_ae(dataset, weights, tmp_path):
+    argv = ["ae-decompose", "--input", str(dataset / "uplink.csi"), "--weights", str(weights["e1"])]
+    assert cli.main([*argv, "--output-dir", str(tmp_path)]) == 0
+    ul = read_csi_file(dataset / "uplink.csi")
+    dec = decompose_ae(read_weights(weights["e1"]), to_real_view(ul))
+    pred, unpred = read_csi_file(tmp_path / "predictable.csi"), read_csi_file(tmp_path / "unpredictable.csi")
+    assert np.array_equal(to_real_view(pred), dec.predictable)
+    assert np.array_equal(to_real_view(unpred), dec.unpredictable)
+    assert pred.direction == unpred.direction == ul.direction
+    assert pred.snr_db == unpred.snr_db == ul.snr_db
+
+
+def test_ae_decompose_pair_model_without_geometry_exits_1(dataset, weights, tmp_path, capsys):
+    argv = ["ae-decompose", "--input", str(dataset / "uplink.csi"), "--weights", str(weights["e2"])]
+    assert cli.main([*argv, "--output-dir", str(tmp_path)]) == 1
+    assert "a pair-input model needs the node geometry" in capsys.readouterr().err
+    assert not (tmp_path / "predictable.csi").exists()
+
+
+def test_ae_decompose_width_mismatch_exits_1(dataset, weights, tmp_path, capsys):
+    # 6 of the 16 snapshots: a 12-row view, whose width is neither the e1
+    # model's 32 inputs nor half of them
+    ul = read_csi_file(dataset / "uplink.csi")
+    write_csi_file(CsiMatrix(ul.data[:6], direction=ul.direction, snr_db=ul.snr_db), tmp_path / "short.csi")
+    argv = ["ae-decompose", "--input", str(tmp_path / "short.csi"), "--weights", str(weights["e1"])]
+    assert cli.main([*argv, "--output-dir", str(tmp_path)]) == 1
+    assert "model expects input dim 32, the real view has 12" in capsys.readouterr().err
+    assert not (tmp_path / "predictable.csi").exists()
+
+
+def _golden_text(payload) -> str:
+    """The bytes ``pipeline.write_report`` writes for ``payload``."""
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+# the full reports of dhsic, tvd-curve and skg-mp on the 4x4, m=16 set
+GOLDEN_DHSIC = {
+    "alpha": 0.05,
+    "b": 100,
+    "critical_value": 0.02942206590571947,
+    "degenerate_variables": [],
+    "delta_bar": 1.4824530018875448,
+    "nodes": [0, 1, 5],
+    "p_value": 0.009900990099009901,
+    "raw_ratio": 1.4824530018875448,
+    "reject": True,
+    "seed": 0,
+    "statistic": 0.043616829923667014,
+}
+GOLDEN_TVD_CURVE = {
+    "curve": [
+        {"avg_tvd": 0.82080078125, "d_hat": 0},
+        {"avg_tvd": 0.953125, "d_hat": 1},
+        {"avg_tvd": 0.9140625, "d_hat": 2},
+        {"avg_tvd": 0.88916015625, "d_hat": 3},
+        {"avg_tvd": 0.85009765625, "d_hat": 4},
+    ],
+    "seed": 0,
+}
+GOLDEN_SKG_MP = {
+    "avg_mp": 0.05078125,
+    "per_node_mp": [
+        0.125, 0.0, 0.0625, 0.0625, 0.0625, 0.0625, 0.0, 0.0, 0.125, 0.0, 0.0625, 0.0, 0.0, 0.125, 0.125, 0.0
+    ],
+}  # fmt: skip
+
+
+def test_dhsic_report_matches_golden(dataset, tmp_path, capsys):
+    argv = ["dhsic", "--input", str(dataset / "uplink.csi"), "--nodes", "0,1,5", "--b", "100"]
+    assert cli.main([*argv, "--output-dir", str(tmp_path)]) == 0
+    assert (tmp_path / "dhsic.json").read_text(encoding="utf-8") == _golden_text(GOLDEN_DHSIC)
+    assert json.loads(capsys.readouterr().out) == GOLDEN_DHSIC
+
+
+def test_tvd_curve_report_matches_golden(dataset, tmp_path, capsys):
+    argv = ["tvd-curve", "--input", str(dataset / "uplink.csi"), "--geometry", str(dataset / "geometry.json")]
+    assert cli.main([*argv, "--d-hat-max", "4", "--output-dir", str(tmp_path)]) == 0
+    assert (tmp_path / "tvd_curve.json").read_text(encoding="utf-8") == _golden_text(GOLDEN_TVD_CURVE)
+    assert json.loads(capsys.readouterr().out) == GOLDEN_TVD_CURVE["curve"]
+
+
+def test_skg_mp_report_matches_golden(dataset, tmp_path, capsys):
+    argv = ["skg-mp", "--input-ul", str(dataset / "uplink.csi"), "--input-dl", str(dataset / "downlink.csi")]
+    assert cli.main([*argv, "--output-dir", str(tmp_path)]) == 0
+    assert (tmp_path / "skg_mp.json").read_text(encoding="utf-8") == _golden_text(GOLDEN_SKG_MP)
+    assert json.loads(capsys.readouterr().out) == {"avg_mp": GOLDEN_SKG_MP["avg_mp"]}
