@@ -22,6 +22,7 @@ import json
 import math
 import struct
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import expit
@@ -265,8 +266,7 @@ def train(dataset: np.ndarray, spec: MlpSpec, cfg: TrainConfig, log_path=None) -
     return TrainedModel(spec=spec, weights=weights, input_scale=scale, history=history)
 
 
-@dataclass(frozen=True)
-class AeDecomposition:
+class AeDecomposition(NamedTuple):
     predictable: np.ndarray
     unpredictable: np.ndarray
 

@@ -128,24 +128,23 @@ def cmd_simulate(args) -> None:
     print(json.dumps(paths, sort_keys=True, indent=2))
 
 
-def _write_split(args, csi, split, predictable_path=None, unpredictable_path=None) -> dict[str, str]:
-    """Split a CSI file's real view and write both parts as CSI files with
-    the input's direction and SNR; returns their paths."""
+def _write_split(args, csi, parts, predictable_path=None, unpredictable_path=None) -> dict[str, str]:
+    """Write the (predictable, unpredictable) real views of a CSI file's split
+    as CSI files with the input's direction and SNR; returns their paths."""
     paths = {
         "predictable": str(predictable_path or _out(args, "predictable.csi")),
         "unpredictable": str(unpredictable_path or _out(args, "unpredictable.csi")),
     }
-    for part, path in zip(split(to_real_view(csi)), paths.values()):
+    for part, path in zip(parts, paths.values()):
         write_csi_file(from_real_view(part, direction=csi.direction, snr_db=csi.snr_db), path)
     return paths
 
 
 def cmd_decompose(args) -> None:
     csi = read_csi_file(args.input)
-    view = to_real_view(csi)
     # pca and kpca fit on the one view they split and need no geometry
-    split, _, details = pl.FITS[args.method](_pipeline_config(args), view, view, None)
-    paths = _write_split(args, csi, split, args.output_predictable, args.output_unpredictable)
+    (parts,), details = pl.DECOMPOSERS[args.method](_pipeline_config(args), [to_real_view(csi)], None)
+    paths = _write_split(args, csi, parts, args.output_predictable, args.output_unpredictable)
     paths["details"] = str(_out(args, "decompose.json"))
     pl.write_report(details, paths["details"])
     print(json.dumps(paths, sort_keys=True, indent=2))
@@ -177,9 +176,10 @@ def cmd_ae_train(args) -> None:
 
 
 def cmd_ae_decompose(args) -> None:
+    csi = read_csi_file(args.input)
     geom = pl.read_geometry(args.geometry) if args.geometry else None
-    split = pl.ae_split(read_weights(args.weights), geom, args.k)
-    print(json.dumps(_write_split(args, read_csi_file(args.input), split), sort_keys=True, indent=2))
+    parts = pl.ae_split(read_weights(args.weights), to_real_view(csi), geom, args.k)
+    print(json.dumps(_write_split(args, csi, parts), sort_keys=True, indent=2))
 
 
 def cmd_dhsic(args) -> None:

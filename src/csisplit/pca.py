@@ -10,6 +10,7 @@ aggregate) and applied to both link directions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,12 +55,9 @@ class DecompConfig:
             raise ValueError(f"band ({self.d1}, {self.d2}) invalid for dimension {dim}")
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     predictable: np.ndarray
     unpredictable: np.ndarray
-    config: DecompConfig
-    basis: PcaBasis
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
@@ -106,7 +104,7 @@ def decompose(view: np.ndarray, basis: PcaBasis, cfg: DecompConfig) -> Decomposi
     else:
         predictable = np.zeros_like(view)
     unpredictable = u[cfg.d1 - 1 : cfg.d2].T @ scores[cfg.d1 - 1 : cfg.d2]
-    return Decomposition(predictable=predictable, unpredictable=unpredictable, config=cfg, basis=basis)
+    return Decomposition(predictable=predictable, unpredictable=unpredictable)
 
 
 @dataclass(frozen=True)

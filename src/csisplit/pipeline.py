@@ -13,7 +13,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -172,74 +171,54 @@ def load_dataset(cfg: PipelineConfig) -> tuple[CsiMatrix, CsiMatrix, NodeGeometr
         raise PipelineError("dataset", exc) from exc
 
 
-#: maps a (2m, n) real view to its (predictable, unpredictable) real views
-Split = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+#: a view's (predictable, unpredictable) real views
+Parts = tuple[np.ndarray, np.ndarray]
 
 
-def _fit_none(cfg: PipelineConfig, ul_view, dl_view, geom) -> tuple[Split, Split, dict]:
-    def split(view):
-        return view, view
-
-    return split, split, {"method": "none"}
+def _decompose_none(cfg: PipelineConfig, views, geom) -> tuple[list[Parts], dict]:
+    return [(view, view) for view in views], {"method": "none"}
 
 
-def _fit_pca(cfg: PipelineConfig, ul_view, dl_view, geom) -> tuple[Split, Split, dict]:
-    basis = fit_pca(ul_view)
+def _decompose_pca(cfg: PipelineConfig, views, geom) -> tuple[list[Parts], dict]:
+    basis = fit_pca(views[0])
     dcfg = DecompConfig(d_hat=cfg.d_hat, d1=cfg.d1, d2=cfg.d2)
-
-    def split(view):
-        dec = decompose(view, basis, dcfg)
-        return dec.predictable, dec.unpredictable
-
-    return split, split, {"method": "pca", "d_hat": cfg.d_hat, "d1": cfg.d1, "d2": cfg.d2}
+    details = {"method": "pca", "d_hat": cfg.d_hat, "d1": cfg.d1, "d2": cfg.d2}
+    return [decompose(view, basis, dcfg) for view in views], details
 
 
-def _fit_kpca(cfg: PipelineConfig, ul_view, dl_view, geom) -> tuple[Split, Split, dict]:
+def _decompose_kpca(cfg: PipelineConfig, views, geom) -> tuple[list[Parts], dict]:
     model = fit_kpca(
-        from_real_view(ul_view), cfg.d_hat, sigma=cfg.sigma, variant=cfg.kernel_variant, gamma=cfg.gamma
+        from_real_view(views[0]), cfg.d_hat, sigma=cfg.sigma, variant=cfg.kernel_variant, gamma=cfg.gamma
     )
-
-    def split(view):
-        predictable, residual = decompose_kpca(model, from_real_view(view))
-        return to_real_view(predictable), to_real_view(residual)
-
+    parts = [tuple(to_real_view(part) for part in decompose_kpca(model, from_real_view(view))) for view in views]
     details = {
         "method": "kpca",
         "d_hat": model.alphas.shape[1],
         "eigenvalues": model.eigenvalues,
         **dataclasses.asdict(model.diagnostics),
     }
-    return split, split, details
+    return parts, details
 
 
 def ae_split(
-    model: TrainedModel, geom: NodeGeometry | None, k: int, built: tuple[np.ndarray, np.ndarray | None] | None = None
-) -> Split:
+    model: TrainedModel, view: np.ndarray, geom: NodeGeometry | None, k: int, data: np.ndarray | None = None
+) -> Parts:
     """Split by a trained autoencoder: a per-node model when its input width
     is the view's, a (node, neighbor) pair model when it is twice that.
-    ``built`` = (view, its pair data or None), as built for training: the
-    first split of that same view array uses the data instead of building it
-    again, and then lets it go."""
-    held = [built] if built else []
-
-    def split(view):
-        if model.spec.input_dim == view.shape[0]:
-            dec = decompose_ae(model, view)
-        elif model.spec.input_dim == 2 * view.shape[0]:
-            if geom is None:
-                raise ValueError("a pair-input model needs the node geometry")
-            data = held.pop()[1] if held and held[0][0] is view else None
-            dec = decompose_ae_pairs(model, view, geom, k, data)
-        else:
-            raise ValueError(f"model expects input dim {model.spec.input_dim}, the real view has {view.shape[0]}")
-        return dec.predictable, dec.unpredictable
-
-    return split
+    ``data`` is the view's pair data when already built; the pair model
+    scales it in place."""
+    if model.spec.input_dim == view.shape[0]:
+        return decompose_ae(model, view)
+    if model.spec.input_dim != 2 * view.shape[0]:
+        raise ValueError(f"model expects input dim {model.spec.input_dim}, the real view has {view.shape[0]}")
+    if geom is None:
+        raise ValueError("a pair-input model needs the node geometry")
+    return decompose_ae_pairs(model, view, geom, k, data)
 
 
-def _fit_ae(cfg: PipelineConfig, ul_view, dl_view, geom) -> tuple[Split, Split, dict]:
-    """ae1 trains on node columns, ae2 on (node, neighbor) pairs; a
-    centralized model trains on the uplink alone."""
+def _decompose_ae(cfg: PipelineConfig, views, geom) -> tuple[list[Parts], dict]:
+    """``views`` = (uplink, downlink). ae1 trains on node columns, ae2 on
+    (node, neighbor) pairs; a centralized model trains on the uplink alone."""
     tc = TrainConfig(
         loss="e1" if cfg.method == "ae1" else "e2",
         learning_rate=cfg.ae_learning_rate,
@@ -249,41 +228,47 @@ def _fit_ae(cfg: PipelineConfig, ul_view, dl_view, geom) -> tuple[Split, Split, 
         mode=cfg.ae_mode,
         mu=cfg.ae_loss_mu,
     )
+    ul_view, dl_view = views
+    k = cfg.k_neighbors
     if cfg.method == "ae1":
-        data_ul, data_dl = ul_view, dl_view
+        models = train_for_mode(default_mlp_spec(ul_view.shape[0], cfg.d_hat), tc, ul_view, dl_view)
+        data = [None, None]
     else:
-        data_ul = build_pair_dataset(ul_view, geom, cfg.k_neighbors)
-        data_dl = build_pair_dataset(dl_view, geom, cfg.k_neighbors) if cfg.ae_mode == "localized" else None
-    spec = default_mlp_spec(data_ul.shape[0], cfg.d_hat)
-    model_ul, model_dl = train_for_mode(spec, tc, data_ul, data_dl)
+        localized = cfg.ae_mode == "localized"
+        data = [build_pair_dataset(ul_view, geom, k), build_pair_dataset(dl_view, geom, k) if localized else None]
+        models = train_for_mode(default_mlp_spec(data[0].shape[0], cfg.d_hat), tc, *data)
     details = {
         "method": cfg.method,
         "d_hat": cfg.d_hat,
         "mode": cfg.ae_mode,
         "epochs": cfg.ae_epochs,
-        "final_loss_ul": model_ul.final_loss,
-        "final_loss_dl": model_dl.final_loss,
+        "final_loss_ul": models[0].final_loss,
+        "final_loss_dl": models[1].final_loss,
     }
-    k = cfg.k_neighbors
-    if cfg.method == "ae1":
-        return ae_split(model_ul, geom, k), ae_split(model_dl, geom, k), details
-    # the pair splits reuse the training data, so each direction's is built at most once
-    return ae_split(model_ul, geom, k, (ul_view, data_ul)), ae_split(model_dl, geom, k, (dl_view, data_dl)), details
+    # ae2's splits take over the training pair data (None: not built yet), so
+    # each direction's is built at most once; popping it lets the uplink's go
+    # before the downlink's is used
+    return [ae_split(model, view, geom, k, data.pop(0)) for model, view in zip(models, views)], details
 
 
-#: method -> fit(cfg, ul_view, dl_view, geom) -> (uplink split, downlink split, details)
-FITS = {"none": _fit_none, "pca": _fit_pca, "kpca": _fit_kpca, "ae1": _fit_ae, "ae2": _fit_ae}
-METHODS = tuple(FITS)
+#: method -> decompose(cfg, views, geom) -> (one Parts per view, details); the
+#: fit runs on views[0], the uplink
+DECOMPOSERS = {
+    "none": _decompose_none,
+    "pca": _decompose_pca,
+    "kpca": _decompose_kpca,
+    "ae1": _decompose_ae,
+    "ae2": _decompose_ae,
+}
+METHODS = tuple(DECOMPOSERS)
 
 
 def apply_method(cfg: PipelineConfig, ul: CsiMatrix, dl: CsiMatrix, geom: NodeGeometry) -> MethodOutput:
     try:
-        if cfg.method not in FITS:
+        if cfg.method not in DECOMPOSERS:
             raise ValueError(f"unknown method {cfg.method!r}")
-        ul_view, dl_view = to_real_view(ul), to_real_view(dl)
-        split_ul, split_dl, details = FITS[cfg.method](cfg, ul_view, dl_view, geom)
-        predictable, unpred_ul = split_ul(ul_view)
-        _, unpred_dl = split_dl(dl_view)
+        parts, details = DECOMPOSERS[cfg.method](cfg, [to_real_view(ul), to_real_view(dl)], geom)
+        (predictable, unpred_ul), (_, unpred_dl) = parts
         return MethodOutput(
             fingerprint=np.abs(view_to_complex(predictable)), unpred_ul=unpred_ul, unpred_dl=unpred_dl, details=details
         )
