@@ -25,7 +25,6 @@ from . import __version__, pipeline as pl
 from .autoencoder import TrainConfig, build_pair_dataset, default_mlp_spec, read_weights, train, write_weights
 from .core import from_real_view, read_csi_file, to_real_view, write_csi_file
 from .dependence import dhsic_test
-from .distfit import ALL_FAMILIES, PHASE_FAMILIES, fit_families
 from .kpca import KERNEL_VARIANTS
 from .pca import fit_pca, sweep
 from .simulate import SimConfig, simulate
@@ -189,19 +188,7 @@ def cmd_dhsic(args) -> None:
     if len(nodes) < 2:
         raise ValueError("--nodes needs at least two comma-separated indices")
     report = dhsic_test([view[:, i] for i in nodes], alpha=args.alpha, b=args.b, seed=args.seed)
-    payload = {
-        "nodes": nodes,
-        "statistic": report.statistic,
-        "critical_value": report.critical_value,
-        "delta_bar": report.delta_bar,
-        "raw_ratio": report.raw_ratio,
-        "alpha": report.alpha,
-        "b": report.b,
-        "reject": report.reject,
-        "p_value": report.p_value,
-        "degenerate_variables": list(report.degenerate_variables),
-        "seed": args.seed,
-    }
+    payload = {**dataclasses.asdict(report), "nodes": nodes, "seed": args.seed}
     pl.write_report(payload, _out(args, "dhsic.json"))
     print(json.dumps(pl._jsonify(payload), sort_keys=True, indent=2))
 
@@ -224,6 +211,10 @@ def cmd_skg_mp(args) -> None:
 
 
 def cmd_fit_dist(args) -> None:
+    # imported here: distfit loads scipy.stats, about half of this module's
+    # import time, and no other subcommand needs it
+    from .distfit import ALL_FAMILIES, PHASE_FAMILIES, fit_families
+
     csi = read_csi_file(args.input)
     if args.component == "amplitude":
         samples = np.abs(csi.data).ravel()
