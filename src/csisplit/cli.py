@@ -2,10 +2,11 @@
 
 Subcommands: simulate, decompose, ae-train, ae-decompose, dhsic,
 tvd-curve, skg-mp, fit-dist, sweep, compare, pipeline. ``decompose
---method {pca,kpca}`` splits one CSI file with the same fit as the
-pipeline and writes predictable.csi, unpredictable.csi and decompose.json
-(the method's details); ae-train and ae-decompose persist and apply
-autoencoder weights. Global flags --seed, --output-dir and --config (a
+--method {pca,kpca}`` splits one CSI file, once, with the pipeline's
+decomposer for the method and writes predictable.csi, unpredictable.csi
+and decompose.json (the method's details); ae-train and ae-decompose
+persist and apply autoencoder weights, and ae-decompose splits with the
+pipeline's ``ae_split``. Global flags --seed, --output-dir and --config (a
 flat key = value file whose entries override the command line; keys are
 the long option names with dashes or underscores). Every option shared by
 several subcommands is declared once, with one default and one help.
