@@ -104,20 +104,18 @@ def _spatial_chol(dist: np.ndarray, corr_m: float) -> np.ndarray:
 def _correlated_fields(positions: np.ndarray, fields: list[tuple[float, np.ndarray]]) -> list[np.ndarray]:
     """L @ x for each (corr_m, x) in ``fields``, with L the Cholesky factor of
     the nodes' exponential correlation over corr_m. The distance matrix is
-    built once, one coordinate at a time; each distinct corr_m is factorized
-    once, and its factor is applied to its fields and released before the
-    next one is made, so at most one n x n factor is alive."""
-    dist = np.zeros((len(positions),) * 2)
-    for coord in positions.T:
-        dist += np.subtract.outer(coord, coord) ** 2
-    np.sqrt(dist, out=dist)
+    built once and each distinct corr_m is factorized once; each factor is
+    applied to its fields and released before the next one is made."""
+    diff = positions[:, None, :] - positions[None, :, :]
+    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    del diff
     out = [None] * len(fields)
     for corr_m in dict.fromkeys(c for c, _ in fields):
         chol = _spatial_chol(dist, corr_m)
         for i, (c, x) in enumerate(fields):
             if c == corr_m:
                 out[i] = chol @ x
-        del chol
+        del chol  # else the next factorization runs with this factor still alive
     return out
 
 
