@@ -164,6 +164,19 @@ def test_cli_pca_decompose_files_equal_the_direct_split(tmp_path, dataset):
     assert details == {"method": "pca", "d_hat": 2, "d1": 3, "d2": 10}
 
 
+def test_cli_decompose_splits_its_view_once(tmp_path, dataset, monkeypatch):
+    views = []
+
+    def counting_decompose(view, basis, cfg):
+        views.append(view)
+        return decompose(view, basis, cfg)
+
+    monkeypatch.setattr(pipeline, "decompose", counting_decompose)
+    write_csi_file(dataset[0], tmp_path / "ul.csi")
+    _run_cli(tmp_path, ["decompose", "--input", str(tmp_path / "ul.csi")])
+    assert len(views) == 1 and np.array_equal(views[0], to_real_view(dataset[0]))
+
+
 def test_cli_kpca_decompose_files_equal_the_direct_split(tmp_path, dataset):
     ul = dataset[0]
     write_csi_file(ul, tmp_path / "ul.csi")
