@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__, pipeline as pl
 from .autoencoder import TrainConfig, build_pair_dataset, default_mlp_spec, read_weights, train, write_weights
 from .core import from_real_view, read_csi_file, to_real_view, write_csi_file
-from .dependence import dhsic_test
+from .dependence import NULLS, dhsic_test
 from .kpca import KERNEL_VARIANTS
 from .pca import fit_pca, sweep
 from .simulate import SimConfig, simulate
@@ -61,10 +61,12 @@ def _apply_config_file(args: argparse.Namespace) -> None:
         setattr(args, attr, _parse_value(value))
 
 
-def _out(args, name: str) -> Path:
-    directory = Path(args.output_dir)
-    directory.mkdir(parents=True, exist_ok=True)
-    return directory / name
+def _out(args, name: str, given=None) -> Path:
+    """The path ``given``, or else ``name`` in the output directory; makes
+    its directory."""
+    path = Path(given) if given else Path(args.output_dir) / name
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
 
 
 #: SimConfig fields that are options of the same name
@@ -168,9 +170,9 @@ def cmd_ae_train(args) -> None:
         seed=args.seed,
         mu=args.mu,
     )
-    log_path = args.log or _out(args, "ae_train_log.jsonl")
+    log_path = _out(args, "ae_train_log.jsonl", args.log)
     model = train(dataset, spec, cfg, log_path=log_path)
-    weights_path = args.weights_out or _out(args, "ae.weights")
+    weights_path = _out(args, "ae.weights", args.weights_out)
     write_weights(model, weights_path)
     print(json.dumps({"weights": str(weights_path), "final_loss": model.final_loss, "log": str(log_path)}))
 
@@ -247,6 +249,7 @@ def cmd_sweep(args) -> None:
         delta_b=args.b,
         delta_alpha=args.alpha,
         seed=args.seed,
+        delta_null=args.delta_null,
     )
     records = [dataclasses.asdict(c) for c in cells]
     pl.write_report({"seed": args.seed, "cells": records}, _out(args, "sweep.json"))
@@ -310,13 +313,16 @@ _FLAGS = {
     "delta-pairs": dict(
         type=int, default=_DEFAULTS.delta_pairs, help="node pairs in the dependence average (sweep: 0 skips it)"
     ),
-    "b": dict(type=int, default=_DEFAULTS.delta_b, help="permutation count"),
+    "b": dict(type=int, default=_DEFAULTS.delta_b, help="permutation count (permutation null only)"),
+    "delta-null": dict(
+        choices=NULLS, default=_DEFAULTS.delta_null, help="null of the dependence test; shift needs m >= 66 snapshots"
+    ),
     "alpha": dict(type=float, default=_DEFAULTS.alpha, help="test significance level"),
 }
 _KPCA_FLAGS = ("gamma", "sigma", "kernel-variant")
 _AE_FLAGS = ("mu", "ae-epochs", "ae-batch-size", "ae-learning-rate", "ae-mode")
 _METHOD_FLAGS = ("d-hat", "d1", "d2", *_KPCA_FLAGS, *_AE_FLAGS)
-_METRIC_FLAGS = ("metrics", "k", "bins", "delta-pairs", "b", "alpha")
+_METRIC_FLAGS = ("metrics", "k", "bins", "delta-pairs", "b", "delta-null", "alpha")
 
 
 def _add_flags(p: argparse.ArgumentParser, *names: str, required: tuple[str, ...] = ()) -> None:
@@ -378,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fit_dist)
 
     p = sub.add_parser("sweep", parents=[common], help="metric grid over unpredictable bands")
-    _add_flags(p, *files, "delta-pairs", "b", "alpha", "k", required=files)
+    _add_flags(p, *files, "delta-pairs", "b", "delta-null", "alpha", "k", required=files)
     p.add_argument("--d1-min", type=int, default=1)
     p.add_argument("--d1-max", type=int, default=21)
     p.add_argument("--d2-min", type=int, default=2)

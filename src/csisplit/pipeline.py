@@ -36,7 +36,7 @@ from .core import (
     view_to_complex,
     write_csi_file,
 )
-from .dependence import avg_neighbor_cc, avg_neighbor_delta_bar
+from .dependence import NULLS, avg_neighbor_cc, avg_neighbor_delta_bar
 from .fingerprint import DEFAULT_BINS, avg_neighbor_tvd
 from .kpca import decompose_kpca, fit_kpca
 from .pca import DecompConfig, decompose, fit_pca
@@ -75,7 +75,8 @@ class PipelineConfig:
     k_neighbors: int = 8
     bins: int = DEFAULT_BINS
     delta_pairs: int = 16
-    delta_b: int = 1000
+    delta_b: int = 1000  # permutation null only
+    delta_null: str = "shift"  # "shift" or "permutation"; see the dependence module
     alpha: float = 0.05
     seed: int = 0
 
@@ -96,6 +97,8 @@ class PipelineConfig:
                 raise ValueError("delta_pairs must be at least 1")
             if self.delta_b < 100:
                 raise ValueError("delta_b must be at least 100 permutations")
+            if self.delta_null not in NULLS:
+                raise ValueError(f"delta_null must be one of {NULLS}, got {self.delta_null!r}")
             if not 0.0 < self.alpha < 1.0:
                 raise ValueError("alpha must lie in (0, 1)")
         if self.method == "ae2" and not (math.isfinite(self.ae_loss_mu) and self.ae_loss_mu > 0.5):
@@ -278,9 +281,11 @@ def apply_method(cfg: PipelineConfig, ul: CsiMatrix, dl: CsiMatrix, geom: NodeGe
         raise PipelineError("decompose", exc) from exc
 
 
-def compute_metrics(cfg: PipelineConfig, out: MethodOutput, geom: NodeGeometry) -> dict:
+def compute_metrics(cfg: PipelineConfig, out: MethodOutput, geom: NodeGeometry) -> tuple[dict, dict]:
+    """(metrics, diagnostics); the diagnostics hold each delta_bar pair's test."""
     try:
         results: dict = {}
+        diagnostics: dict = {}
         if "tvd" in cfg.metrics:
             results["avg_tvd"] = avg_neighbor_tvd(out.fingerprint, geom, k=cfg.k_neighbors, bins=cfg.bins).avg_tvd
         if "cc" in cfg.metrics:
@@ -289,16 +294,28 @@ def compute_metrics(cfg: PipelineConfig, out: MethodOutput, geom: NodeGeometry) 
             report = avg_mp(out.unpred_ul, out.unpred_dl)
             results["avg_mp"] = report.avg_mp
         if "delta_bar" in cfg.metrics:
-            delta, _ = avg_neighbor_delta_bar(
+            delta, tested = avg_neighbor_delta_bar(
                 out.unpred_ul,
                 geom,
                 pairs=cfg.delta_pairs,
                 alpha=cfg.alpha,
                 b=cfg.delta_b,
                 seed=cfg.seed,
+                null=cfg.delta_null,
             )
             results["avg_delta_bar"] = delta
-        return results
+            diagnostics["delta_bar"] = [
+                {
+                    "nodes": list(nodes),
+                    "statistic": r.statistic,
+                    "critical_value": r.critical_value,
+                    "p_value": r.p_value,
+                    "reject": r.reject,
+                    "b": r.b,
+                }
+                for nodes, r in tested
+            ]
+        return results, diagnostics
     except PipelineError:
         raise
     except Exception as exc:
@@ -317,13 +334,14 @@ def run_pipeline(cfg: PipelineConfig, output_dir=None) -> dict:
     cfg.validate()
     ul, dl, geom = load_dataset(cfg)
     out = apply_method(cfg, ul, dl, geom)
-    metrics = compute_metrics(cfg, out, geom)
+    metrics, diagnostics = compute_metrics(cfg, out, geom)
     report = {
         "tool": "csisplit",
         "version": __version__,
         "config": _config_dict(cfg),
         "method_details": out.details,
         "metrics": metrics,
+        "diagnostics": diagnostics,
     }
     if output_dir is not None:
         write_report(report, Path(output_dir) / "report.json")
@@ -347,10 +365,10 @@ def compare_methods(cfgs: list[PipelineConfig], output_dir=None) -> dict:
         cfg.validate()
     ul, dl, geom = load_dataset(base)
     none = dataclasses.replace(scored[0], method="none")
-    original = compute_metrics(none, apply_method(none, ul, dl, geom), geom)
+    original, _ = compute_metrics(none, apply_method(none, ul, dl, geom), geom)
     rows = []
     for cfg in scored:
-        residual = compute_metrics(cfg, apply_method(cfg, ul, dl, geom), geom)
+        residual, _ = compute_metrics(cfg, apply_method(cfg, ul, dl, geom), geom)
         rows.append(
             {
                 "method": cfg.method,

@@ -223,3 +223,28 @@ def test_skg_mp_report_matches_golden(dataset, tmp_path, capsys):
     assert cli.main([*argv, "--output-dir", str(tmp_path)]) == 0
     assert (tmp_path / "skg_mp.json").read_text(encoding="utf-8") == _golden_text(GOLDEN_SKG_MP)
     assert json.loads(capsys.readouterr().out) == {"avg_mp": GOLDEN_SKG_MP["avg_mp"]}
+
+
+def test_ae_train_makes_the_directories_of_given_log_and_weights_paths(dataset, tmp_path):
+    fresh = tmp_path / "fresh" / "run"
+    argv = ["ae-train", "--input", str(dataset / "uplink.csi"), "--ae-epochs", "1", "--output-dir", str(fresh)]
+    argv += ["--log", str(fresh / "log.jsonl"), "--weights-out", str(tmp_path / "w" / "ae.weights")]
+    assert cli.main(argv) == 0
+    assert len((fresh / "log.jsonl").read_text(encoding="utf-8").splitlines()) == 1
+    assert read_weights(tmp_path / "w" / "ae.weights").spec.input_dim == 32
+
+
+def test_sweep_delta_null_reaches_the_sweep(dataset, tmp_path, capsys):
+    grid = ["--d1-max", "3", "--d2-max", "4", "--delta-pairs", "2", "--b", "100"]
+    argv = ["sweep", *_files(dataset), *grid, "--output-dir", str(tmp_path)]
+    # the 4x4, m=16 set has M=32 observations: too few for the default shift null
+    assert cli.main(argv) == 1
+    assert "--delta-null permutation" in capsys.readouterr().err
+    assert cli.main([*argv, "--delta-null", "permutation"]) == 0
+    ul = to_real_view(read_csi_file(dataset / "uplink.csi"))
+    dl = to_real_view(read_csi_file(dataset / "downlink.csi"))
+    geom = pipeline.read_geometry(dataset / "geometry.json")
+    cells = sweep(ul, dl, fit_pca(ul), [1, 3], [2, 4], geom, k=8, delta_pairs=2, delta_b=100)
+    records = [dataclasses.asdict(c) for c in cells]
+    assert json.loads((tmp_path / "sweep.json").read_text(encoding="utf-8"))["cells"] == records
+    assert any(r["delta_bar"] > 0 for r in records)

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
+from csisplit import pipeline
 from csisplit.core import NodeGeometry
 from csisplit.dependence import (
     _cv_index,
+    _prepare_grams,
     avg_neighbor_cc,
     dhsic_statistic,
     dhsic_test,
@@ -13,7 +16,9 @@ from csisplit.dependence import (
     pearson_cc,
     permutation_statistics,
     select_delta_pairs,
+    shift_statistics,
 )
+from csisplit.simulate import SimConfig
 
 
 def oracle_statistic(variables):
@@ -253,3 +258,107 @@ def test_avg_neighbor_cc_and_pair_selection():
     assert avg_neighbor_cc(view, geom, k=1) == pytest.approx(0.5, abs=1e-15)
     pairs = select_delta_pairs(geom, pairs=2)
     assert pairs == [(0, 1), (3, 2)]
+
+
+# ---------------------------------------------------------------------------
+# the circular time-shift null
+# ---------------------------------------------------------------------------
+
+
+def ar1_view(rng, rho, m):
+    """The [Re; Im] real-view column of a stationary complex AR(1) sequence
+    of m snapshots with unit variance and lag-one correlation rho."""
+    e = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) / math.sqrt(2.0)
+    c = math.sqrt(1.0 - rho * rho)
+    e[0] /= c  # z_0 = e_0: the sequence starts in its stationary law
+    z = lfilter([c], [1.0, -rho], e)
+    return np.concatenate([z.real, z.imag])
+
+
+@pytest.mark.parametrize("size, rho", [(200, 0.88), (149, 0.0)])
+def test_shift_statistics_equal_the_statistic_of_each_rolled_sequence(size, rho):
+    rng = np.random.default_rng(20)
+    x, y = (ar1_view(rng, rho, (size + 1) // 2)[:size] for _ in range(2))
+    stats = shift_statistics(_prepare_grams([x, y])[0])
+    assert stats.shape == (size,)
+    loop = np.array([dhsic_statistic([x, np.roll(y, -s)]) for s in range(size)])
+    assert np.all(np.abs(stats - loop) <= 1e-12 * np.abs(loop))
+    assert abs(stats[0] - dhsic_statistic([x, y])) <= 1e-12 * dhsic_statistic([x, y])
+
+
+def test_shift_null_critical_value_is_the_indexed_order_statistic_of_shifts_a_to_m_minus_a():
+    rng = np.random.default_rng(21)
+    x, y = ar1_view(rng, 0.5, 256), ar1_view(rng, 0.5, 256)
+    report = dhsic_test([x, y], alpha=0.1, null="shift")
+    stats = shift_statistics(_prepare_grams([x, y])[0])
+    null = stats[64 : 512 - 64 + 1]
+    assert report.b == null.size == 385
+    assert report.statistic == stats[0]
+    ties = int(np.sum(null == stats[0]))
+    assert report.critical_value == np.sort(null)[math.ceil(386 * 0.9) + ties - 1]
+    assert report.p_value == (1 + int(np.sum(null >= stats[0]))) / 386
+
+
+def test_shift_null_size_on_correlated_sequences():
+    # independent pairs at the simulator's snapshot correlation, where the
+    # permutation null rejects most of them; the nominal 10 of 200 plus 3.1
+    # binomial standard deviations (3.08) allows at most 20
+    rejections = 0
+    for child in np.random.SeedSequence(2206).spawn(200):
+        rng = np.random.default_rng(child)
+        rejections += dhsic_test([ar1_view(rng, 0.88, 256), ar1_view(rng, 0.88, 256)], null="shift").reject
+    assert rejections <= 20
+
+
+def test_shift_null_power_on_duplicated_and_dependent_sequences():
+    rng = np.random.default_rng(22)
+    x = ar1_view(rng, 0.88, 256)
+    report = dhsic_test([x, x.copy()], null="shift")
+    assert report.reject and report.delta_bar > 1.0
+    assert report.p_value == 1 / 386
+    assert dhsic_test([x, x + 0.5 * ar1_view(rng, 0.88, 256)], null="shift").reject
+
+
+def test_shift_null_constant_variable_gives_zero_delta_bar():
+    # M=132 = 4 * 3 * 11: the FFT's radix-11 pass leaves ~1e-34 in the shifts
+    # of an all-ones Gram (at M=256 or 300 they are exactly 0), and that
+    # rounding must not break the ties
+    x = ar1_view(np.random.default_rng(23), 0.88, 66)
+    # every shift ties the observed statistic, so the critical-value index is clamped
+    with pytest.warns(RuntimeWarning, match="exceeds B=101; clamping"):
+        report = dhsic_test([x, np.full(132, 0.25)], null="shift")
+    assert report.degenerate_variables == (1,)
+    assert report.delta_bar == 0.0 and not report.reject and report.p_value == 1.0
+
+
+def test_shift_null_rejects_too_few_shifts_and_d_above_2():
+    rng = np.random.default_rng(24)
+    # M=130: A=16 and 99 shifts; M=132: 101 shifts
+    with pytest.raises(ValueError, match="M=130 observations give 99; .*delta_null='permutation'"):
+        dhsic_test([rng.standard_normal(130), rng.standard_normal(130)], null="shift")
+    assert dhsic_test([rng.standard_normal(132), rng.standard_normal(132)], null="shift").b == 101
+    with pytest.raises(ValueError, match="d=2 variables, got d=3"):
+        dhsic_test([rng.standard_normal(256) for _ in range(3)], null="shift")
+    with pytest.raises(ValueError, match="null must be one of"):
+        dhsic_test([rng.standard_normal(256) for _ in range(2)], null="block")
+
+
+def test_shift_null_ignores_the_permutation_settings():
+    rng = np.random.default_rng(25)
+    variables = [ar1_view(rng, 0.5, 128), ar1_view(rng, 0.5, 128)]
+    assert dhsic_test(variables, b=50, seed=1, null="shift") == dhsic_test(variables, seed=2, null="shift")
+
+
+# pipeline avg_delta_bar under the shift null on a 4x4 grid, m=128 (M=256), 4 pairs
+GOLDEN_SHIFT = {"none": 1.5222465659175526, "pca": 0.0, "kpca": 0.7297638401264958}
+
+
+@pytest.mark.parametrize("method", sorted(GOLDEN_SHIFT))
+def test_pipeline_shift_null_delta_bar_matches_golden(method):
+    cfg = pipeline.PipelineConfig(
+        sim=SimConfig(grid_shape=(4, 4), m=128), method=method, metrics=("delta_bar",), delta_pairs=4
+    )
+    assert cfg.delta_null == "shift"
+    report = pipeline.run_pipeline(cfg)
+    assert abs(report["metrics"]["avg_delta_bar"] - GOLDEN_SHIFT[method]) <= 1e-9
+    assert [d["b"] for d in report["diagnostics"]["delta_bar"]] == [193] * 4

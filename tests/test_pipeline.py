@@ -7,7 +7,7 @@ import pytest
 from csisplit import cli, pipeline
 from csisplit.autoencoder import decompose_ae_pairs, read_weights
 from csisplit.core import read_csi_file, to_real_view, write_csi_file
-from csisplit.dependence import dhsic_test
+from csisplit.dependence import dhsic_test, select_delta_pairs
 from csisplit.simulate import SimConfig, simulate
 
 SMALL = SimConfig(grid_shape=(3, 3), m=32)
@@ -91,3 +91,54 @@ def test_cli_ae_decompose_applies_the_trained_pair_model(tmp_path):
     dec = decompose_ae_pairs(read_weights(tmp_path / "ae.weights"), view, out.geometry, 4)
     assert np.array_equal(to_real_view(read_csi_file(tmp_path / "predictable.csi")), dec.predictable)
     assert np.array_equal(to_real_view(read_csi_file(tmp_path / "unpredictable.csi")), dec.unpredictable)
+
+
+def test_report_is_byte_identical_for_a_seed_and_records_each_pairs_test(tmp_path):
+    # m=128: M=256 observations, enough for the default shift null
+    cfg = pipeline.PipelineConfig(sim=SimConfig(grid_shape=(3, 3), m=128), delta_pairs=3, seed=4)
+    first = pipeline.run_pipeline(cfg, output_dir=tmp_path / "a")
+    pipeline.run_pipeline(cfg, output_dir=tmp_path / "b")
+    text = (tmp_path / "a" / "report.json").read_bytes()
+    assert text == (tmp_path / "b" / "report.json").read_bytes()
+    entries = first["diagnostics"]["delta_bar"]
+    ul, dl, geom = pipeline.load_dataset(cfg)
+    assert [e["nodes"] for e in entries] == [list(pair) for pair in select_delta_pairs(geom, 3)]
+    view = pipeline.apply_method(cfg, ul, dl, geom).unpred_ul
+    for entry in entries:
+        i, j = entry["nodes"]
+        want = dhsic_test([view[:, i], view[:, j]], null="shift")
+        assert entry == {
+            "nodes": [i, j],
+            "statistic": want.statistic,
+            "critical_value": want.critical_value,
+            "p_value": want.p_value,
+            "reject": want.reject,
+            "b": 193,
+        }
+    # the tests stay out of the sections that goldens compare
+    assert set(first["metrics"]) == {"avg_tvd", "avg_cc", "avg_mp", "avg_delta_bar"}
+    assert first["method_details"] == {"method": "pca", "d_hat": 1, "d1": 3, "d2": 20}
+    assert pipeline.run_pipeline(dataclasses.replace(cfg, metrics=("cc",)))["diagnostics"] == {}
+
+
+def test_unknown_delta_null_fails_before_any_stage():
+    cfg = pipeline.PipelineConfig(sim=SMALL, delta_null="block")
+    with pytest.raises(ValueError, match="delta_null must be one of"):
+        pipeline.run_pipeline(cfg)
+    dataclasses.replace(cfg, metrics=("tvd", "cc", "mp")).validate()
+
+
+@pytest.mark.parametrize("command", [["pipeline", "--source", "files"], ["compare", "--methods", "pca"]])
+def test_cli_too_few_shifts_exits_1_at_stage_metrics_naming_the_flag(tmp_path, capsys, command):
+    # m=32: M=64 observations give 49 shifts
+    out = simulate(SMALL)
+    write_csi_file(out.uplink, tmp_path / "uplink.csi")
+    write_csi_file(out.downlink, tmp_path / "downlink.csi")
+    pipeline.write_geometry(out.geometry, tmp_path / "geometry.json")
+    files = ["--input-ul", str(tmp_path / "uplink.csi"), "--input-dl", str(tmp_path / "downlink.csi")]
+    files += ["--geometry", str(tmp_path / "geometry.json"), "--output-dir", str(tmp_path / "out")]
+    assert cli.main([*command, *files, "--delta-pairs", "1"]) == 1
+    err = capsys.readouterr().err
+    assert "stage 'metrics'" in err and "M=64 observations give 49" in err and "--delta-null permutation" in err
+    assert not (tmp_path / "out").exists()
+    assert cli.main([*command, *files, "--delta-pairs", "1", "--delta-null", "permutation", "--b", "100"]) == 0
