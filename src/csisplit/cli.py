@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__, pipeline as pl
 from .autoencoder import TrainConfig, build_pair_dataset, default_mlp_spec, read_weights, train, write_weights
 from .core import from_real_view, read_csi_file, to_real_view, write_csi_file
-from .dependence import NULLS, dhsic_test
+from .dependence import dhsic_test
 from .kpca import KERNEL_VARIANTS
 from .pca import fit_pca, sweep
 from .simulate import SimConfig, simulate
@@ -134,8 +134,8 @@ def _write_split(args, csi, parts, predictable_path=None, unpredictable_path=Non
     """Write the (predictable, unpredictable) real views of a CSI file's split
     as CSI files with the input's direction and SNR; returns their paths."""
     paths = {
-        "predictable": str(predictable_path or _out(args, "predictable.csi")),
-        "unpredictable": str(unpredictable_path or _out(args, "unpredictable.csi")),
+        "predictable": str(_out(args, "predictable.csi", predictable_path)),
+        "unpredictable": str(_out(args, "unpredictable.csi", unpredictable_path)),
     }
     for part, path in zip(parts, paths.values()):
         write_csi_file(from_real_view(part, direction=csi.direction, snr_db=csi.snr_db), path)
@@ -249,7 +249,6 @@ def cmd_sweep(args) -> None:
         delta_b=args.b,
         delta_alpha=args.alpha,
         seed=args.seed,
-        delta_null=args.delta_null,
     )
     records = [dataclasses.asdict(c) for c in cells]
     pl.write_report({"seed": args.seed, "cells": records}, _out(args, "sweep.json"))
@@ -313,16 +312,15 @@ _FLAGS = {
     "delta-pairs": dict(
         type=int, default=_DEFAULTS.delta_pairs, help="node pairs in the dependence average (sweep: 0 skips it)"
     ),
-    "b": dict(type=int, default=_DEFAULTS.delta_b, help="permutation count (permutation null only)"),
-    "delta-null": dict(
-        choices=NULLS, default=_DEFAULTS.delta_null, help="null of the dependence test; shift needs m >= 66 snapshots"
+    "b": dict(
+        type=int, default=_DEFAULTS.delta_b, help="permutation count (dhsic; delta_bar only below m=66 snapshots)"
     ),
     "alpha": dict(type=float, default=_DEFAULTS.alpha, help="test significance level"),
 }
 _KPCA_FLAGS = ("gamma", "sigma", "kernel-variant")
 _AE_FLAGS = ("mu", "ae-epochs", "ae-batch-size", "ae-learning-rate", "ae-mode")
 _METHOD_FLAGS = ("d-hat", "d1", "d2", *_KPCA_FLAGS, *_AE_FLAGS)
-_METRIC_FLAGS = ("metrics", "k", "bins", "delta-pairs", "b", "delta-null", "alpha")
+_METRIC_FLAGS = ("metrics", "k", "bins", "delta-pairs", "b", "alpha")
 
 
 def _add_flags(p: argparse.ArgumentParser, *names: str, required: tuple[str, ...] = ()) -> None:
@@ -384,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fit_dist)
 
     p = sub.add_parser("sweep", parents=[common], help="metric grid over unpredictable bands")
-    _add_flags(p, *files, "delta-pairs", "b", "delta-null", "alpha", "k", required=files)
+    _add_flags(p, *files, "delta-pairs", "b", "alpha", "k", required=files)
     p.add_argument("--d1-min", type=int, default=1)
     p.add_argument("--d1-max", type=int, default=21)
     p.add_argument("--d2-min", type=int, default=2)

@@ -39,7 +39,9 @@ B = M - 2A + 1 (385 at M = 512); the observed statistic is s = 0. A shift
 moves y as a whole: each sequence keeps its own temporal correlation, and
 only the alignment between the two is broken, which is what independence
 is about. Shifts within A of 0 or M leave y nearly aligned with x. Fewer
-than 100 shifts (M <= 130) raise a ValueError. On independent complex AR(1)
+than 100 shifts (M <= 130) raise a ValueError; ``avg_neighbor_delta_bar``,
+the averaged metric, takes the shift null whenever M gives enough shifts
+and the permutation null otherwise. On independent complex AR(1)
 pairs in the [Re; Im] layout at M = 512 it rejected 10/200 at correlation
 0.88 and 7/200 at 0, 57/800 at 0.97, and 50/50 of y = x + 0.5 e at 0.88.
 
@@ -180,7 +182,18 @@ def dhsic_statistic(variables, sigmas=None) -> float:
     return _PermutedStatistic(grams)(_identity(grams))
 
 
-def _permutation_replicates(statistic: _PermutedStatistic, b: int, seed) -> np.ndarray:
+def permutation_statistics(variables, b: int, seed, sigmas=None, statistic=None) -> np.ndarray:
+    """B statistics of the permutation null.
+
+    Variable 0 stays in place. One ``np.random.default_rng(seed)`` draws,
+    for replicate 0, 1, ..., B-1 in turn, one ``rng.permutation(M)`` for each
+    of variables 1..d-1 in variable order. With those permutations p_1..p_{d-1},
+    replicate r is ``dhsic_statistic([x_0, x_1[p_1], ..., x_{d-1}[p_{d-1}]])``.
+    ``statistic`` is the statistic of the variables' Grams when the caller has
+    built it already (``dhsic_test`` does), so the Grams are built once.
+    """
+    if statistic is None:
+        statistic = _PermutedStatistic(_prepare_grams(variables, sigmas)[0])
     m, d = statistic.grams[0].shape[0], len(statistic.grams)
     rng = np.random.default_rng(seed)
     out = np.empty(b)
@@ -189,16 +202,9 @@ def _permutation_replicates(statistic: _PermutedStatistic, b: int, seed) -> np.n
     return out
 
 
-def permutation_statistics(variables, b: int, seed, sigmas=None) -> np.ndarray:
-    """B statistics of the permutation null.
-
-    Variable 0 stays in place. One ``np.random.default_rng(seed)`` draws,
-    for replicate 0, 1, ..., B-1 in turn, one ``rng.permutation(M)`` for each
-    of variables 1..d-1 in variable order. With those permutations p_1..p_{d-1},
-    replicate r is ``dhsic_statistic([x_0, x_1[p_1], ..., x_{d-1}[p_{d-1}]])``.
-    """
-    grams, _ = _prepare_grams(variables, sigmas)
-    return _permutation_replicates(_PermutedStatistic(grams), b, seed)
+def shift_count(m: int) -> int:
+    """B of the shift null for M observations: the shifts A..M-A, A = M // 8."""
+    return m - 2 * (m // 8) + 1
 
 
 def shift_statistics(grams: list[np.ndarray]) -> np.ndarray:
@@ -219,11 +225,10 @@ def _shift_null(grams: list[np.ndarray]) -> tuple[float, np.ndarray]:
         raise ValueError(f"the shift null tests d=2 variables, got d={len(grams)}")
     m = grams[0].shape[0]
     margin = m // 8
-    if m - 2 * margin + 1 < MIN_REPLICATES:
+    if shift_count(m) < MIN_REPLICATES:
         raise ValueError(
             f"the shift null needs at least {MIN_REPLICATES} shifts, and M={m} observations give "
-            f"{m - 2 * margin + 1}; use longer sequences or the permutation null "
-            "(delta_null='permutation', --delta-null permutation)"
+            f"{shift_count(m)}; use longer sequences or null='permutation'"
         )
     stats = shift_statistics(grams)
     return float(stats[0]), stats[margin : m - margin + 1]
@@ -263,7 +268,7 @@ def dhsic_test(
     else:
         statistic = _PermutedStatistic(grams)
         observed = statistic(_identity(grams))
-        stats = _permutation_replicates(statistic, b, seed)
+        stats = permutation_statistics(variables, b, seed, sigmas, statistic=statistic)
     ties = int(np.sum(stats == observed))
     cv = float(np.sort(stats)[_cv_index(b, alpha, ties) - 1])
     reject = observed > cv
@@ -321,19 +326,21 @@ def avg_neighbor_delta_bar(
     alpha: float = 0.05,
     b: int = 1000,
     seed=0,
-    null: str = "permutation",
-) -> tuple[float, list[tuple[tuple[int, int], DependenceReport]]]:
-    """Average normalized dependence over (node, nearest-neighbor) pairs,
-    and each pair with its report.
+) -> tuple[float, str, list[tuple[tuple[int, int], DependenceReport]]]:
+    """Average normalized dependence over (node, nearest-neighbor) pairs:
+    (average, null, each pair with its report).
 
     Each pair is tested as a d=2 group of real-view column sequences with
-    its own RNG stream.
+    its own RNG stream, under the shift null when the view's M rows give at
+    least MIN_REPLICATES shifts (M >= 131), else under the permutation null
+    with ``b`` permutations.
     """
     view = np.asarray(view, dtype=np.float64)
+    null = "shift" if shift_count(view.shape[0]) >= MIN_REPLICATES else "permutation"
     groups = select_delta_pairs(geom, pairs)
     children = _as_seed_sequence(seed).spawn(len(groups))
     tested = [
         ((i, j), dhsic_test([view[:, i], view[:, j]], alpha=alpha, b=b, seed=child, null=null))
         for (i, j), child in zip(groups, children)
     ]
-    return float(np.mean([r.delta_bar for _, r in tested])), tested
+    return float(np.mean([r.delta_bar for _, r in tested])), null, tested

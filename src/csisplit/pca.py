@@ -140,15 +140,14 @@ def sweep(
     delta_b: int = 1000,
     delta_alpha: float = 0.05,
     seed=0,
-    delta_null: str = "permutation",
 ) -> list[SweepCell]:
     """Metric grid over unpredictable bands (d1, d2), d1 <= d2 only.
 
     Per cell: average neighbor Pearson CC of the uplink band (as
     ``avg_neighbor_cc`` defines it), average uplink/downlink mismatch
     probability, and (when delta_pairs > 0) the averaged normalized
-    dependence under ``delta_null``. Cells are ordered by (d1, d2). Every
-    band must lie in [1, basis.dim], or a ValueError names the widest one.
+    dependence. Cells are ordered by (d1, d2). Every band must lie in
+    [1, basis.dim], or a ValueError names the widest one.
 
     The CC comes in closed form from the PCA scores w = U (view - mean),
     without building the band. The eigenvector rows u_c are orthonormal, so
@@ -188,8 +187,8 @@ def sweep(
             mp = avg_mp(band_ul, band_dl).avg_mp
             delta = None
             if delta_pairs > 0:
-                delta, _ = avg_neighbor_delta_bar(
-                    band_ul, geom, pairs=delta_pairs, alpha=delta_alpha, b=delta_b, seed=seed, null=delta_null
+                delta, _, _ = avg_neighbor_delta_bar(
+                    band_ul, geom, pairs=delta_pairs, alpha=delta_alpha, b=delta_b, seed=seed
                 )
             cells.append(SweepCell(d1=a, d2=b, avg_cc=float(cc), avg_mp=mp, delta_bar=delta))
     return cells

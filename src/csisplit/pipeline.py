@@ -36,7 +36,7 @@ from .core import (
     view_to_complex,
     write_csi_file,
 )
-from .dependence import NULLS, avg_neighbor_cc, avg_neighbor_delta_bar
+from .dependence import avg_neighbor_cc, avg_neighbor_delta_bar
 from .fingerprint import DEFAULT_BINS, avg_neighbor_tvd
 from .kpca import decompose_kpca, fit_kpca
 from .pca import DecompConfig, decompose, fit_pca
@@ -75,8 +75,7 @@ class PipelineConfig:
     k_neighbors: int = 8
     bins: int = DEFAULT_BINS
     delta_pairs: int = 16
-    delta_b: int = 1000  # permutation null only
-    delta_null: str = "shift"  # "shift" or "permutation"; see the dependence module
+    delta_b: int = 1000  # permutations, where M is too short for the shift null
     alpha: float = 0.05
     seed: int = 0
 
@@ -97,8 +96,6 @@ class PipelineConfig:
                 raise ValueError("delta_pairs must be at least 1")
             if self.delta_b < 100:
                 raise ValueError("delta_b must be at least 100 permutations")
-            if self.delta_null not in NULLS:
-                raise ValueError(f"delta_null must be one of {NULLS}, got {self.delta_null!r}")
             if not 0.0 < self.alpha < 1.0:
                 raise ValueError("alpha must lie in (0, 1)")
         if self.method == "ae2" and not (math.isfinite(self.ae_loss_mu) and self.ae_loss_mu > 0.5):
@@ -294,19 +291,19 @@ def compute_metrics(cfg: PipelineConfig, out: MethodOutput, geom: NodeGeometry) 
             report = avg_mp(out.unpred_ul, out.unpred_dl)
             results["avg_mp"] = report.avg_mp
         if "delta_bar" in cfg.metrics:
-            delta, tested = avg_neighbor_delta_bar(
+            delta, null, tested = avg_neighbor_delta_bar(
                 out.unpred_ul,
                 geom,
                 pairs=cfg.delta_pairs,
                 alpha=cfg.alpha,
                 b=cfg.delta_b,
                 seed=cfg.seed,
-                null=cfg.delta_null,
             )
             results["avg_delta_bar"] = delta
             diagnostics["delta_bar"] = [
                 {
                     "nodes": list(nodes),
+                    "null": null,
                     "statistic": r.statistic,
                     "critical_value": r.critical_value,
                     "p_value": r.p_value,

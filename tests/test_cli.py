@@ -234,13 +234,22 @@ def test_ae_train_makes_the_directories_of_given_log_and_weights_paths(dataset, 
     assert read_weights(tmp_path / "w" / "ae.weights").spec.input_dim == 32
 
 
-def test_sweep_delta_null_reaches_the_sweep(dataset, tmp_path, capsys):
+def test_decompose_makes_the_directories_of_given_output_paths(dataset, tmp_path):
+    pred, unpred = tmp_path / "p" / "pred.csi", tmp_path / "u" / "unpred.csi"
+    argv = ["decompose", "--method", "pca", "--input", str(dataset / "uplink.csi")]
+    argv += ["--output-predictable", str(pred), "--output-unpredictable", str(unpred)]
+    assert cli.main([*argv, "--output-dir", str(tmp_path / "out")]) == 0
+    default = ["decompose", "--method", "pca", "--input", str(dataset / "uplink.csi"), "--output-dir"]
+    assert cli.main([*default, str(tmp_path / "default")]) == 0
+    assert pred.read_bytes() == (tmp_path / "default" / "predictable.csi").read_bytes()
+    assert unpred.read_bytes() == (tmp_path / "default" / "unpredictable.csi").read_bytes()
+
+
+def test_sweep_with_delta_pairs_matches_the_library_sweep(dataset, tmp_path):
+    # the 4x4, m=16 set has M=32 observations: too few shifts, so the
+    # dependence tests take the permutation null with --b permutations
     grid = ["--d1-max", "3", "--d2-max", "4", "--delta-pairs", "2", "--b", "100"]
-    argv = ["sweep", *_files(dataset), *grid, "--output-dir", str(tmp_path)]
-    # the 4x4, m=16 set has M=32 observations: too few for the default shift null
-    assert cli.main(argv) == 1
-    assert "--delta-null permutation" in capsys.readouterr().err
-    assert cli.main([*argv, "--delta-null", "permutation"]) == 0
+    assert cli.main(["sweep", *_files(dataset), *grid, "--output-dir", str(tmp_path)]) == 0
     ul = to_real_view(read_csi_file(dataset / "uplink.csi"))
     dl = to_real_view(read_csi_file(dataset / "downlink.csi"))
     geom = pipeline.read_geometry(dataset / "geometry.json")

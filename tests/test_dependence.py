@@ -10,6 +10,7 @@ from csisplit.dependence import (
     _cv_index,
     _prepare_grams,
     avg_neighbor_cc,
+    avg_neighbor_delta_bar,
     dhsic_statistic,
     dhsic_test,
     gaussian_gram_1d,
@@ -334,7 +335,7 @@ def test_shift_null_constant_variable_gives_zero_delta_bar():
 def test_shift_null_rejects_too_few_shifts_and_d_above_2():
     rng = np.random.default_rng(24)
     # M=130: A=16 and 99 shifts; M=132: 101 shifts
-    with pytest.raises(ValueError, match="M=130 observations give 99; .*delta_null='permutation'"):
+    with pytest.raises(ValueError, match="M=130 observations give 99; .*null='permutation'"):
         dhsic_test([rng.standard_normal(130), rng.standard_normal(130)], null="shift")
     assert dhsic_test([rng.standard_normal(132), rng.standard_normal(132)], null="shift").b == 101
     with pytest.raises(ValueError, match="d=2 variables, got d=3"):
@@ -358,7 +359,20 @@ def test_pipeline_shift_null_delta_bar_matches_golden(method):
     cfg = pipeline.PipelineConfig(
         sim=SimConfig(grid_shape=(4, 4), m=128), method=method, metrics=("delta_bar",), delta_pairs=4
     )
-    assert cfg.delta_null == "shift"
     report = pipeline.run_pipeline(cfg)
     assert abs(report["metrics"]["avg_delta_bar"] - GOLDEN_SHIFT[method]) <= 1e-9
-    assert [d["b"] for d in report["diagnostics"]["delta_bar"]] == [193] * 4
+    assert [(d["null"], d["b"]) for d in report["diagnostics"]["delta_bar"]] == [("shift", 193)] * 4
+
+
+@pytest.mark.parametrize("m, null", [(130, "permutation"), (131, "shift")])
+def test_avg_neighbor_delta_bar_takes_the_shift_null_from_100_shifts(m, null):
+    # M=130 gives 99 shifts, M=131 exactly 100
+    rng = np.random.default_rng(26)
+    geom = NodeGeometry(np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]]), k=1)
+    view = rng.standard_normal((m, 3))
+    delta, chosen, tested = avg_neighbor_delta_bar(view, geom, pairs=2, b=100, seed=7)
+    assert chosen == null
+    pairs, children = [(0, 1), (2, 1)], np.random.SeedSequence(7).spawn(2)
+    want = [dhsic_test([view[:, i], view[:, j]], b=100, seed=c, null=null) for (i, j), c in zip(pairs, children)]
+    assert tested == list(zip(pairs, want))
+    assert delta == np.mean([r.delta_bar for r in want])
