@@ -167,9 +167,11 @@ class NodeGeometry:
 
         Distances are ``sqrt`` of the summed squared coordinate differences;
         a stable argsort of each row breaks equal distances by ascending node
-        index, so ``neighbors(k)[:, :j]`` equals ``neighbors(j)``. The table is
-        built once per k, a block of rows at a time, and the same array is
-        returned on every later call. Raises ValueError unless 1 <= k < n.
+        index, so ``neighbors(k)[:, :j]`` equals ``neighbors(j)``. A k below
+        one already cached is served as that wider table's first k columns;
+        otherwise the table is built once per k, a block of rows at a time.
+        The same array is returned on every later call. Raises ValueError
+        unless 1 <= k < n.
         """
         if k < 1:
             raise ValueError("k must be >= 1")
@@ -177,11 +179,15 @@ class NodeGeometry:
             raise ValueError(f"insufficient nodes: k={k} with only {self.n} nodes")
         table = self._tables.get(k)
         if table is None:
-            table = np.empty((self.n, k), dtype=np.intp)
-            for start, d2 in _squared_distance_blocks(self.positions):
-                order = np.argsort(np.sqrt(d2), axis=1, kind="stable")
-                table[start : start + d2.shape[0]] = order[:, :k]
-            table.setflags(write=False)
+            wider = next((t for width, t in list(self._tables.items()) if width > k), None)
+            if wider is not None:
+                table = wider[:, :k]  # a view of a read-only array is read-only
+            else:
+                table = np.empty((self.n, k), dtype=np.intp)
+                for start, d2 in _squared_distance_blocks(self.positions):
+                    order = np.argsort(np.sqrt(d2), axis=1, kind="stable")
+                    table[start : start + d2.shape[0]] = order[:, :k]
+                table.setflags(write=False)
             table = self._tables.setdefault(k, table)  # one object even when threads race
         return table
 

@@ -29,7 +29,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
 
 from .core import CsiMatrix
 from .pca import _fix_signs
@@ -178,6 +177,10 @@ def _ridge_map(y: np.ndarray, gamma: float | None) -> tuple[np.ndarray, float, f
     score columns y (its own median bandwidth), solved as an SPD system and
     never by explicit inverse; also the score bandwidth, gamma and the
     condition estimate of K_Y + gamma I."""
+    # imported here: only the kpca fit needs scipy.linalg, and every other
+    # command would pay its import time
+    from scipy import linalg
+
     sq = np.sum(y * y, axis=0)
     d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (y.T @ y), 0.0)
     score_sigma = median_bandwidth(d2)

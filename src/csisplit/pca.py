@@ -61,12 +61,13 @@ class Decomposition(NamedTuple):
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    """Make the first nonzero entry of each eigenvector row positive, in
-    place; returns ``vectors``."""
-    for row in vectors:
-        nz = np.nonzero(np.abs(row) > 1e-12)[0]
-        if nz.size and row[nz[0]] < 0:
-            row *= -1.0
+    """Make the first entry of each eigenvector row with |x| > 1e-12
+    positive, in place; returns ``vectors``. A row with no such entry is
+    left as it is."""
+    significant = np.abs(vectors) > 1e-12
+    first = np.argmax(significant, axis=1)
+    rows = np.arange(len(vectors))
+    vectors[significant[rows, first] & (vectors[rows, first] < 0)] *= -1.0
     return vectors
 
 
@@ -182,8 +183,9 @@ def sweep(
         rows = [b - a for b in ends]
         ccs = _neighbor_cc(*(np.cumsum(t[a - 1 :], axis=0)[rows] for t in terms), table, u.shape[1])
         for b, cc in zip(ends, ccs):
-            band_ul = u[a - 1 : b].T @ w_ul[a - 1 : b]
-            band_dl = u[a - 1 : b].T @ w_dl[a - 1 : b]
+            # built node-major, so avg_mp's per-node rows are contiguous
+            band_ul = (w_ul[a - 1 : b].T @ u[a - 1 : b]).T
+            band_dl = (w_dl[a - 1 : b].T @ u[a - 1 : b]).T
             mp = avg_mp(band_ul, band_dl).avg_mp
             delta = None
             if delta_pairs > 0:

@@ -1,10 +1,15 @@
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import csisplit
 from csisplit import cli, pipeline
 from csisplit.autoencoder import decompose_ae, read_weights
 from csisplit.core import CsiMatrix, read_csi_file, to_real_view, write_csi_file
@@ -40,6 +45,16 @@ def _files(dataset):
         "--input-dl", str(dataset / "downlink.csi"),
         "--geometry", str(dataset / "geometry.json"),
     ]  # fmt: skip
+
+
+def test_importing_the_cli_loads_neither_scipy_linalg_nor_scipy_stats():
+    # a fresh interpreter: this one has loaded both through the test modules
+    src = str(Path(csisplit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = "import sys, csisplit.cli; print(sorted(m for m in ('scipy.linalg', 'scipy.stats') if m in sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_sweep_files_equal_the_direct_sweep(dataset, tmp_path):

@@ -189,6 +189,31 @@ def test_neighbor_table_is_cached_read_only_and_nested():
         nearest_neighbors(geom, 42, 1)
 
 
+def test_narrower_neighbor_table_is_served_from_a_cached_wider_one(monkeypatch):
+    geom = NodeGeometry(positions=grid_positions(SimConfig(grid_shape=(6, 7))))
+    wide = geom.neighbors(8)
+
+    def forbidden(_pos):
+        raise AssertionError("a narrower table was built anew")
+
+    monkeypatch.setattr(core, "_squared_distance_blocks", forbidden)
+    narrow = geom.neighbors(1)
+    assert narrow.shape == (42, 1) and not narrow.flags.writeable
+    assert np.array_equal(narrow, wide[:, :1])
+    assert geom.neighbors(1) is narrow
+    assert np.array_equal(geom.neighbors(3), _per_node_neighbors(geom.positions, 3))
+
+
+def test_wider_neighbor_table_after_a_narrower_one_is_built():
+    geom = NodeGeometry(positions=grid_positions(SimConfig(grid_shape=(6, 7))))
+    narrow = geom.neighbors(2)
+    wide = geom.neighbors(5)
+    assert wide.shape == (42, 5)
+    assert np.array_equal(wide, _per_node_neighbors(geom.positions, 5))
+    assert np.array_equal(wide[:, :2], narrow)
+    assert geom.neighbors(2) is narrow
+
+
 def test_geometry_equality_and_hash_are_identity():
     positions = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]])
     a, b = NodeGeometry(positions), NodeGeometry(positions.copy())

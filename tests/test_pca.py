@@ -3,7 +3,7 @@ import pytest
 
 from csisplit.core import NodeGeometry, to_real_view
 from csisplit.dependence import avg_neighbor_cc
-from csisplit.pca import DecompConfig, Decomposition, PcaBasis, decompose, fit_pca, sweep
+from csisplit.pca import DecompConfig, Decomposition, PcaBasis, _fix_signs, decompose, fit_pca, sweep
 from csisplit.simulate import SimConfig, simulate
 from csisplit.skg import avg_mp
 
@@ -60,6 +60,47 @@ def test_sign_convention_first_nonzero_positive():
     for row in basis.eigenvectors:
         nz = np.nonzero(np.abs(row) > 1e-12)[0]
         assert row[nz[0]] > 0
+
+
+def _fix_signs_per_row(vectors):
+    """The row loop the vectorized sign pass replaced."""
+    for row in vectors:
+        nz = np.nonzero(np.abs(row) > 1e-12)[0]
+        if nz.size and row[nz[0]] < 0:
+            row *= -1.0
+    return vectors
+
+
+def test_fix_signs_equals_the_row_loop_in_place():
+    rng = np.random.default_rng(5)
+    vectors = rng.standard_normal((9, 6))
+    vectors[0] = 0.0  # zero row: untouched
+    vectors[1, :2] = (-1e-13, 5e-13)  # tiny entries of either sign before the first significant one
+    vectors[1, 2] = 0.7
+    vectors[2, :3] = (3e-13, -2e-13, -0.4)  # the first significant entry is negative
+    vectors[3] = rng.choice([-1.0, 1.0], 6) * 1e-13  # all tiny, the first negative: untouched
+    vectors[3, 0] = -1e-13
+    vectors[4, 0] = -1e-12  # exactly at the threshold: not significant
+    vectors[4, 1] = -2.0
+    vectors[5] = np.abs(vectors[5])
+    vectors[6] = -np.abs(vectors[6])
+    expected = _fix_signs_per_row(vectors.copy())
+    out = _fix_signs(vectors)
+    assert out is vectors
+    assert np.array_equal(out, expected)
+    assert np.array_equal(np.signbit(out), np.signbit(expected))  # zeros keep the loop's signs too
+    assert out[1, 2] == 0.7 and out[2, 2] == 0.4 and out[4, 1] == 2.0 and out[3, 0] == -1e-13
+    assert np.all(out[5] >= 0) and np.all(out[6] >= 0)
+
+
+def test_fix_signs_works_on_a_strided_view():
+    # kpca hands it the transpose of a column selection
+    rng = np.random.default_rng(6)
+    evecs = rng.standard_normal((40, 40))
+    block = evecs[:, [3, 1, 0]]
+    expected = _fix_signs_per_row(block.T.copy())
+    assert np.array_equal(_fix_signs(block.T), expected)
+    assert np.array_equal(block.T, expected)
 
 
 def test_fit_requires_two_samples():

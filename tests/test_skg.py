@@ -1,9 +1,68 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csisplit.skg import BitSequence, avg_mp, mismatch_probability, quantize_median
+from csisplit.skg import avg_mp
+
+# ---------------------------------------------------------------------------
+# the per-node oracle: one sequence quantized and compared at a time
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class BitSequence:
+    bits: np.ndarray  # uint8 over {0, 1}
+    degenerate: bool = False  # constant input sequence
+
+    def __post_init__(self):
+        bits = np.asarray(self.bits, dtype=np.uint8)
+        bits.setflags(write=False)
+        object.__setattr__(self, "bits", bits)
+
+
+def lower_median(x: np.ndarray) -> float:
+    """Lower middle order statistic; for odd lengths the ordinary median."""
+    x = np.asarray(x, dtype=np.float64)
+    idx = (x.size - 1) // 2
+    return float(np.partition(x, idx)[idx])
+
+
+def quantize_median(x) -> BitSequence:
+    """bit_t = 1 iff x_t exceeds the (lower) median of the sequence."""
+    x = np.asarray(x, dtype=np.float64).ravel()
+    if x.size < 2:
+        raise ValueError("need at least 2 samples to quantize")
+    med = lower_median(x)
+    bits = (x > med).astype(np.uint8)
+    return BitSequence(bits=bits, degenerate=bool(np.all(x == x[0])))
+
+
+def mismatch_probability(a: BitSequence, b: BitSequence) -> float:
+    """Fraction of disagreeing bits (Hamming distance / length)."""
+    if a.bits.size != b.bits.size:
+        raise ValueError(f"length mismatch: {a.bits.size} vs {b.bits.size}")
+    return float(np.mean(a.bits != b.bits))
+
+
+def _views_with_ties(length):
+    """(ul, dl) of 12 nodes, seeded by ``length``, with a constant column and
+    a column tied at its median."""
+    rng = np.random.default_rng(length)
+    ul = rng.standard_normal((length, 12))
+    dl = ul + 0.5 * rng.standard_normal((length, 12))
+    ul[:, 0] = 3.0  # constant: every bit 0
+    ul[:, 1], dl[:, 1] = np.round(ul[:, 1]), np.round(dl[:, 1])  # ties at the median
+    return ul, dl
+
+
+def _per_node_mp(ul, dl):
+    """The per-node loop the row-wise computation replaced."""
+    return np.array(
+        [mismatch_probability(quantize_median(ul[:, i]), quantize_median(dl[:, i])) for i in range(ul.shape[1])]
+    )
 
 
 def test_quantize_basic():
@@ -89,20 +148,9 @@ def test_avg_mp_shape_mismatch():
         avg_mp(np.zeros((4, 2)), np.zeros((4, 3)))
 
 
-def _per_node_mp(ul, dl):
-    """The per-node loop the column-wise computation replaced."""
-    return np.array(
-        [mismatch_probability(quantize_median(ul[:, i]), quantize_median(dl[:, i])) for i in range(ul.shape[1])]
-    )
-
-
 @pytest.mark.parametrize("length", [2, 3, 8, 9, 64, 65])
 def test_avg_mp_equals_per_node_loop(length):
-    rng = np.random.default_rng(length)
-    ul = rng.standard_normal((length, 12))
-    dl = ul + 0.5 * rng.standard_normal((length, 12))
-    ul[:, 0] = 3.0  # constant: every bit 0
-    ul[:, 1], dl[:, 1] = np.round(ul[:, 1]), np.round(dl[:, 1])  # ties at the median
+    ul, dl = _views_with_ties(length)
     report = avg_mp(ul, dl)
     assert np.array_equal(report.per_node_mp, _per_node_mp(ul, dl))
     assert report.avg_mp == float(np.mean(_per_node_mp(ul, dl)))
@@ -111,3 +159,36 @@ def test_avg_mp_equals_per_node_loop(length):
 def test_avg_mp_needs_two_samples():
     with pytest.raises(ValueError, match="at least 2 samples"):
         avg_mp(np.zeros((1, 3)), np.zeros((1, 3)))
+
+
+@pytest.mark.parametrize("length", [2, 3, 8, 9, 64, 65])
+def test_avg_mp_equals_per_node_loop_on_node_major_and_strided_input(length):
+    ul, dl = _views_with_ties(length)
+    expected = _per_node_mp(ul, dl)
+    # F-ordered: the transpose of a node-major array, as pca.sweep builds bands
+    ul_f, dl_f = np.ascontiguousarray(ul.T).T, np.ascontiguousarray(dl.T).T
+    assert ul_f.flags.f_contiguous and not ul_f.flags.c_contiguous
+    assert np.array_equal(avg_mp(ul_f, dl_f).per_node_mp, expected)
+    # non-contiguous column slices of wider arrays
+    wide_ul, wide_dl = np.repeat(ul, 3, axis=1), np.repeat(dl, 3, axis=1)
+    strided = avg_mp(wide_ul[:, ::3], wide_dl[:, 1::3])
+    assert np.array_equal(strided.per_node_mp, expected)
+    assert strided.avg_mp == float(np.mean(expected))
+    assert not strided.per_node_mp.flags.writeable
+
+
+def test_avg_mp_constant_sequences_quantize_to_zeros():
+    # both directions constant: all bits 0 on each side, so nothing disagrees;
+    # against a varying sequence the mismatch is the varying side's share of ones
+    const = np.full((10, 3), 5.0)
+    assert avg_mp(const, const).avg_mp == 0.0
+    varying = np.tile(np.arange(10.0)[:, None], (1, 3))
+    assert np.array_equal(avg_mp(const, varying).per_node_mp, np.full(3, 0.5))
+
+
+def test_avg_mp_is_invariant_under_increasing_affine_maps():
+    rng = np.random.default_rng(11)
+    ul, dl = rng.standard_normal((257, 4)), rng.standard_normal((257, 4))
+    report = avg_mp(ul, dl)
+    moved = avg_mp(5.0 * ul + 7.0, 0.25 * dl - 3.0)
+    assert np.array_equal(report.per_node_mp, moved.per_node_mp)
