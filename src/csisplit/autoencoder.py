@@ -22,12 +22,11 @@ import json
 import math
 import struct
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 from scipy.special import expit
 
-from .core import NodeGeometry
+from .core import Decomposition, NodeGeometry
 
 _ACT_CODES = {"linear": 0, "tanh": 1, "softplus": 2, "relu": 3}
 _CODE_ACTS = {v: k for k, v in _ACT_CODES.items()}
@@ -266,18 +265,13 @@ def train(dataset: np.ndarray, spec: MlpSpec, cfg: TrainConfig, log_path=None) -
     return TrainedModel(spec=spec, weights=weights, input_scale=scale, history=history)
 
 
-class AeDecomposition(NamedTuple):
-    predictable: np.ndarray
-    unpredictable: np.ndarray
-
-
-def decompose_ae(model: TrainedModel, view: np.ndarray) -> AeDecomposition:
+def decompose_ae(model: TrainedModel, view: np.ndarray) -> Decomposition:
     """Per-node reconstruction and residual; predictable + unpredictable
     equals the input exactly by construction."""
     view = np.asarray(view, dtype=np.float64)
     y, _ = forward(model.spec, model.weights, view / model.input_scale)
     predictable = model.input_scale * y
-    return AeDecomposition(predictable=predictable, unpredictable=view - predictable)
+    return Decomposition(predictable=predictable, unpredictable=view - predictable)
 
 
 def build_pair_dataset(view: np.ndarray, geom: NodeGeometry, k: int = 8) -> np.ndarray:
@@ -299,7 +293,7 @@ def build_pair_dataset(view: np.ndarray, geom: NodeGeometry, k: int = 8) -> np.n
 
 def decompose_ae_pairs(
     model: TrainedModel, view: np.ndarray, geom: NodeGeometry, k: int = 8, data: np.ndarray | None = None
-) -> AeDecomposition:
+) -> Decomposition:
     """Residuals for a pair-input model: each node's reconstruction is the
     average of the first-half outputs over its (node, neighbor) samples.
     ``data``, when given, is ``build_pair_dataset(view, geom, k)``, already
@@ -315,7 +309,7 @@ def decompose_ae_pairs(
     for rank in range(k):  # rank by rank keeps the summation order of a per-pair loop
         predictable += y[:half, rank::k]
     predictable *= model.input_scale / k
-    return AeDecomposition(predictable=predictable, unpredictable=view - predictable)
+    return Decomposition(predictable=predictable, unpredictable=view - predictable)
 
 
 def train_for_mode(

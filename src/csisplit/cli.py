@@ -313,7 +313,7 @@ _FLAGS = {
         type=int, default=_DEFAULTS.delta_pairs, help="node pairs in the dependence average (sweep: 0 skips it)"
     ),
     "b": dict(
-        type=int, default=_DEFAULTS.delta_b, help="permutation count (dhsic; delta_bar only below m=66 snapshots)"
+        type=int, default=_DEFAULTS.delta_b, help="permutations, where the permutation null runs (M < 131 or d >= 3)"
     ),
     "alpha": dict(type=float, default=_DEFAULTS.alpha, help="test significance level"),
 }

@@ -19,6 +19,7 @@ import math
 import struct
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -108,6 +109,13 @@ def view_to_complex(view: np.ndarray) -> np.ndarray:
     view = np.asarray(view, dtype=np.float64)
     m = view.shape[0] // 2
     return view[:m] + 1j * view[m:]
+
+
+class Decomposition(NamedTuple):
+    """A split of a real view into its predictable and unpredictable parts."""
+
+    predictable: np.ndarray
+    unpredictable: np.ndarray
 
 
 #: entries of one block of rows of the node distance matrix; the neighbor

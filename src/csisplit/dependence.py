@@ -20,7 +20,10 @@ of replicates tied with the observed statistic, clamped to B. The p-value is
 divides the statistic by the critical value and gates with the rejection
 indicator: zero whenever the test does not reject, stat/CV otherwise.
 
-Two nulls give the replicates.
+``dhsic_test`` picks the null from its input, and no caller chooses it:
+d = 2 variables with at least MIN_REPLICATES shifts (M >= 131) take the
+shift null, everything else the permutation null with ``b`` draws. The
+report records the choice.
 
 ``permutation``: B Monte-Carlo re-samplings without replacement. Each
 replicate keeps variable 0 in place and permutes variables 1..d-1
@@ -32,18 +35,16 @@ also destroys each sequence's own temporal correlation, so on correlated
 sequences this null is too narrow: at the simulator's snapshot correlation
 it rejected 49 of 60 independent pairs at the 5% level.
 
-``shift`` (d = 2 only; Chwialkowski & Gretton, "A Kernel Independence Test
-for Random Processes", ICML 2014): replicate s pairs x with y circularly
-shifted by s, y'_i = y_((i+s) mod M), for s in [A, M-A] with A = M // 8, so
+``shift`` (Chwialkowski & Gretton, "A Kernel Independence Test for Random
+Processes", ICML 2014): replicate s pairs x with y circularly shifted by s,
+y'_i = y_((i+s) mod M), for s in [A, M-A] with A = M // 8, so
 B = M - 2A + 1 (385 at M = 512); the observed statistic is s = 0. A shift
 moves y as a whole: each sequence keeps its own temporal correlation, and
 only the alignment between the two is broken, which is what independence
-is about. Shifts within A of 0 or M leave y nearly aligned with x. Fewer
-than 100 shifts (M <= 130) raise a ValueError; ``avg_neighbor_delta_bar``,
-the averaged metric, takes the shift null whenever M gives enough shifts
-and the permutation null otherwise. On independent complex AR(1)
-pairs in the [Re; Im] layout at M = 512 it rejected 10/200 at correlation
-0.88 and 7/200 at 0, 57/800 at 0.97, and 50/50 of y = x + 0.5 e at 0.88.
+is about. Shifts within A of 0 or M leave y nearly aligned with x. On
+independent complex AR(1) pairs in the [Re; Im] layout at M = 512 it
+rejected 10/200 at correlation 0.88 and 7/200 at 0, 57/800 at 0.97, and
+50/50 of y = x + 0.5 e at 0.88.
 
 Every shift comes from one 2-D FFT of the uncentred Grams K and L. The
 shifted term1 sum is a circular cross-correlation at lag (s, s):
@@ -74,7 +75,6 @@ import numpy as np
 
 from .core import NodeGeometry
 
-NULLS = ("permutation", "shift")
 MIN_REPLICATES = 100  # the fewest null replicates a test may use
 
 
@@ -88,50 +88,46 @@ class DependenceReport:
     reject: bool
     raw_ratio: float  # statistic / CV without the indicator gate
     p_value: float  # (1 + #{null >= statistic}) / (B + 1)
+    null: str  # "shift" or "permutation", as the input decides
     degenerate_variables: tuple[int, ...] = ()
 
 
-def gaussian_gram_1d(x: np.ndarray, sigma: float | None = None) -> tuple[np.ndarray, float, bool]:
-    """Gram matrix K_ij = exp(-(x_i - x_j)^2 / sigma^2) for a scalar sequence.
-
-    Median-heuristic bandwidth sigma = sqrt(med(offdiag squared dists) / 2)
-    when not supplied. A constant sequence has no usable bandwidth; its Gram
-    is the all-ones limit and the degenerate flag is set.
+def gaussian_gram_1d(x: np.ndarray) -> tuple[np.ndarray, float, bool]:
+    """(Gram matrix K_ij = exp(-(x_i - x_j)^2 / sigma^2), sigma, degenerate)
+    for a scalar sequence, at the median-heuristic bandwidth
+    sigma = sqrt(med(offdiag squared dists) / 2). A constant sequence has no
+    usable bandwidth; its Gram is the all-ones limit and the degenerate flag
+    is set.
     """
     x = np.asarray(x, dtype=np.float64).ravel()
     if x.size < 2:
         raise ValueError("need at least 2 observations")
     d2 = (x[:, None] - x[None, :]) ** 2
-    if sigma is None:
-        off = d2[np.triu_indices(x.size, k=1)]
-        med = float(np.median(off))
-        if med == 0.0:
-            pos = off[off > 0]
-            if pos.size == 0:  # constant sequence
-                return np.ones_like(d2), math.nan, True
-            med = float(np.median(pos))  # >50% duplicates: fall back to positive dists
-        sigma = math.sqrt(med / 2.0)
-    if sigma <= 0:
-        raise ValueError("bandwidth must be positive")
-    return np.exp(-d2 / (sigma * sigma)), float(sigma), False
+    off = d2[np.triu_indices(x.size, k=1)]
+    med = float(np.median(off))
+    if med == 0.0:
+        pos = off[off > 0]
+        if pos.size == 0:  # constant sequence
+            return np.ones_like(d2), math.nan, True
+        med = float(np.median(pos))  # >50% duplicates: fall back to positive dists
+    sigma = math.sqrt(med / 2.0)
+    return np.exp(-d2 / (sigma * sigma)), sigma, False
 
 
 def _as_seed_sequence(seed) -> np.random.SeedSequence:
     return seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
 
 
-def _prepare_grams(variables, sigmas=None):
+def _prepare_grams(variables):
     if len(variables) < 2:
         raise ValueError("need d >= 2 variables")
     arrs = [np.asarray(v, dtype=np.float64).ravel() for v in variables]
     m = arrs[0].size
     if m < 2 or any(a.size != m for a in arrs):
         raise ValueError("all variables need the same length M >= 2")
-    if sigmas is None:
-        sigmas = [None] * len(arrs)
     grams, degenerate = [], []
-    for idx, (a, s) in enumerate(zip(arrs, sigmas)):
-        k, _, degen = gaussian_gram_1d(a, s)
+    for idx, a in enumerate(arrs):
+        k, _, degen = gaussian_gram_1d(a)
         grams.append(k)
         if degen:
             degenerate.append(idx)
@@ -176,13 +172,13 @@ def _identity(grams: list[np.ndarray]) -> list[np.ndarray]:
     return [np.arange(grams[0].shape[0])] * (len(grams) - 1)
 
 
-def dhsic_statistic(variables, sigmas=None) -> float:
+def dhsic_statistic(variables) -> float:
     """Estimator of the d-variable HSIC from scalar observation sequences."""
-    grams, _ = _prepare_grams(variables, sigmas)
+    grams, _ = _prepare_grams(variables)
     return _PermutedStatistic(grams)(_identity(grams))
 
 
-def permutation_statistics(variables, b: int, seed, sigmas=None, statistic=None) -> np.ndarray:
+def permutation_statistics(variables, b: int, seed, statistic=None) -> np.ndarray:
     """B statistics of the permutation null.
 
     Variable 0 stays in place. One ``np.random.default_rng(seed)`` draws,
@@ -193,7 +189,7 @@ def permutation_statistics(variables, b: int, seed, sigmas=None, statistic=None)
     built it already (``dhsic_test`` does), so the Grams are built once.
     """
     if statistic is None:
-        statistic = _PermutedStatistic(_prepare_grams(variables, sigmas)[0])
+        statistic = _PermutedStatistic(_prepare_grams(variables)[0])
     m, d = statistic.grams[0].shape[0], len(statistic.grams)
     rng = np.random.default_rng(seed)
     out = np.empty(b)
@@ -219,21 +215,6 @@ def shift_statistics(grams: list[np.ndarray]) -> np.ndarray:
     return np.diagonal(np.fft.irfft2(spectrum, s=k.shape)) / float(m) ** 2
 
 
-def _shift_null(grams: list[np.ndarray]) -> tuple[float, np.ndarray]:
-    """(observed statistic, the replicates of shifts A..M-A)."""
-    if len(grams) != 2:
-        raise ValueError(f"the shift null tests d=2 variables, got d={len(grams)}")
-    m = grams[0].shape[0]
-    margin = m // 8
-    if shift_count(m) < MIN_REPLICATES:
-        raise ValueError(
-            f"the shift null needs at least {MIN_REPLICATES} shifts, and M={m} observations give "
-            f"{shift_count(m)}; use longer sequences or null='permutation'"
-        )
-    stats = shift_statistics(grams)
-    return float(stats[0]), stats[margin : m - margin + 1]
-
-
 def _cv_index(b: int, alpha: float, ties: int) -> int:
     """1-based order-statistic index, clamped to B."""
     idx = math.ceil((b + 1) * (1.0 - alpha)) + ties
@@ -243,32 +224,33 @@ def _cv_index(b: int, alpha: float, ties: int) -> int:
     return idx
 
 
-def dhsic_test(
-    variables, alpha: float = 0.05, b: int = 1000, seed=0, sigmas=None, null: str = "permutation"
-) -> DependenceReport:
+def dhsic_test(variables, alpha: float = 0.05, b: int = 1000, seed=0) -> DependenceReport:
     """Full test: statistic, critical value, rejection, normalized level and
-    p-value. ``b`` and ``seed`` are the permutation null's; the shift null
-    has B = M - 2 (M // 8) + 1 replicates and draws nothing."""
-    if null not in NULLS:
-        raise ValueError(f"null must be one of {NULLS}, got {null!r}")
-    if null == "permutation" and b < MIN_REPLICATES:
-        raise ValueError(f"need at least {MIN_REPLICATES} permutations")
+    p-value, under the null the input picks (see the module docstring).
+    ``b`` and ``seed`` are the permutation null's; the shift null has
+    B = M - 2 (M // 8) + 1 replicates and draws nothing."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    grams, degenerate = _prepare_grams(variables, sigmas)
+    grams, degenerate = _prepare_grams(variables)
+    m = grams[0].shape[0]
     # each null computes the observed statistic with the same arithmetic as
     # its replicates, so that exact ties are ties
-    if null == "shift":
-        observed, stats = _shift_null(grams)
+    if len(grams) == 2 and shift_count(m) >= MIN_REPLICATES:
+        null = "shift"
+        stats = shift_statistics(grams)
+        observed, stats = float(stats[0]), stats[m // 8 : m - m // 8 + 1]
         if degenerate:
             # an all-ones Gram gives every shift the same statistic; the FFT's
             # rounding can leave ~1e-34 in some shifts (at M=132, say)
             stats = np.full(stats.size, observed)
         b = stats.size
     else:
+        null = "permutation"
+        if b < MIN_REPLICATES:
+            raise ValueError(f"need at least {MIN_REPLICATES} permutations")
         statistic = _PermutedStatistic(grams)
         observed = statistic(_identity(grams))
-        stats = permutation_statistics(variables, b, seed, sigmas, statistic=statistic)
+        stats = permutation_statistics(variables, b, seed, statistic=statistic)
     ties = int(np.sum(stats == observed))
     cv = float(np.sort(stats)[_cv_index(b, alpha, ties) - 1])
     reject = observed > cv
@@ -282,6 +264,7 @@ def dhsic_test(
         reject=reject,
         raw_ratio=ratio,
         p_value=(1 + int(np.sum(stats >= observed))) / (b + 1),
+        null=null,
         degenerate_variables=degenerate,
     )
 
@@ -326,21 +309,19 @@ def avg_neighbor_delta_bar(
     alpha: float = 0.05,
     b: int = 1000,
     seed=0,
-) -> tuple[float, str, list[tuple[tuple[int, int], DependenceReport]]]:
+) -> tuple[float, list[tuple[tuple[int, int], DependenceReport]]]:
     """Average normalized dependence over (node, nearest-neighbor) pairs:
-    (average, null, each pair with its report).
+    (average, each pair with its report).
 
     Each pair is tested as a d=2 group of real-view column sequences with
-    its own RNG stream, under the shift null when the view's M rows give at
-    least MIN_REPLICATES shifts (M >= 131), else under the permutation null
-    with ``b`` permutations.
+    its own RNG stream; ``b`` is the permutation count where the test takes
+    the permutation null.
     """
     view = np.asarray(view, dtype=np.float64)
-    null = "shift" if shift_count(view.shape[0]) >= MIN_REPLICATES else "permutation"
     groups = select_delta_pairs(geom, pairs)
     children = _as_seed_sequence(seed).spawn(len(groups))
     tested = [
-        ((i, j), dhsic_test([view[:, i], view[:, j]], alpha=alpha, b=b, seed=child, null=null))
+        ((i, j), dhsic_test([view[:, i], view[:, j]], alpha=alpha, b=b, seed=child))
         for (i, j), child in zip(groups, children)
     ]
-    return float(np.mean([r.delta_bar for _, r in tested])), null, tested
+    return float(np.mean([r.delta_bar for _, r in tested])), tested

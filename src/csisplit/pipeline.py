@@ -75,13 +75,15 @@ class PipelineConfig:
     k_neighbors: int = 8
     bins: int = DEFAULT_BINS
     delta_pairs: int = 16
-    delta_b: int = 1000  # permutations, where M is too short for the shift null
+    delta_b: int = 1000  # permutations, where the permutation null runs (M < 131)
     alpha: float = 0.05
     seed: int = 0
 
     def validate(self) -> None:
         if self.source not in ("simulate", "files"):
             raise ValueError("source must be 'simulate' or 'files'")
+        if self.source == "simulate" and self.seed != self.sim.seed:
+            raise ValueError(f"seed={self.seed} disagrees with sim.seed={self.sim.seed}; a simulated run has one seed")
         if self.source == "files" and (not self.ul_path or not self.dl_path or not self.geometry_path):
             raise ValueError("file source needs ul_path, dl_path and geometry_path")
         if self.method not in METHODS:
@@ -291,7 +293,7 @@ def compute_metrics(cfg: PipelineConfig, out: MethodOutput, geom: NodeGeometry) 
             report = avg_mp(out.unpred_ul, out.unpred_dl)
             results["avg_mp"] = report.avg_mp
         if "delta_bar" in cfg.metrics:
-            delta, null, tested = avg_neighbor_delta_bar(
+            delta, tested = avg_neighbor_delta_bar(
                 out.unpred_ul,
                 geom,
                 pairs=cfg.delta_pairs,
@@ -303,7 +305,7 @@ def compute_metrics(cfg: PipelineConfig, out: MethodOutput, geom: NodeGeometry) 
             diagnostics["delta_bar"] = [
                 {
                     "nodes": list(nodes),
-                    "null": null,
+                    "null": r.null,
                     "statistic": r.statistic,
                     "critical_value": r.critical_value,
                     "p_value": r.p_value,

@@ -195,6 +195,7 @@ GOLDEN_DHSIC = {
     "degenerate_variables": [],
     "delta_bar": 1.4824530018875448,
     "nodes": [0, 1, 5],
+    "null": "permutation",
     "p_value": 0.009900990099009901,
     "raw_ratio": 1.4824530018875448,
     "reject": True,

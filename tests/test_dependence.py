@@ -290,10 +290,10 @@ def test_shift_statistics_equal_the_statistic_of_each_rolled_sequence(size, rho)
 def test_shift_null_critical_value_is_the_indexed_order_statistic_of_shifts_a_to_m_minus_a():
     rng = np.random.default_rng(21)
     x, y = ar1_view(rng, 0.5, 256), ar1_view(rng, 0.5, 256)
-    report = dhsic_test([x, y], alpha=0.1, null="shift")
+    report = dhsic_test([x, y], alpha=0.1)
     stats = shift_statistics(_prepare_grams([x, y])[0])
     null = stats[64 : 512 - 64 + 1]
-    assert report.b == null.size == 385
+    assert (report.null, report.b) == ("shift", null.size) and null.size == 385
     assert report.statistic == stats[0]
     ties = int(np.sum(null == stats[0]))
     assert report.critical_value == np.sort(null)[math.ceil(386 * 0.9) + ties - 1]
@@ -307,17 +307,17 @@ def test_shift_null_size_on_correlated_sequences():
     rejections = 0
     for child in np.random.SeedSequence(2206).spawn(200):
         rng = np.random.default_rng(child)
-        rejections += dhsic_test([ar1_view(rng, 0.88, 256), ar1_view(rng, 0.88, 256)], null="shift").reject
+        rejections += dhsic_test([ar1_view(rng, 0.88, 256), ar1_view(rng, 0.88, 256)]).reject
     assert rejections <= 20
 
 
 def test_shift_null_power_on_duplicated_and_dependent_sequences():
     rng = np.random.default_rng(22)
     x = ar1_view(rng, 0.88, 256)
-    report = dhsic_test([x, x.copy()], null="shift")
+    report = dhsic_test([x, x.copy()])
     assert report.reject and report.delta_bar > 1.0
     assert report.p_value == 1 / 386
-    assert dhsic_test([x, x + 0.5 * ar1_view(rng, 0.88, 256)], null="shift").reject
+    assert dhsic_test([x, x + 0.5 * ar1_view(rng, 0.88, 256)]).reject
 
 
 def test_shift_null_constant_variable_gives_zero_delta_bar():
@@ -327,27 +327,48 @@ def test_shift_null_constant_variable_gives_zero_delta_bar():
     x = ar1_view(np.random.default_rng(23), 0.88, 66)
     # every shift ties the observed statistic, so the critical-value index is clamped
     with pytest.warns(RuntimeWarning, match="exceeds B=101; clamping"):
-        report = dhsic_test([x, np.full(132, 0.25)], null="shift")
-    assert report.degenerate_variables == (1,)
+        report = dhsic_test([x, np.full(132, 0.25)])
+    assert report.null == "shift" and report.degenerate_variables == (1,)
     assert report.delta_bar == 0.0 and not report.reject and report.p_value == 1.0
 
 
-def test_shift_null_rejects_too_few_shifts_and_d_above_2():
+def _permutation_replicates_give(report, variables, b, seed):
+    """Whether ``report``'s critical value and p-value are those of the
+    replicates ``permutation_statistics(variables, b, seed)``."""
+    stats = permutation_statistics(variables, b=b, seed=seed)
+    ties = int(np.sum(stats == report.statistic))
+    cv = np.sort(stats)[math.ceil((b + 1) * (1 - report.alpha)) + ties - 1]
+    return report.critical_value == cv and report.p_value == (1 + int(np.sum(stats >= report.statistic))) / (b + 1)
+
+
+def test_d2_takes_the_shift_null_from_100_shifts():
     rng = np.random.default_rng(24)
-    # M=130: A=16 and 99 shifts; M=132: 101 shifts
-    with pytest.raises(ValueError, match="M=130 observations give 99; .*null='permutation'"):
-        dhsic_test([rng.standard_normal(130), rng.standard_normal(130)], null="shift")
-    assert dhsic_test([rng.standard_normal(132), rng.standard_normal(132)], null="shift").b == 101
-    with pytest.raises(ValueError, match="d=2 variables, got d=3"):
-        dhsic_test([rng.standard_normal(256) for _ in range(3)], null="shift")
-    with pytest.raises(ValueError, match="null must be one of"):
-        dhsic_test([rng.standard_normal(256) for _ in range(2)], null="block")
+    # M=130: A=16 and 99 shifts, too few; M=131: exactly 100; M=132: 101
+    short = [rng.standard_normal(130), rng.standard_normal(130)]
+    report = dhsic_test(short, b=150, seed=3)
+    assert (report.null, report.b) == ("permutation", 150)
+    assert _permutation_replicates_give(report, short, 150, 3)
+    for m, shifts in [(131, 100), (132, 101)]:
+        variables = [rng.standard_normal(m), rng.standard_normal(m)]
+        report = dhsic_test(variables, b=150, seed=3)
+        assert (report.null, report.b) == ("shift", shifts)
+        stats = shift_statistics(_prepare_grams(variables)[0])
+        assert report.statistic == stats[0]
+        assert report.p_value == (1 + int(np.sum(stats[16 : m - 16 + 1] >= stats[0]))) / (shifts + 1)
+
+
+def test_d3_takes_the_permutation_null_at_any_length():
+    rng = np.random.default_rng(27)
+    variables = [rng.standard_normal(256) for _ in range(3)]
+    report = dhsic_test(variables, b=100, seed=4)
+    assert (report.null, report.b) == ("permutation", 100)
+    assert _permutation_replicates_give(report, variables, 100, 4)
 
 
 def test_shift_null_ignores_the_permutation_settings():
     rng = np.random.default_rng(25)
     variables = [ar1_view(rng, 0.5, 128), ar1_view(rng, 0.5, 128)]
-    assert dhsic_test(variables, b=50, seed=1, null="shift") == dhsic_test(variables, seed=2, null="shift")
+    assert dhsic_test(variables, b=50, seed=1) == dhsic_test(variables, seed=2)
 
 
 # pipeline avg_delta_bar under the shift null on a 4x4 grid, m=128 (M=256), 4 pairs
@@ -370,9 +391,9 @@ def test_avg_neighbor_delta_bar_takes_the_shift_null_from_100_shifts(m, null):
     rng = np.random.default_rng(26)
     geom = NodeGeometry(np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]]), k=1)
     view = rng.standard_normal((m, 3))
-    delta, chosen, tested = avg_neighbor_delta_bar(view, geom, pairs=2, b=100, seed=7)
-    assert chosen == null
+    delta, tested = avg_neighbor_delta_bar(view, geom, pairs=2, b=100, seed=7)
+    assert [r.null for _, r in tested] == [null, null]
     pairs, children = [(0, 1), (2, 1)], np.random.SeedSequence(7).spawn(2)
-    want = [dhsic_test([view[:, i], view[:, j]], b=100, seed=c, null=null) for (i, j), c in zip(pairs, children)]
+    want = [dhsic_test([view[:, i], view[:, j]], b=100, seed=c) for (i, j), c in zip(pairs, children)]
     assert tested == list(zip(pairs, want))
     assert delta == np.mean([r.delta_bar for r in want])

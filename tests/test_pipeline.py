@@ -43,8 +43,10 @@ def test_d_hat_zero_fails_before_any_stage_for_fitted_ranks(method):
     dataclasses.replace(cfg, method="pca").validate()
 
 
-def test_cli_dhsic_payload_carries_the_p_value(tmp_path):
-    uplink = simulate(SMALL).uplink
+@pytest.mark.parametrize("m, null, b", [(32, "permutation", 100), (128, "shift", 193)])
+def test_cli_dhsic_payload_carries_the_p_value(tmp_path, m, null, b):
+    # M=64 observations give too few shifts, M=256 give 193; --b counts permutations only
+    uplink = simulate(SimConfig(grid_shape=(3, 3), m=m)).uplink
     write_csi_file(uplink, tmp_path / "uplink.csi")
     argv = ["dhsic", "--input", str(tmp_path / "uplink.csi"), "--nodes", "0,1", "--b", "100"]
     assert cli.main(argv + ["--output-dir", str(tmp_path), "--seed", "3"]) == 0
@@ -53,6 +55,15 @@ def test_cli_dhsic_payload_carries_the_p_value(tmp_path):
     expected = dhsic_test([view[:, 0], view[:, 1]], b=100, seed=3)
     assert payload["p_value"] == expected.p_value
     assert payload["statistic"] == expected.statistic
+    assert (payload["null"], payload["b"]) == (null, b)
+
+
+def test_simulated_run_rejects_a_seed_that_differs_from_the_simulators():
+    cfg = pipeline.PipelineConfig(sim=SMALL, seed=1)
+    with pytest.raises(ValueError, match="seed=1 disagrees with sim.seed=0"):
+        pipeline.run_pipeline(cfg)
+    # a run on files simulates nothing, so sim.seed is not read
+    dataclasses.replace(cfg, source="files", ul_path="ul.csi", dl_path="dl.csi", geometry_path="g.json").validate()
 
 
 @pytest.mark.parametrize(
@@ -95,7 +106,7 @@ def test_cli_ae_decompose_applies_the_trained_pair_model(tmp_path):
 
 def test_report_is_byte_identical_for_a_seed_and_records_each_pairs_test(tmp_path):
     # m=128: M=256 observations, enough for the default shift null
-    cfg = pipeline.PipelineConfig(sim=SimConfig(grid_shape=(3, 3), m=128), delta_pairs=3, seed=4)
+    cfg = pipeline.PipelineConfig(sim=SimConfig(grid_shape=(3, 3), m=128, seed=4), delta_pairs=3, seed=4)
     first = pipeline.run_pipeline(cfg, output_dir=tmp_path / "a")
     pipeline.run_pipeline(cfg, output_dir=tmp_path / "b")
     text = (tmp_path / "a" / "report.json").read_bytes()
@@ -106,7 +117,7 @@ def test_report_is_byte_identical_for_a_seed_and_records_each_pairs_test(tmp_pat
     view = pipeline.apply_method(cfg, ul, dl, geom).unpred_ul
     for entry in entries:
         i, j = entry["nodes"]
-        want = dhsic_test([view[:, i], view[:, j]], null="shift")
+        want = dhsic_test([view[:, i], view[:, j]])
         assert entry == {
             "nodes": [i, j],
             "null": "shift",
