@@ -6,10 +6,12 @@ tvd-curve, skg-mp, fit-dist, sweep, compare, pipeline. ``decompose
 decomposer for the method and writes predictable.csi, unpredictable.csi
 and decompose.json (the method's details); ae-train and ae-decompose
 persist and apply autoencoder weights, and ae-decompose splits with the
-pipeline's ``ae_split``. Global flags --seed, --output-dir and --config (a
-flat key = value file whose entries override the command line; keys are
-the long option names with dashes or underscores). Every option shared by
-several subcommands is declared once, with one default and one help.
+pipeline's ``ae_split``. Global flags --seed, --output-dir and --config: a
+flat key = value file whose entries are parsed as --key=value after the
+command line, so they override it and take the flag's type, choices and
+errors; keys are the subcommand's long option names, with dashes or
+underscores. Every option shared by several subcommands is declared once,
+with one default and one help.
 """
 
 from __future__ import annotations
@@ -32,33 +34,19 @@ from .simulate import SimConfig, simulate
 from .skg import avg_mp
 
 
-def _parse_value(text: str):
-    low = text.strip()
-    if low.lower() in ("true", "false"):
-        return low.lower() == "true"
-    for cast in (int, float):
-        try:
-            return cast(low)
-        except ValueError:
-            pass
-    return low
-
-
-def _apply_config_file(args: argparse.Namespace) -> None:
-    """Flat key = value file; entries override command-line flags."""
-    if not getattr(args, "config", None):
-        return
-    for lineno, raw in enumerate(Path(args.config).read_text(encoding="utf-8").splitlines(), 1):
+def _config_tokens(path) -> list[str]:
+    """A flat ``key = value`` file as the tokens ``--key=value``, underscores
+    in keys read as dashes; the ``=`` form keeps a value such as -5 a value."""
+    tokens = []
+    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise ValueError(f"{args.config}:{lineno}: expected 'key = value', got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr):
-            raise ValueError(f"{args.config}:{lineno}: unknown key {key!r}")
-        setattr(args, attr, _parse_value(value))
+        key, sep, value = line.partition("=")
+        if not sep or not key.strip():
+            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+        tokens.append(f"--{key.strip().replace('_', '-')}={value.strip()}")
+    return tokens
 
 
 def _out(args, name: str, given=None) -> Path:
@@ -407,9 +395,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     try:
-        _apply_config_file(args)
+        if args.config:
+            # the file's entries come last, so they override the command line
+            path = args.config
+            args, unknown = parser.parse_known_args([*argv, *_config_tokens(path)])
+            if unknown:
+                raise ValueError(f"{path}: unknown key {unknown[0][2:].split('=', 1)[0]!r}")
         args.func(args)
         return 0
     except Exception as exc:  # pragma: no cover - exercised via subcommand tests

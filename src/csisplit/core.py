@@ -35,19 +35,8 @@ class Direction(enum.IntEnum):
 
 
 class CsiFileError(ValueError):
-    """Malformed CSI file."""
-
-
-class BadMagicError(CsiFileError):
-    """File does not start with the CSI1 magic."""
-
-
-class TruncatedFileError(CsiFileError):
-    """Header or payload shorter than the declared dimensions require."""
-
-
-class DimensionOverflowError(CsiFileError):
-    """Declared dimensions are zero or exceed the supported size."""
+    """Malformed CSI file: bad magic, truncated, zero or oversized dimensions,
+    bad direction byte or trailing bytes."""
 
 
 def _as_readonly(arr: np.ndarray) -> np.ndarray:
@@ -155,6 +144,8 @@ class NodeGeometry:
     _tables: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
+        if isinstance(self.k, bool) or not isinstance(self.k, (int, np.integer)) or self.k < 1:
+            raise ValueError(f"'k' must be an integer >= 1, got {self.k!r}")
         pos = np.asarray(self.positions, dtype=np.float64)
         if pos.ndim != 2 or pos.shape[0] < 1 or pos.shape[1] not in (2, 3):
             raise ValueError(f"positions must be (n, 2) or (n, 3) with n >= 1, got {pos.shape}")
@@ -246,17 +237,17 @@ def read_csi_file(path) -> CsiMatrix:
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < _HEADER.size:
-        raise TruncatedFileError(f"truncated header: {len(raw)} bytes, need {_HEADER.size}")
+        raise CsiFileError(f"truncated header: {len(raw)} bytes, need {_HEADER.size}")
     magic, m, n, direction, snr = _HEADER.unpack_from(raw)
     if magic != CSI_MAGIC:
-        raise BadMagicError(f"bad magic {magic!r}, expected {CSI_MAGIC!r}")
+        raise CsiFileError(f"bad magic {magic!r}, expected {CSI_MAGIC!r}")
     if m == 0 or n == 0 or m * n > MAX_FILE_ENTRIES:
-        raise DimensionOverflowError(f"unsupported dimensions m={m}, n={n}")
+        raise CsiFileError(f"unsupported dimensions m={m}, n={n}")
     if direction not in (0, 1):
         raise CsiFileError(f"invalid direction byte {direction}")
     expected = _HEADER.size + 16 * m * n
     if len(raw) < expected:
-        raise TruncatedFileError(f"truncated payload: {len(raw)} bytes, need {expected}")
+        raise CsiFileError(f"truncated payload: {len(raw)} bytes, need {expected}")
     if len(raw) > expected:
         raise CsiFileError(f"trailing bytes: {len(raw) - expected} past end of payload")
     payload = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size)

@@ -19,8 +19,6 @@ AMPLITUDE_FAMILIES = ("rician", "rayleigh", "nakagami", "weibull", "normal")
 PHASE_FAMILIES = ("uniform", "normal")
 ALL_FAMILIES = ("rician", "rayleigh", "nakagami", "weibull", "normal", "uniform")
 
-_PARAM_COUNT = {"rician": 2, "rayleigh": 1, "nakagami": 2, "weibull": 2, "normal": 2, "uniform": 2}
-
 _MAX_ITER = 500
 _XATOL = 1e-8
 
@@ -176,51 +174,31 @@ def _fit_uniform(x: np.ndarray) -> tuple[tuple[float, float], float]:
     return (a, b), -x.size * math.log(b - a)
 
 
-_FITTERS = {
-    "rician": _fit_rician,
-    "rayleigh": _fit_rayleigh,
-    "nakagami": _fit_nakagami,
-    "weibull": _fit_weibull,
-    "normal": _fit_normal,
-    "uniform": _fit_uniform,
+#: family -> (fit(samples) -> (params, log-likelihood), cdf(x, *params));
+#: the AIC counts the params
+_FAMILIES = {
+    "rician": (_fit_rician, lambda x, nu, sigma: stats.rice.cdf(x, nu / sigma, scale=sigma)),
+    "rayleigh": (_fit_rayleigh, lambda x, sigma: stats.rayleigh.cdf(x, scale=sigma)),
+    "nakagami": (_fit_nakagami, lambda x, m, omega: stats.nakagami.cdf(x, m, scale=math.sqrt(omega))),
+    "weibull": (_fit_weibull, lambda x, lam, k: stats.weibull_min.cdf(x, k, scale=lam)),
+    "normal": (_fit_normal, lambda x, mu, sigma: stats.norm.cdf(x, loc=mu, scale=sigma)),
+    "uniform": (_fit_uniform, lambda x, a, b: stats.uniform.cdf(x, loc=a, scale=b - a)),
 }
-
-
-def fitted_cdf(family: str, params: tuple[float, ...]):
-    """CDF callable of a fitted family, for goodness-of-fit evaluation."""
-    if family == "rician":
-        nu, sigma = params
-        return lambda x: stats.rice.cdf(x, nu / sigma, scale=sigma)
-    if family == "rayleigh":
-        (sigma,) = params
-        return lambda x: stats.rayleigh.cdf(x, scale=sigma)
-    if family == "nakagami":
-        m, omega = params
-        return lambda x: stats.nakagami.cdf(x, m, scale=math.sqrt(omega))
-    if family == "weibull":
-        lam, k = params
-        return lambda x: stats.weibull_min.cdf(x, k, scale=lam)
-    if family == "normal":
-        mu, sigma = params
-        return lambda x: stats.norm.cdf(x, loc=mu, scale=sigma)
-    if family == "uniform":
-        a, b = params
-        return lambda x: stats.uniform.cdf(x, loc=a, scale=b - a)
-    raise ValueError(f"unknown family {family!r}")
 
 
 def fit_mle(samples, family: str) -> FitResult:
     """MLE fit of one family plus AIC and KS goodness of fit."""
-    if family not in _FITTERS:
-        raise ValueError(f"unknown family {family!r}; choose from {sorted(_FITTERS)}")
+    if family not in _FAMILIES:
+        raise ValueError(f"unknown family {family!r}; choose from {sorted(_FAMILIES)}")
     x = _check_samples(samples, family)
-    params, ll = _FITTERS[family](x)
-    ks_stat, p_value = ks_test(x, fitted_cdf(family, params))
+    fit, cdf = _FAMILIES[family]
+    params, ll = fit(x)
+    ks_stat, p_value = ks_test(x, lambda v: cdf(v, *params))
     return FitResult(
         family=family,
         params=tuple(float(p) for p in params),
         log_likelihood=ll,
-        aic=aic(ll, _PARAM_COUNT[family]),
+        aic=aic(ll, len(params)),
         ks_stat=ks_stat,
         p_value=p_value,
     )

@@ -7,6 +7,7 @@ reproduced byte for byte.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import json
@@ -50,6 +51,15 @@ class PipelineError(RuntimeError):
     def __init__(self, stage: str, cause: Exception):
         super().__init__(f"stage '{stage}': {cause}")
         self.stage = stage
+
+
+@contextlib.contextmanager
+def _stage(name: str):
+    """Raise any error of the block as the PipelineError of stage ``name``."""
+    try:
+        yield
+    except Exception as exc:
+        raise PipelineError(name, exc) from exc
 
 
 @dataclass(frozen=True)
@@ -116,11 +126,7 @@ def geometry_from_dict(obj: dict) -> NodeGeometry:
         positions = np.asarray(obj["positions"], dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"geometry 'positions' is not a numeric matrix: {exc}") from exc
-    try:
-        k = int(obj.get("k", 8))
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"geometry 'k' is not an integer: {exc}") from exc
-    return NodeGeometry(positions=positions, k=k)
+    return NodeGeometry(positions=positions, k=obj.get("k", 8))
 
 
 def write_geometry(geom: NodeGeometry, path) -> None:
@@ -157,7 +163,7 @@ class MethodOutput:
 
 
 def load_dataset(cfg: PipelineConfig) -> tuple[CsiMatrix, CsiMatrix, NodeGeometry]:
-    try:
+    with _stage("dataset"):
         if cfg.source == "simulate":
             out = simulate(cfg.sim)
             return out.uplink, out.downlink, out.geometry
@@ -167,10 +173,6 @@ def load_dataset(cfg: PipelineConfig) -> tuple[CsiMatrix, CsiMatrix, NodeGeometr
         if ul.data.shape != dl.data.shape or ul.n != geom.n:
             raise ValueError("uplink/downlink/geometry dimensions disagree")
         return ul, dl, geom
-    except PipelineError:
-        raise
-    except Exception as exc:
-        raise PipelineError("dataset", exc) from exc
 
 
 #: a view's (predictable, unpredictable) real views
@@ -266,7 +268,7 @@ METHODS = tuple(DECOMPOSERS)
 
 
 def apply_method(cfg: PipelineConfig, ul: CsiMatrix, dl: CsiMatrix, geom: NodeGeometry) -> MethodOutput:
-    try:
+    with _stage("decompose"):
         if cfg.method not in DECOMPOSERS:
             raise ValueError(f"unknown method {cfg.method!r}")
         parts, details = DECOMPOSERS[cfg.method](cfg, [to_real_view(ul), to_real_view(dl)], geom)
@@ -274,15 +276,11 @@ def apply_method(cfg: PipelineConfig, ul: CsiMatrix, dl: CsiMatrix, geom: NodeGe
         return MethodOutput(
             fingerprint=np.abs(view_to_complex(predictable)), unpred_ul=unpred_ul, unpred_dl=unpred_dl, details=details
         )
-    except PipelineError:
-        raise
-    except Exception as exc:
-        raise PipelineError("decompose", exc) from exc
 
 
 def compute_metrics(cfg: PipelineConfig, out: MethodOutput, geom: NodeGeometry) -> tuple[dict, dict]:
     """(metrics, diagnostics); the diagnostics hold each delta_bar pair's test."""
-    try:
+    with _stage("metrics"):
         results: dict = {}
         diagnostics: dict = {}
         if "tvd" in cfg.metrics:
@@ -315,10 +313,6 @@ def compute_metrics(cfg: PipelineConfig, out: MethodOutput, geom: NodeGeometry) 
                 for nodes, r in tested
             ]
         return results, diagnostics
-    except PipelineError:
-        raise
-    except Exception as exc:
-        raise PipelineError("metrics", exc) from exc
 
 
 def _config_dict(cfg: PipelineConfig) -> dict:

@@ -70,6 +70,9 @@ class SimConfig:
             raise ValueError("path_loss_exponent must be positive")
         if self.shadowing_sigma_db < 0 or self.shadowing_corr_m <= 0:
             raise ValueError("invalid shadowing parameters")
+        for name in ("phase_corr_m", "diffuse_corr_m"):
+            if not getattr(self, name) > 0:  # NaN too
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if math.isnan(self.snr_db):
             raise ValueError("snr_db must be a number (or +inf to disable noise)")
         if self.temporal_rho is not None and not -1.0 <= self.temporal_rho <= 1.0:

@@ -125,6 +125,64 @@ def test_config_line_without_equals_names_file_and_line(dataset, tmp_path, capsy
     assert f"{config}:3: expected 'key = value'" in capsys.readouterr().err
 
 
+def _config(tmp_path, text: str) -> str:
+    path = tmp_path / "run.conf"
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def test_config_line_without_a_key_names_file_and_line(dataset, tmp_path, capsys):
+    config = _config(tmp_path, "component = phase\n = 5\n")
+    argv = ["fit-dist", "--input", str(dataset / "uplink.csi"), "--config", config]
+    assert cli.main([*argv, "--output-dir", str(tmp_path)]) == 1
+    assert f"{config}:2: expected 'key = value'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, entry, option",
+    [
+        ("pipeline", "m = abc", "--m"),
+        ("pipeline", "method = foo", "--method"),
+        ("fit-dist", "component = bogus", "--component"),
+    ],
+)
+def test_config_value_fails_as_the_flags_value_does(dataset, tmp_path, capsys, command, entry, option):
+    argv = [command, "--config", _config(tmp_path, entry + "\n"), "--output-dir", str(tmp_path)]
+    if command == "fit-dist":
+        argv += ["--input", str(dataset / "uplink.csi")]
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(argv)
+    assert excinfo.value.code == 2
+    assert f"argument {option}: invalid" in capsys.readouterr().err
+    assert {p.name for p in tmp_path.iterdir()} == {"run.conf"}
+
+
+def test_config_key_that_is_no_option_is_unknown(dataset, tmp_path, capsys):
+    config = _config(tmp_path, "func = 1\n")
+    argv = ["fit-dist", "--input", str(dataset / "uplink.csi"), "--config", config]
+    assert cli.main([*argv, "--output-dir", str(tmp_path)]) == 1
+    assert f"{config}: unknown key 'func'" in capsys.readouterr().err
+    assert not (tmp_path / "fit_dist.json").exists()
+
+
+def test_config_entries_override_the_command_line(dataset, tmp_path):
+    # the file's phase overrides the command line's amplitude; a prefix of the
+    # option name and underscores for dashes are read as the flag would be
+    argv = ["fit-dist", "--input", str(dataset / "uplink.csi"), "--component", "amplitude"]
+    config = _config(tmp_path, "component = phase\n")
+    assert cli.main([*argv, "--config", config, "--output-dir", str(tmp_path / "full")]) == 0
+    config = _config(tmp_path, f"comp=phase\noutput_dir = {tmp_path / 'prefix'}\n")
+    assert cli.main([*argv, "--config", config, "--output-dir", str(tmp_path / "ignored")]) == 0
+    assert not (tmp_path / "ignored").exists()
+    flag = ["fit-dist", "--input", str(dataset / "uplink.csi"), "--component", "phase"]
+    assert cli.main([*flag, "--output-dir", str(tmp_path / "flag")]) == 0
+    expected = (tmp_path / "flag" / "fit_dist.json").read_bytes()
+    assert json.loads(expected)["component"] == "phase"
+    assert {f["family"] for f in json.loads(expected)["fits"]} == set(PHASE_FAMILIES)
+    assert (tmp_path / "full" / "fit_dist.json").read_bytes() == expected
+    assert (tmp_path / "prefix" / "fit_dist.json").read_bytes() == expected
+
+
 def test_pipeline_ae1_rejects_d_hat_zero(tmp_path, capsys):
     argv = ["pipeline", "--method", "ae1", "--d-hat", "0", "--grid-rows", "3", "--grid-cols", "3", "--m", "8"]
     assert cli.main([*argv, "--ae-epochs", "1", "--output-dir", str(tmp_path)]) == 1

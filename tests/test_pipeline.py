@@ -74,6 +74,12 @@ def test_simulated_run_rejects_a_seed_that_differs_from_the_simulators():
         ('{"positions": [[0, 0], [1]]}', "'positions'"),
         ('{"positions": "abc"}', "'positions'"),
         ('{"positions": [[0, 0], [1, 0]], "k": [1]}', "'k'"),
+        ('{"positions": [[0, 0], [1, 0]], "k": 1e400}', "'k'"),
+        ('{"positions": [[0, 0], [1, 0]], "k": 0}', "'k'"),
+        ('{"positions": [[0, 0], [1, 0]], "k": -3}', "'k'"),
+        ('{"positions": [[0, 0], [1, 0]], "k": 1.5}', "'k'"),
+        ('{"positions": [[0, 0], [1, 0]], "k": true}', "'k'"),
+        ('{"positions": [[0, 0], [1, 0]], "k": "8"}', "'k'"),
     ],
 )
 def test_bad_geometry_file_raises_a_value_error_naming_the_key(tmp_path, text, match):
@@ -81,6 +87,38 @@ def test_bad_geometry_file_raises_a_value_error_naming_the_key(tmp_path, text, m
     path.write_text(text, encoding="utf-8")
     with pytest.raises(ValueError, match=match):
         pipeline.read_geometry(path)
+
+
+def _stage_of(call) -> str:
+    with pytest.raises(pipeline.PipelineError) as excinfo:
+        call()
+    assert str(excinfo.value).startswith(f"stage '{excinfo.value.stage}': ")
+    return excinfo.value.stage
+
+
+def test_each_stage_raises_its_own_pipeline_error(tmp_path):
+    out = pipeline.write_sim_output(simulate(SMALL), tmp_path)
+    files = dict(source="files", ul_path=out["uplink"], dl_path=out["downlink"], geometry_path=out["geometry"])
+    missing = pipeline.PipelineConfig(**{**files, "ul_path": str(tmp_path / "missing.csi")})
+    assert _stage_of(lambda: pipeline.run_pipeline(missing)) == "dataset"
+    # kpca keeps at most n - 1 of the 9 nodes' components
+    assert _stage_of(lambda: pipeline.run_pipeline(pipeline.PipelineConfig(sim=SMALL, method="kpca", d_hat=9))) == (
+        "decompose"
+    )
+    # 8 neighbors is the most a 3x3 grid has
+    assert _stage_of(lambda: pipeline.run_pipeline(pipeline.PipelineConfig(sim=SMALL, k_neighbors=9))) == "metrics"
+    other = dataclasses.replace(SMALL, m=16)
+    cfgs = [pipeline.PipelineConfig(sim=SMALL), pipeline.PipelineConfig(sim=other, method="pca")]
+    assert _stage_of(lambda: pipeline.compare_methods(cfgs)) == "compare"
+
+
+def test_cli_stage_error_names_the_stage_and_exits_1(tmp_path, capsys):
+    out = pipeline.write_sim_output(simulate(SMALL), tmp_path)
+    argv = ["pipeline", "--source", "files", "--input-ul", str(tmp_path / "missing.csi")]
+    argv += ["--input-dl", out["downlink"], "--geometry", out["geometry"], "--output-dir", str(tmp_path / "run")]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: stage 'dataset': ")
+    assert not (tmp_path / "run" / "report.json").exists()
 
 
 def test_geometry_file_round_trip(tmp_path):

@@ -70,3 +70,10 @@ def test_uplink_downlink_difference_power_matches_the_snr(snr_db):
     signal = np.mean(np.abs(out.truth.data) ** 2 / amp2)
     assert -10.0 * math.log10(noise) == pytest.approx(snr_db, abs=0.05)
     assert 10.0 * math.log10(signal / noise) == pytest.approx(snr_db, abs=0.2)
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("field", ["phase_corr_m", "diffuse_corr_m"])
+def test_correlation_length_that_is_not_positive_is_rejected(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be positive"):
+        simulate(SimConfig(grid_shape=(3, 3), m=8, **{field: value}))
