@@ -401,7 +401,11 @@ def main(argv=None) -> int:
         if args.config:
             # the file's entries come last, so they override the command line
             path = args.config
-            args, unknown = parser.parse_known_args([*argv, *_config_tokens(path)])
+            # "\0" is no path, so the re-parse keeps it unless an entry of the
+            # file names a config file of its own, which would go unread
+            args, unknown = parser.parse_known_args([*argv, "--config=\0", *_config_tokens(path)])
+            if args.config != "\0":
+                unknown.insert(0, "--config")
             if unknown:
                 raise ValueError(f"{path}: unknown key {unknown[0][2:].split('=', 1)[0]!r}")
         args.func(args)

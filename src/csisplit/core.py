@@ -108,7 +108,7 @@ class Decomposition(NamedTuple):
 
 
 #: entries of one block of rows of the node distance matrix; the neighbor
-#: table and the distinctness check hold one block at a time, never all n x n
+#: table holds one block at a time, never all n x n
 _BLOCK_ENTRIES = 1 << 16
 
 
@@ -151,9 +151,10 @@ class NodeGeometry:
             raise ValueError(f"positions must be (n, 2) or (n, 3) with n >= 1, got {pos.shape}")
         if not np.all(np.isfinite(pos)):
             raise ValueError("positions contain non-finite values")
-        for _, d2 in _squared_distance_blocks(pos):
-            if np.min(d2) <= 0.0:
-                raise ValueError("node positions must be pairwise distinct")
+        # equal rows are adjacent once sorted (-0.0 == 0.0 here, as in ==)
+        ordered = pos[np.lexsort(pos.T)]
+        if np.any(np.all(ordered[1:] == ordered[:-1], axis=1)):
+            raise ValueError("node positions must be pairwise distinct")
         object.__setattr__(self, "positions", _as_readonly(pos))
 
     @property

@@ -84,7 +84,8 @@ def decompose(view: np.ndarray, basis: PcaBasis, cfg: DecompConfig) -> Decomposi
     """Project the centered view onto the predictable and unpredictable bands.
 
     predictable = top-d_hat reconstruction, unpredictable = components
-    d1..d2 (1-based, inclusive); everything beyond d2 is discarded.
+    d1..d2 (1-based, inclusive); everything beyond d2 is discarded, so
+    only the first max(d_hat, d2) components are projected.
     """
     view = np.asarray(view, dtype=np.float64)
     dim = basis.dim
@@ -92,7 +93,7 @@ def decompose(view: np.ndarray, basis: PcaBasis, cfg: DecompConfig) -> Decomposi
         raise ValueError(f"view has {view.shape[0]} features, basis expects {dim}")
     cfg.validate(dim)
     centered = view - basis.mean[:, None]
-    u = basis.eigenvectors
+    u = basis.eigenvectors[: max(cfg.d_hat, cfg.d2)]
     scores = u @ centered
     if cfg.d_hat > 0:
         predictable = u[: cfg.d_hat].T @ scores[: cfg.d_hat]

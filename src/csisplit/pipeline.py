@@ -134,7 +134,13 @@ def write_geometry(geom: NodeGeometry, path) -> None:
 
 
 def read_geometry(path) -> NodeGeometry:
-    return geometry_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    """The geometry of a JSON file; a file that is not UTF-8 JSON raises a
+    ValueError naming it."""
+    try:
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValueError(f"{path}: not a UTF-8 JSON geometry file: {exc}") from exc
+    return geometry_from_dict(obj)
 
 
 def write_sim_output(out: SimOutput, directory) -> dict[str, str]:

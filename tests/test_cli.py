@@ -165,6 +165,18 @@ def test_config_key_that_is_no_option_is_unknown(dataset, tmp_path, capsys):
     assert not (tmp_path / "fit_dist.json").exists()
 
 
+@pytest.mark.parametrize("entry", ["config = {other}", "conf = {other}", "config = {same}"])
+def test_config_file_naming_a_config_file_is_rejected(dataset, tmp_path, capsys, entry):
+    # a second file would go unread, so the key is unknown, even as a prefix
+    # or when it names the file itself
+    config = tmp_path / "run.conf"
+    config.write_text(entry.format(other=tmp_path / "nothere.conf", same=config) + "\n", encoding="utf-8")
+    argv = ["fit-dist", "--input", str(dataset / "uplink.csi"), "--config", str(config)]
+    assert cli.main([*argv, "--output-dir", str(tmp_path)]) == 1
+    assert f"{config}: unknown key 'config'" in capsys.readouterr().err
+    assert not (tmp_path / "fit_dist.json").exists()
+
+
 def test_config_entries_override_the_command_line(dataset, tmp_path):
     # the file's phase overrides the command line's amplitude; a prefix of the
     # option name and underscores for dashes are read as the flag would be

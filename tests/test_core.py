@@ -138,6 +138,18 @@ def test_geometry_rejects_duplicates_in_different_row_blocks():
         NodeGeometry(positions=positions)
 
 
+def test_geometry_rejects_a_3d_duplicate_and_a_signed_zero_duplicate():
+    with pytest.raises(ValueError, match="distinct"):
+        NodeGeometry(positions=np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0], [1.0, 2.0, 3.0]]))
+    with pytest.raises(ValueError, match="distinct"):
+        NodeGeometry(positions=np.array([[0.0, 1.0], [2.0, 3.0], [-0.0, 1.0]]))
+
+
+def test_geometry_accepts_points_1e_12_apart():
+    geom = NodeGeometry(positions=np.array([[0.0, 0.0], [1e-12, 0.0], [0.0, 1e-12]]), k=1)
+    assert geom.neighbors(1)[:, 0].tolist() == [1, 0, 0]
+
+
 def test_geometry_rejects_no_nodes():
     with pytest.raises(ValueError, match="n >= 1"):
         NodeGeometry(positions=np.zeros((0, 2)))

@@ -244,6 +244,10 @@ def test_pearson_matches_the_moment_form():
         b = 0.7 * a / a.std() + rng.standard_normal(m)
         moment = np.mean((a - a.mean()) * (b - b.mean())) / (a.std() * b.std())
         assert abs(pearson_cc(a, b) - moment) <= 1e-15
+        # the form with np.mean, equal bit for bit
+        ca, cb = a - a.mean(), b - b.mean()
+        norms = math.sqrt(np.dot(ca, ca)) * math.sqrt(np.dot(cb, cb))
+        assert pearson_cc(a, b) == float(np.dot(ca, cb)) / norms
     with pytest.raises(ValueError, match="variance"):
         pearson_cc(a, np.full(m, 2.5))
     with pytest.raises(ValueError, match="equal-length"):

@@ -156,6 +156,14 @@ def test_avg_neighbor_tvd_equals_per_pair_loop_on_simulated_fingerprints():
     assert np.array_equal(report.pair_tvd, _per_pair_tvd(fp, out.geometry, 8, 32))
 
 
+def test_avg_neighbor_tvd_equals_per_pair_loop_at_the_default_size():
+    # 20x20 with k=8: about half the directed pairs share an unordered pair
+    out = simulate(SimConfig(seed=2))
+    fp = np.abs(out.uplink.data)
+    report = avg_neighbor_tvd(fp, out.geometry)
+    assert np.array_equal(report.pair_tvd, _per_pair_tvd(fp, out.geometry, 8, 32))
+
+
 def test_avg_neighbor_tvd_rejects_a_grid_that_cannot_increase():
     # a pooled range of two subnormal steps holds no strictly increasing 8-bin grid
     geom = NodeGeometry(positions=np.array([[0.0, 0.0], [1.0, 0.0]]), k=1)

@@ -132,6 +132,20 @@ def test_complement_bands_tile_centered_input():
         assert np.linalg.norm(dec.predictable + dec.unpredictable - _centered(view)) < 1e-8
 
 
+@pytest.mark.parametrize("d_hat, d1, d2", [(0, 1, 3), (5, 1, 3), (1, 3, 20), (1, 1, None)])
+def test_decompose_equals_the_full_projection(d_hat, d1, d2):
+    # decompose projects onto the first max(d_hat, d2) components only
+    out = simulate(SimConfig(grid_shape=(8, 8), m=32, seed=7))
+    ul, dl = to_real_view(out.uplink), to_real_view(out.downlink)
+    basis = fit_pca(ul)
+    d2 = basis.dim if d2 is None else d2
+    u = basis.eigenvectors
+    scores = u @ (dl - basis.mean[:, None])
+    dec = decompose(dl, basis, DecompConfig(d_hat=d_hat, d1=d1, d2=d2))
+    assert np.max(np.abs(dec.predictable - u[:d_hat].T @ scores[:d_hat])) <= 1e-13
+    assert np.max(np.abs(dec.unpredictable - u[d1 - 1 : d2].T @ scores[d1 - 1 : d2])) <= 1e-13
+
+
 def test_projection_idempotence():
     rng = np.random.default_rng(7)
     view = rng.standard_normal((8, 30))

@@ -89,6 +89,19 @@ def test_bad_geometry_file_raises_a_value_error_naming_the_key(tmp_path, text, m
         pipeline.read_geometry(path)
 
 
+@pytest.mark.parametrize(
+    "raw",
+    [b'{"positions": [[0, 0], [1, 0]], "k": "\xff"}', b'{"positions": [[0, 0], [1, 0]'],
+    ids=["not-utf8", "malformed-json"],
+)
+def test_geometry_file_that_is_not_utf8_json_raises_a_value_error_naming_it(tmp_path, raw):
+    path = tmp_path / "geometry.json"
+    path.write_bytes(raw)
+    with pytest.raises(ValueError, match="geometry.json: not a UTF-8 JSON geometry file") as excinfo:
+        pipeline.read_geometry(path)
+    assert type(excinfo.value) is ValueError
+
+
 def _stage_of(call) -> str:
     with pytest.raises(pipeline.PipelineError) as excinfo:
         call()
