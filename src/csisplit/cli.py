@@ -224,13 +224,15 @@ def cmd_sweep(args) -> None:
     dl = read_csi_file(args.input_dl)
     geom = pl.read_geometry(args.geometry)
     ul_view, dl_view = to_real_view(ul), to_real_view(dl)
-    basis = fit_pca(ul_view)
+    d2_grid = range(args.d2_min, args.d2_max + 1, args.step)
+    # the sweep reads components 1 to the largest d2 and no further
+    basis = fit_pca(ul_view, top=max(d2_grid, default=None))
     cells = sweep(
         ul_view,
         dl_view,
         basis,
         d1_grid=range(args.d1_min, args.d1_max + 1, args.step),
-        d2_grid=range(args.d2_min, args.d2_max + 1, args.step),
+        d2_grid=d2_grid,
         geom=geom,
         k=args.k,
         delta_pairs=args.delta_pairs,

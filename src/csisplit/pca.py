@@ -5,6 +5,15 @@ dominated tail beyond the band.
 Works on the (2m, n) real view with nodes as samples and the 2m real
 coordinates as features. The basis is fitted once (on Bob's uplink
 aggregate) and applied to both link directions.
+
+A caller that reads only the leading ``top`` components passes ``top`` to
+:func:`fit_pca`. When n <= 2m and top <= n - 1 the fit takes the dual path:
+the centred view has rank at most n - 1, so the n x n node Gram C^T C/(n-1)
+has the covariance's nonzero eigenvalues, and its top eigenvectors map back
+to the covariance's. Every other fit eigendecomposes the 2m x 2m covariance
+(the primal path). A component beyond the view's numerical rank cannot be
+mapped back, so the dual path rejects it with a ValueError that names the
+rank.
 """
 
 from __future__ import annotations
@@ -24,7 +33,8 @@ from .skg import avg_mp
 @dataclass(frozen=True)
 class PcaBasis:
     """Orthonormal eigenvector rows sorted by descending eigenvalue, plus the
-    per-feature mean used for centering."""
+    per-feature mean used for centering. A dual fit keeps only its leading
+    rows, so the row count may be below the feature count ``dim``."""
 
     eigenvectors: np.ndarray
     eigenvalues: np.ndarray
@@ -38,7 +48,8 @@ class PcaBasis:
 
     @property
     def dim(self) -> int:
-        return self.eigenvectors.shape[0]
+        """The feature count of the views the basis splits."""
+        return self.mean.shape[0]
 
 
 @dataclass(frozen=True)
@@ -65,14 +76,40 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return vectors
 
 
-def fit_pca(view: np.ndarray) -> PcaBasis:
-    """Full eigendecomposition of the node-sample covariance of a real view."""
+def fit_pca(view: np.ndarray, top: int | None = None) -> PcaBasis:
+    """Principal components of the node-sample covariance of a (features, n)
+    real view.
+
+    ``top`` is the number of leading components the caller reads; None reads
+    all of them. The dual path runs when n <= features and 1 <= top <= n - 1:
+    it eigendecomposes the n x n node Gram C^T C / (n - 1) of the centred view
+    C, keeps its top eigenpairs (v, lam) and maps each back to the covariance
+    eigenvector u = C v / sqrt((n - 1) lam). The basis then holds ``top``
+    rows, and ``eigenvalues`` holds their ``top`` eigenvalues. A requested
+    component with lam <= lam_1 * n * eps (float64 eps) lies beyond the view's
+    numerical rank, and the dual path raises a ValueError that names the rank.
+
+    Every other call takes the primal path: a full eigendecomposition of the
+    features x features covariance, one row and one eigenvalue (clipped at 0)
+    per feature. Both paths make the first entry with |x| > 1e-12 of each
+    row positive.
+    """
     view = np.asarray(view, dtype=np.float64)
     if view.ndim != 2 or view.shape[1] < 2:
         raise ValueError("insufficient samples: need a (features, nodes) view with >= 2 nodes")
+    features, n = view.shape
     mean = view.mean(axis=1)
     centered = view - mean[:, None]
-    cov = centered @ centered.T / (view.shape[1] - 1)
+    if top is not None and 1 <= top < n <= features:
+        evals, evecs = np.linalg.eigh(centered.T @ centered / (n - 1))
+        order = np.argsort(evals)[::-1]
+        rank = np.count_nonzero(evals > evals[order[0]] * n * np.finfo(np.float64).eps)
+        if top > rank:
+            raise ValueError(f"{top} components requested, but the view's numerical rank is {rank}")
+        evals = evals[order[:top]]
+        vectors = (evecs[:, order[:top]] / np.sqrt((n - 1) * evals)).T @ centered.T
+        return PcaBasis(eigenvectors=_fix_signs(vectors), eigenvalues=evals, mean=mean)
+    cov = centered @ centered.T / (n - 1)
     evals, evecs = np.linalg.eigh(cov)
     order = np.argsort(evals)[::-1]
     evals = np.clip(evals[order], 0.0, None)
@@ -88,10 +125,9 @@ def decompose(view: np.ndarray, basis: PcaBasis, cfg: DecompConfig) -> Decomposi
     only the first max(d_hat, d2) components are projected.
     """
     view = np.asarray(view, dtype=np.float64)
-    dim = basis.dim
-    if view.shape[0] != dim:
-        raise ValueError(f"view has {view.shape[0]} features, basis expects {dim}")
-    cfg.validate(dim)
+    if view.shape[0] != basis.dim:
+        raise ValueError(f"view has {view.shape[0]} features, basis expects {basis.dim}")
+    cfg.validate(len(basis.eigenvectors))
     centered = view - basis.mean[:, None]
     u = basis.eigenvectors[: max(cfg.d_hat, cfg.d2)]
     scores = u @ centered
@@ -142,8 +178,9 @@ def sweep(
     Per cell: average neighbor Pearson CC of the uplink band (as
     ``avg_neighbor_cc`` defines it), average uplink/downlink mismatch
     probability, and (when delta_pairs > 0) the averaged normalized
-    dependence. Cells are ordered by (d1, d2). Every band must lie in
-    [1, basis.dim], or a ValueError names the widest one.
+    dependence. Cells are ordered by (d1, d2). Every band must lie within
+    the basis's components [1, len(basis.eigenvectors)], or a ValueError
+    names the widest one.
 
     The CC comes in closed form from the PCA scores w = U (view - mean),
     without building the band. The eigenvector rows u_c are orthonormal, so
@@ -164,7 +201,7 @@ def sweep(
     if not d1s or not d2s or d1s[0] > d2s[-1]:
         raise ValueError("empty sweep grid: no band with d1 <= d2")
     top = d2s[-1]
-    DecompConfig(d_hat=0, d1=d1s[0], d2=top).validate(basis.dim)
+    DecompConfig(d_hat=0, d1=d1s[0], d2=top).validate(len(basis.eigenvectors))
     u = basis.eigenvectors[:top]
     w_ul = u @ (np.asarray(ul_view, dtype=np.float64) - basis.mean[:, None])
     w_dl = u @ (np.asarray(dl_view, dtype=np.float64) - basis.mean[:, None])

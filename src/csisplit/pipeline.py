@@ -190,7 +190,7 @@ def _decompose_none(cfg: PipelineConfig, views, geom) -> tuple[list[Parts], dict
 
 
 def _decompose_pca(cfg: PipelineConfig, views, geom) -> tuple[list[Parts], dict]:
-    basis = fit_pca(views[0])
+    basis = fit_pca(views[0], top=max(cfg.d_hat, cfg.d2))
     dcfg = DecompConfig(d_hat=cfg.d_hat, d1=cfg.d1, d2=cfg.d2)
     details = {"method": "pca", "d_hat": cfg.d_hat, "d1": cfg.d1, "d2": cfg.d2}
     return [decompose(view, basis, dcfg) for view in views], details
@@ -401,12 +401,12 @@ def tvd_curve(
     """Average neighbor TVD of the top-rank fingerprint for each rank
     0..d_hat_max; rank 0 scores the raw measurements."""
     view = to_real_view(ul)
-    basis = fit_pca(view)
+    basis = fit_pca(view, top=d_hat_max) if d_hat_max > 0 else None
     records = []
     for d in range(d_hat_max + 1):
         predictable = view  # rank 0: the raw measurements
         if d > 0:
-            predictable = decompose(view, basis, DecompConfig(d_hat=d, d1=1, d2=view.shape[0])).predictable
+            predictable = decompose(view, basis, DecompConfig(d_hat=d, d1=1, d2=d_hat_max)).predictable
         rep = avg_neighbor_tvd(np.abs(view_to_complex(predictable)), geom, k=k, bins=bins)
         records.append({"d_hat": d, "avg_tvd": rep.avg_tvd})
     return records

@@ -339,7 +339,8 @@ def test_sweep_with_delta_pairs_matches_the_library_sweep(dataset, tmp_path):
     ul = to_real_view(read_csi_file(dataset / "uplink.csi"))
     dl = to_real_view(read_csi_file(dataset / "downlink.csi"))
     geom = pipeline.read_geometry(dataset / "geometry.json")
-    cells = sweep(ul, dl, fit_pca(ul), [1, 3], [2, 4], geom, k=8, delta_pairs=2, delta_b=100)
+    # the CLI fits only the components up to the largest d2
+    cells = sweep(ul, dl, fit_pca(ul, top=4), [1, 3], [2, 4], geom, k=8, delta_pairs=2, delta_b=100)
     records = [dataclasses.asdict(c) for c in cells]
     assert json.loads((tmp_path / "sweep.json").read_text(encoding="utf-8"))["cells"] == records
     assert any(r["delta_bar"] > 0 for r in records)

@@ -156,7 +156,8 @@ def test_cli_pca_decompose_files_equal_the_direct_split(tmp_path, dataset):
     argv = ["decompose", "--input", str(tmp_path / "ul.csi"), "--d-hat", "2", "--d2", "10"]
     pred, unpred, details = _run_cli(tmp_path, argv)
     view = to_real_view(ul)
-    dec = decompose(view, fit_pca(view), DecompConfig(d_hat=2, d1=3, d2=10))
+    # the pca split fits only the max(d_hat, d2) components it reads
+    dec = decompose(view, fit_pca(view, top=10), DecompConfig(d_hat=2, d1=3, d2=10))
     assert np.array_equal(to_real_view(pred), dec.predictable)
     assert np.array_equal(to_real_view(unpred), dec.unpredictable)
     assert pred.direction == unpred.direction == ul.direction

@@ -286,3 +286,62 @@ def test_sweep_keeps_its_digits_under_a_dominant_leading_component():
     for cell in sweep(view, view, basis, [1, 2, 3, 5], [4, 9, 16], geom):
         band = decompose(view, basis, DecompConfig(d_hat=0, d1=cell.d1, d2=cell.d2)).unpredictable
         assert abs(cell.avg_cc - avg_neighbor_cc(band, geom, 2)) <= 1e-12, (cell.d1, cell.d2)
+
+
+@pytest.mark.parametrize("grid", [(8, 8), (20, 20)])
+def test_dual_fit_matches_the_primal_fit(grid):
+    # n=64 and n=400 nodes against 512 features (m=256): both take the dual path
+    out = simulate(SimConfig(grid_shape=grid, seed=2))
+    ul, dl = to_real_view(out.uplink), to_real_view(out.downlink)
+    full, dual = fit_pca(ul), fit_pca(ul, top=30)
+    assert dual.eigenvectors.shape == (30, 512) and dual.dim == 512
+    assert np.array_equal(dual.mean, full.mean)
+    assert np.max(np.abs(dual.eigenvectors - full.eigenvectors[:30])) <= 1e-12
+    assert np.max(np.abs(dual.eigenvalues - full.eigenvalues[:30])) <= 1e-12 * full.eigenvalues[0]
+    band = DecompConfig(d_hat=1, d1=3, d2=20)
+    for view in (ul, dl):
+        got, want = decompose(view, dual, band), decompose(view, full, band)
+        assert np.max(np.abs(got.predictable - want.predictable)) <= 1e-12
+        assert np.max(np.abs(got.unpredictable - want.unpredictable)) <= 1e-12
+    with pytest.raises(ValueError, match=r"band \(3, 31\) invalid for dimension 30"):
+        decompose(ul, dual, DecompConfig(d_hat=1, d1=3, d2=31))
+
+
+def test_dual_and_primal_sweeps_give_the_same_mismatch():
+    for seed in range(4):
+        out = simulate(SimConfig(grid_shape=(8, 8), seed=seed))
+        ul, dl = to_real_view(out.uplink), to_real_view(out.downlink)
+        grid = (range(1, 22, 2), range(2, 31, 2), out.geometry)
+        dual, full = sweep(ul, dl, fit_pca(ul, top=30), *grid), sweep(ul, dl, fit_pca(ul), *grid)
+        assert [c.avg_mp for c in dual] == [c.avg_mp for c in full], seed
+        assert max(abs(a.avg_cc - b.avg_cc) for a, b in zip(dual, full)) <= 1e-12, seed
+
+
+@pytest.mark.parametrize("shape, top", [((32, 16), 16), ((32, 16), 40), ((8, 40), 3), ((8, 40), 8)])
+def test_primal_path_beyond_n_minus_1_or_with_more_nodes_than_features(shape, top):
+    view = np.random.default_rng(15).standard_normal(shape)
+    full, fitted = fit_pca(view), fit_pca(view, top=top)
+    for name in ("eigenvectors", "eigenvalues", "mean"):
+        assert np.array_equal(getattr(fitted, name), getattr(full, name)), name
+    assert len(fitted.eigenvectors) == shape[0]
+
+
+def test_dual_path_up_to_n_minus_1_components():
+    view = np.random.default_rng(16).standard_normal((32, 16))
+    full, dual = fit_pca(view), fit_pca(view, top=15)
+    assert dual.eigenvectors.shape == (15, 32)
+    assert np.max(np.abs(dual.eigenvectors - full.eigenvectors[:15])) <= 1e-12
+    assert np.linalg.norm(dual.eigenvectors @ dual.eigenvectors.T - np.eye(15)) <= 1e-12
+
+
+def test_dual_fit_rejects_components_beyond_the_numerical_rank():
+    # 5 distinct node columns, each twice: the centred view has rank 4
+    distinct = np.random.default_rng(17).standard_normal((20, 5))
+    view = np.hstack([distinct, distinct])
+    basis = fit_pca(view, top=4)
+    assert len(basis.eigenvectors) == 4 and np.all(basis.eigenvalues > 0)
+    with pytest.raises(ValueError, match="numerical rank is 4"):
+        fit_pca(view, top=5)
+    # a constant view has rank 0
+    with pytest.raises(ValueError, match="numerical rank is 0"):
+        fit_pca(np.ones((20, 10)), top=1)
