@@ -178,6 +178,11 @@ def cmd_dhsic(args) -> None:
     nodes = [int(tok) for tok in args.nodes.split(",")]
     if len(nodes) < 2:
         raise ValueError("--nodes needs at least two comma-separated indices")
+    for pos, node in enumerate(nodes):
+        if not 0 <= node < view.shape[1]:
+            raise ValueError(f"--nodes index {node} is outside [0, {view.shape[1]})")
+        if node in nodes[:pos]:
+            raise ValueError(f"--nodes repeats index {node}")
     report = dhsic_test([view[:, i] for i in nodes], alpha=args.alpha, b=args.b, seed=args.seed)
     payload = {**dataclasses.asdict(report), "nodes": nodes, "seed": args.seed}
     pl.write_report(payload, _out(args, "dhsic.json"))

@@ -7,11 +7,11 @@ per-variable Gaussian Gram matrices K^l:
          + (1/M^2d) prod_l sum_ij K^l_ij
          - (2/M^(d+1)) sum_i prod_l (sum_j K^l_ij)
 
-K^l_ij = exp(-(x_i - x_j)^2 / sigma^2) with the median-heuristic sigma =
-sqrt(median off-diagonal (x_i - x_j)^2 / 2); kpca's 2 sigma^2 differs on
-purpose: one convention would move outputs. A node's sequence is its
-real-view column, the real parts of its m snapshots above their imaginary
-parts: M = 2m observations.
+K^l_ij = exp(-(x_i - x_j)^2 / sigma^2) with sigma = median_bandwidth, the
+package's one median heuristic; kpca's 2 sigma^2 differs on purpose: one
+convention would move outputs. A node's sequence is its real-view column,
+the real parts of its m snapshots above their imaginary parts: M = 2m
+observations.
 
 The critical value at level alpha is an order statistic of B null
 replicates, sorted ascending, indexed at ceil((B+1)(1-alpha)) plus the count
@@ -92,25 +92,33 @@ class DependenceReport:
     degenerate_variables: tuple[int, ...] = ()
 
 
-def gaussian_gram_1d(x: np.ndarray) -> tuple[np.ndarray, float, bool]:
-    """(Gram matrix K_ij = exp(-(x_i - x_j)^2 / sigma^2), sigma, degenerate)
-    for a scalar sequence, at the median-heuristic bandwidth
-    sigma = sqrt(med(offdiag squared dists) / 2). A constant sequence has no
-    usable bandwidth; its Gram is the all-ones limit and the degenerate flag
-    is set.
-    """
-    x = np.asarray(x, dtype=np.float64).ravel()
-    if x.size < 2:
-        raise ValueError("need at least 2 observations")
-    d2 = (x[:, None] - x[None, :]) ** 2
-    off = d2[np.triu_indices(x.size, k=1)]
+def median_bandwidth(sq_dists: np.ndarray) -> float:
+    """sqrt(med / 2), med the median of the strict upper triangle of a
+    symmetric matrix of squared distances, or of its positive entries when
+    more than half are zero; NaN when none is positive (no bandwidth)."""
+    off = sq_dists[np.triu_indices(sq_dists.shape[0], k=1)]
     med = float(np.median(off))
     if med == 0.0:
         pos = off[off > 0]
-        if pos.size == 0:  # constant sequence
-            return np.ones_like(d2), math.nan, True
-        med = float(np.median(pos))  # >50% duplicates: fall back to positive dists
-    sigma = math.sqrt(med / 2.0)
+        if pos.size == 0:
+            return math.nan
+        med = float(np.median(pos))
+    return math.sqrt(med / 2.0)
+
+
+def gaussian_gram_1d(x: np.ndarray) -> tuple[np.ndarray, float, bool]:
+    """(Gram matrix K_ij = exp(-(x_i - x_j)^2 / sigma^2), sigma, degenerate)
+    for a scalar sequence at sigma = :func:`median_bandwidth`. A constant
+    sequence has none: its Gram is the all-ones limit, flagged degenerate."""
+    x = np.asarray(x, dtype=np.float64).ravel()
+    if x.size < 2:
+        raise ValueError("need at least 2 observations")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("observations contain non-finite values")
+    d2 = (x[:, None] - x[None, :]) ** 2
+    sigma = median_bandwidth(d2)
+    if math.isnan(sigma):  # constant sequence
+        return np.ones_like(d2), sigma, True
     return np.exp(-d2 / (sigma * sigma)), sigma, False
 
 

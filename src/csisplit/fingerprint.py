@@ -3,6 +3,9 @@
 The fingerprint statistic is the amplitude (modulus) of each node's
 predictable-component time series; a pair of nodes is compared through
 histograms on a shared equal-width grid spanning the pooled sample range.
+
+One binning rule (:func:`_pair_edges`, :func:`_bin_counts`) scores every pair;
+:func:`pairwise_tvd`, its one-pair case, stays public for the benchmark's count.
 """
 
 from __future__ import annotations
@@ -17,81 +20,19 @@ DEFAULT_BINS = 32
 
 
 @dataclass(frozen=True)
-class EmpiricalMeasure:
-    bin_edges: np.ndarray
-    probs: np.ndarray
-    clipped: int = 0  # samples outside the grid, counted into the end bins
-
-    def __post_init__(self):
-        edges = np.asarray(self.bin_edges, dtype=np.float64)
-        probs = np.asarray(self.probs, dtype=np.float64)
-        if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
-            raise ValueError("bin edges must be a strictly increasing 1-D grid")
-        if probs.size != edges.size - 1:
-            raise ValueError("probs length must be len(edges) - 1")
-        if np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-9:
-            raise ValueError("probs must be nonnegative and sum to 1")
-        edges.setflags(write=False)
-        probs.setflags(write=False)
-        object.__setattr__(self, "bin_edges", edges)
-        object.__setattr__(self, "probs", probs)
-
-
-@dataclass(frozen=True)
 class FingerprintReport:
     pairs: list[tuple[int, int]]
     pair_tvd: np.ndarray
     avg_tvd: float
 
 
-def histogram(samples, edges) -> EmpiricalMeasure:
-    """Normalized bin counts; out-of-range samples are clipped to the end bins."""
-    samples = np.asarray(samples, dtype=np.float64).ravel()
-    edges = np.asarray(edges, dtype=np.float64)
-    if samples.size < 1:
-        raise ValueError("need at least one sample")
-    if edges.ndim != 1 or edges.size < 2:
-        raise ValueError("need at least two bin edges")
-    if np.any(np.diff(edges) <= 0):
-        raise ValueError("bin edges must be strictly increasing")
-    clipped = int(np.sum(samples < edges[0]) + np.sum(samples > edges[-1]))
-    clamped = np.clip(samples, edges[0], edges[-1])
-    counts, _ = np.histogram(clamped, bins=edges)
-    return EmpiricalMeasure(bin_edges=edges, probs=counts / samples.size, clipped=clipped)
-
-
-def tvd(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
-    """Half the L1 distance between two measures on the same grid."""
-    if mu.bin_edges.shape != nu.bin_edges.shape or not np.array_equal(mu.bin_edges, nu.bin_edges):
-        raise ValueError("measures live on different bin grids")
-    return float(0.5 * np.sum(np.abs(mu.probs - nu.probs)))
-
-
-def _shared_edges(a: np.ndarray, b: np.ndarray, bins: int) -> np.ndarray:
-    lo = min(a.min(), b.min())
-    hi = max(a.max(), b.max())
-    if hi <= lo:  # degenerate pooled range, widen so the grid is valid
-        hi = lo + max(abs(lo), 1.0) * 1e-12 + 1e-300
-    return np.linspace(lo, hi, bins + 1)
-
-
-def pairwise_tvd(samples_a, samples_b, bins: int = DEFAULT_BINS) -> float:
-    """TVD between two sample sets on a shared equal-width grid."""
-    a = np.asarray(samples_a, dtype=np.float64).ravel()
-    b = np.asarray(samples_b, dtype=np.float64).ravel()
-    edges = _shared_edges(a, b, bins)
-    return tvd(histogram(a, edges), histogram(b, edges))
-
-
 def _pair_edges(lo: np.ndarray, hi: np.ndarray, bins: int) -> np.ndarray:
-    """Row p is :func:`_shared_edges` for a pair with pooled minimum lo[p]
-    and maximum hi[p].
-
-    numpy.linspace with array end points does each row's arithmetic as it
-    does for scalar ones, unless some step underflows to zero; such a row
-    cannot be strictly increasing, so that case raises here as it does in
-    :func:`histogram`.
+    """Row p is the ``bins``-bin equal-width grid over a pair's pooled range
+    [lo[p], hi[p]], widened when hi[p] <= lo[p] so that it is valid. A row
+    whose step underflows to zero cannot be strictly increasing and raises.
     """
+    if bins < 1:
+        raise ValueError("need at least one bin")
     hi = np.where(hi <= lo, lo + np.maximum(np.abs(lo), 1.0) * 1e-12 + 1e-300, hi)
     edges = np.linspace(lo, hi, bins + 1, axis=-1)
     if np.any(np.diff(edges, axis=1) <= 0):
@@ -123,6 +64,19 @@ def _bin_counts(samples: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return np.bincount(bin_of_pair.ravel(), minlength=pairs * bins).reshape(pairs, bins)
 
 
+def pairwise_tvd(samples_a, samples_b, bins: int = DEFAULT_BINS) -> float:
+    """TVD between two sample sets (of any lengths) on a shared equal-width
+    grid over their pooled range: the one-pair case of :func:`avg_neighbor_tvd`."""
+    a = np.asarray(samples_a, dtype=np.float64).ravel()
+    b = np.asarray(samples_b, dtype=np.float64).ravel()
+    if a.size < 1 or b.size < 1 or not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise ValueError("need finite samples, at least one on each side")
+    edges = _pair_edges(np.array([min(a.min(), b.min())]), np.array([max(a.max(), b.max())]), bins)
+    probs_a = _bin_counts(a[:, None], edges)[0] / a.size
+    probs_b = _bin_counts(b[:, None], edges)[0] / b.size
+    return float(0.5 * np.sum(np.abs(probs_a - probs_b)))
+
+
 def avg_neighbor_tvd(
     fingerprints: np.ndarray,
     geom: NodeGeometry,
@@ -138,8 +92,6 @@ def avg_neighbor_tvd(
     scored once, in chunks of at most n // 2 pairs, and its value is
     scattered back to both directed pairs; ``pair_tvd`` stays node-major.
     """
-    if bins < 1:
-        raise ValueError("need at least one bin")
     fp = np.asarray(fingerprints, dtype=np.float64)
     if fp.ndim != 2 or fp.shape[1] != geom.n:
         raise ValueError(f"fingerprints must have one column per node ({geom.n}), got shape {fp.shape}")

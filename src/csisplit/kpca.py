@@ -11,8 +11,9 @@ is nevertheless symmetrized explicitly and the asymmetry norm reported,
 so any future kernel variant stays eigensolver-safe. A --kernel-variant
 switch selects the plain ||h_i - h_j|| kernel for comparison.
 
-The median-heuristic sigma = sqrt(median off-diagonal ||.||^2 / 2) enters
-as 2 sigma^2; dependence's sigma^2 differs on purpose: one would move outputs.
+sigma is dependence.median_bandwidth of the ||.||^2 and enters as 2 sigma^2;
+dependence's sigma^2 differs on purpose: one would move outputs. Columns
+that all coincide have no bandwidth, and the fit raises.
 
 Predictable components are rebuilt by kernel ridge regression from the
 projection scores (no iterative pre-image): the fit solves once for the
@@ -31,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CsiMatrix
+from .dependence import median_bandwidth
 from .pca import _fix_signs
 
 KERNEL_VARIANTS = ("conjugate", "standard")
@@ -82,21 +84,6 @@ def _pairwise_sq_dists(columns: np.ndarray, variant: str) -> np.ndarray:
     return np.maximum(d2, 0.0)
 
 
-def median_bandwidth(sq_dists: np.ndarray) -> float:
-    """sigma = sqrt(median of off-diagonal squared distances / 2).
-
-    Self-distances are excluded so duplicated points do not bias the
-    bandwidth low; an all-zero median means the inputs are effectively
-    identical and no bandwidth exists.
-    """
-    n = sq_dists.shape[0]
-    off = sq_dists[np.triu_indices(n, k=1)]
-    med = float(np.median(off))
-    if med <= 0.0:
-        raise ValueError("degenerate bandwidth: median pairwise distance is zero")
-    return math.sqrt(med / 2.0)
-
-
 def gaussian_gram(columns: np.ndarray, sigma: float | None = None, variant: str = "conjugate") -> GramMatrix:
     """Gram matrix of the complex Gaussian kernel over CSI columns."""
     h = np.asarray(columns, dtype=np.complex128)
@@ -105,6 +92,8 @@ def gaussian_gram(columns: np.ndarray, sigma: float | None = None, variant: str 
     d2 = _pairwise_sq_dists(h, variant)
     if sigma is None:
         sigma = median_bandwidth(d2)
+        if math.isnan(sigma):
+            raise ValueError("degenerate bandwidth: every column coincides")
     if sigma <= 0:
         raise ValueError("bandwidth must be positive")
     k = np.exp(-d2 / (2.0 * sigma * sigma))
@@ -184,6 +173,8 @@ def _ridge_map(y: np.ndarray, gamma: float | None) -> tuple[np.ndarray, float, f
     sq = np.sum(y * y, axis=0)
     d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (y.T @ y), 0.0)
     score_sigma = median_bandwidth(d2)
+    if math.isnan(score_sigma):
+        raise ValueError("degenerate bandwidth: every projection score coincides")
     k_scores = np.exp(-d2 / (2.0 * score_sigma * score_sigma))
     del d2
     if gamma is None:

@@ -37,7 +37,7 @@ from .core import (
     view_to_complex,
     write_csi_file,
 )
-from .dependence import avg_neighbor_cc, avg_neighbor_delta_bar
+from .dependence import MIN_REPLICATES, avg_neighbor_cc, avg_neighbor_delta_bar
 from .fingerprint import DEFAULT_BINS, avg_neighbor_tvd
 from .kpca import decompose_kpca, fit_kpca
 from .pca import DecompConfig, decompose, fit_pca
@@ -106,8 +106,8 @@ class PipelineConfig:
         if "delta_bar" in self.metrics:
             if self.delta_pairs < 1:
                 raise ValueError("delta_pairs must be at least 1")
-            if self.delta_b < 100:
-                raise ValueError("delta_b must be at least 100 permutations")
+            if self.delta_b < MIN_REPLICATES:
+                raise ValueError(f"delta_b must be at least {MIN_REPLICATES} permutations")
             if not 0.0 < self.alpha < 1.0:
                 raise ValueError("alpha must lie in (0, 1)")
         if self.method == "ae2" and not (math.isfinite(self.ae_loss_mu) and self.ae_loss_mu > 0.5):
@@ -400,6 +400,8 @@ def tvd_curve(
 ) -> list[dict]:
     """Average neighbor TVD of the top-rank fingerprint for each rank
     0..d_hat_max; rank 0 scores the raw measurements."""
+    if d_hat_max < 0:
+        raise ValueError(f"d_hat_max must be at least 0, got {d_hat_max}")
     view = to_real_view(ul)
     basis = fit_pca(view, top=d_hat_max) if d_hat_max > 0 else None
     records = []

@@ -304,6 +304,28 @@ def test_tvd_curve_report_matches_golden(dataset, tmp_path, capsys):
     assert json.loads(capsys.readouterr().out) == GOLDEN_TVD_CURVE["curve"]
 
 
+@pytest.mark.parametrize(
+    "nodes, message",
+    [
+        ("0,-1", "--nodes index -1 is outside [0, 16)"),
+        ("0,99", "--nodes index 99 is outside [0, 16)"),
+        ("0,1,0", "--nodes repeats index 0"),
+    ],
+)
+def test_dhsic_rejects_a_node_outside_the_set_or_repeated(dataset, tmp_path, capsys, nodes, message):
+    argv = ["dhsic", "--input", str(dataset / "uplink.csi"), "--nodes", nodes, "--b", "100"]
+    assert cli.main([*argv, "--output-dir", str(tmp_path)]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "dhsic.json").exists()
+
+
+def test_tvd_curve_rejects_a_negative_d_hat_max(dataset, tmp_path, capsys):
+    argv = ["tvd-curve", "--input", str(dataset / "uplink.csi"), "--geometry", str(dataset / "geometry.json")]
+    assert cli.main([*argv, "--d-hat-max", "-1", "--output-dir", str(tmp_path)]) == 1
+    assert "d_hat_max must be at least 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "tvd_curve.json").exists()
+
+
 def test_skg_mp_report_matches_golden(dataset, tmp_path, capsys):
     argv = ["skg-mp", "--input-ul", str(dataset / "uplink.csi"), "--input-dl", str(dataset / "downlink.csi")]
     assert cli.main([*argv, "--output-dir", str(tmp_path)]) == 0

@@ -14,6 +14,7 @@ from csisplit.dependence import (
     dhsic_statistic,
     dhsic_test,
     gaussian_gram_1d,
+    median_bandwidth,
     pearson_cc,
     permutation_statistics,
     select_delta_pairs,
@@ -111,6 +112,27 @@ def test_gram_median_heuristic_bandwidth():
     # off-diagonal squared distances are {1, 9, 4}; median 4, sigma = sqrt(2)
     assert sigma == pytest.approx(math.sqrt(2.0))
     assert k[0, 1] == pytest.approx(math.exp(-1.0 / 2.0))
+
+
+def test_median_bandwidth_falls_back_to_the_positive_distances():
+    # 6 of the 10 pairs of [0, 0, 0, 0, 2] coincide: the median is 0, so the
+    # rule takes the median of the positive squared distances, all 4
+    x = np.array([0.0, 0.0, 0.0, 0.0, 2.0])
+    assert median_bandwidth(np.subtract.outer(x, x) ** 2) == math.sqrt(2.0)
+    k, sigma, degen = gaussian_gram_1d(x)
+    assert sigma == math.sqrt(2.0) and not degen
+    assert k[0, 4] == pytest.approx(math.exp(-2.0), rel=1e-15)
+
+
+def test_median_bandwidth_is_nan_when_all_points_are_equal():
+    assert math.isnan(median_bandwidth(np.zeros((5, 5))))
+    k, sigma, degen = gaussian_gram_1d(np.full(5, 1.5))
+    assert math.isnan(sigma) and degen and np.array_equal(k, np.ones((5, 5)))
+
+
+def test_gram_rejects_non_finite_observations():
+    with pytest.raises(ValueError, match="non-finite"):
+        gaussian_gram_1d(np.array([0.0, np.nan, 1.0]))
 
 
 def test_gram_convention_is_sigma_squared_at_the_median_bandwidth():

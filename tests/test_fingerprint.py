@@ -1,17 +1,74 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from csisplit.core import NodeGeometry, neighbor_pairs
-from csisplit.fingerprint import (
-    EmpiricalMeasure,
-    avg_neighbor_tvd,
-    histogram,
-    pairwise_tvd,
-    tvd,
-)
+from csisplit.fingerprint import avg_neighbor_tvd, pairwise_tvd
 from csisplit.simulate import SimConfig, simulate
+
+# The reference: per-pair TVD through np.histogram, against which the
+# package's one binning rule (fingerprint._pair_edges and _bin_counts) is
+# compared with exact equality.
+
+
+@dataclass(frozen=True)
+class EmpiricalMeasure:
+    bin_edges: np.ndarray
+    probs: np.ndarray
+    clipped: int = 0  # samples outside the grid, counted into the end bins
+
+    def __post_init__(self):
+        edges = np.asarray(self.bin_edges, dtype=np.float64)
+        probs = np.asarray(self.probs, dtype=np.float64)
+        if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
+            raise ValueError("bin edges must be a strictly increasing 1-D grid")
+        if probs.size != edges.size - 1:
+            raise ValueError("probs length must be len(edges) - 1")
+        if np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-9:
+            raise ValueError("probs must be nonnegative and sum to 1")
+        object.__setattr__(self, "bin_edges", edges)
+        object.__setattr__(self, "probs", probs)
+
+
+def histogram(samples, edges) -> EmpiricalMeasure:
+    """Normalized bin counts; out-of-range samples are clipped to the end bins."""
+    samples = np.asarray(samples, dtype=np.float64).ravel()
+    edges = np.asarray(edges, dtype=np.float64)
+    if samples.size < 1:
+        raise ValueError("need at least one sample")
+    if edges.ndim != 1 or edges.size < 2:
+        raise ValueError("need at least two bin edges")
+    if np.any(np.diff(edges) <= 0):
+        raise ValueError("bin edges must be strictly increasing")
+    clipped = int(np.sum(samples < edges[0]) + np.sum(samples > edges[-1]))
+    counts, _ = np.histogram(np.clip(samples, edges[0], edges[-1]), bins=edges)
+    return EmpiricalMeasure(bin_edges=edges, probs=counts / samples.size, clipped=clipped)
+
+
+def tvd(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
+    """Half the L1 distance between two measures on the same grid."""
+    if mu.bin_edges.shape != nu.bin_edges.shape or not np.array_equal(mu.bin_edges, nu.bin_edges):
+        raise ValueError("measures live on different bin grids")
+    return float(0.5 * np.sum(np.abs(mu.probs - nu.probs)))
+
+
+def _shared_edges(a: np.ndarray, b: np.ndarray, bins: int) -> np.ndarray:
+    lo = min(a.min(), b.min())
+    hi = max(a.max(), b.max())
+    if hi <= lo:  # degenerate pooled range, widen so the grid is valid
+        hi = lo + max(abs(lo), 1.0) * 1e-12 + 1e-300
+    return np.linspace(lo, hi, bins + 1)
+
+
+def reference_tvd(samples_a, samples_b, bins: int) -> float:
+    """TVD between two sample sets on the equal-width grid over their pooled range."""
+    a = np.asarray(samples_a, dtype=np.float64).ravel()
+    b = np.asarray(samples_b, dtype=np.float64).ravel()
+    edges = _shared_edges(a, b, bins)
+    return tvd(histogram(a, edges), histogram(b, edges))
 
 
 def test_histogram_single_bin_mass():
@@ -106,8 +163,8 @@ def test_pairwise_tvd_degenerate_identical_constant():
 
 
 def _per_pair_tvd(fp, geom, k, bins):
-    """The per-pair loop the rank-wise computation replaced."""
-    return np.array([pairwise_tvd(fp[:, i], fp[:, j], bins=bins) for i, j in neighbor_pairs(geom, k)])
+    """The reference, pair by pair over the neighbor pairs."""
+    return np.array([reference_tvd(fp[:, i], fp[:, j], bins) for i, j in neighbor_pairs(geom, k)])
 
 
 def _awkward_fingerprints():
@@ -131,6 +188,32 @@ def test_avg_neighbor_tvd_equals_per_pair_loop(k, bins):
     assert np.array_equal(report.pair_tvd, _per_pair_tvd(fp, geom, k, bins))
     assert report.pairs == neighbor_pairs(geom, k)
     assert report.avg_tvd == float(np.mean(_per_pair_tvd(fp, geom, k, bins)))
+
+
+@pytest.mark.parametrize("bins", [1, 8, 32])
+def test_pairwise_tvd_equals_the_reference_on_every_node_pair(bins):
+    fp, _ = _awkward_fingerprints()
+    for i in range(fp.shape[1]):
+        for j in range(i + 1, fp.shape[1]):
+            assert pairwise_tvd(fp[:, i], fp[:, j], bins=bins) == reference_tvd(fp[:, i], fp[:, j], bins)
+
+
+@pytest.mark.parametrize("bins", [1, 8, 32])
+def test_pairwise_tvd_equals_the_reference_on_sets_of_unequal_length(bins):
+    rng = np.random.default_rng(7)
+    for size_a, size_b in [(1, 33), (5, 200), (200, 64)]:
+        a = rng.gamma(2.0, size=size_a)
+        b = rng.integers(0, 9, size=size_b).astype(float)  # ties, and values on the grid's edges
+        assert pairwise_tvd(a, b, bins=bins) == reference_tvd(a, b, bins)
+        assert pairwise_tvd(b, a, bins=bins) == reference_tvd(b, a, bins)
+    # both sides constant at one value, at different lengths
+    assert pairwise_tvd(np.full(3, 2.5), np.full(9, 2.5), bins=bins) == 0.0
+
+
+@pytest.mark.parametrize("a, b", [([], [1.0]), ([1.0], []), ([1.0, np.nan], [1.0]), ([1.0], [np.inf, 0.0])])
+def test_pairwise_tvd_rejects_empty_or_non_finite_samples(a, b):
+    with pytest.raises(ValueError, match="need finite samples, at least one on each side"):
+        pairwise_tvd(a, b)
 
 
 def test_avg_neighbor_tvd_equals_per_pair_loop_on_and_beside_the_edges():

@@ -84,6 +84,18 @@ def test_gram_degenerate_bandwidth_error():
         gaussian_gram(cols)
 
 
+def test_gram_bandwidth_with_more_than_half_coincident_columns():
+    # 6 of the 10 column pairs coincide, so the median squared distance is 0;
+    # the bandwidth comes from the positive ones, which are all 8
+    col = np.array([1.0, 2.0], dtype=complex)  # real-valued: conj is identity
+    cols = np.column_stack([col, col, col, col, col + 2.0])
+    gram = gaussian_gram(cols)
+    d2 = np.array([[float(np.sum(np.abs(a - b) ** 2)) for b in cols.T] for a in cols.T])
+    assert np.median(d2[np.triu_indices(5, k=1)]) == 0.0
+    assert gram.bandwidth_sigma == 2.0
+    assert np.array_equal(gram.k, np.exp(-d2 / 8.0))
+
+
 def test_gram_psd_on_real_inputs():
     rng = np.random.default_rng(3)
     cols = rng.standard_normal((5, 12)).astype(complex)
