@@ -20,6 +20,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -113,6 +114,19 @@ def init_weights(spec: MlpSpec, rng: np.random.Generator) -> Weights:
     return weights
 
 
+def _layer_views(spec: MlpSpec, flat: np.ndarray) -> Weights:
+    """Each layer's (W, b) as views into ``flat``, laid out as the weights
+    file lays them out: row-major W, then b, layer by layer."""
+    views = []
+    off = 0
+    for d_in, d_out in zip(spec.layer_dims[:-1], spec.layer_dims[1:]):
+        w = flat[off : off + d_out * d_in].reshape(d_out, d_in)
+        off += d_out * d_in
+        views.append((w, flat[off : off + d_out]))
+        off += d_out
+    return views
+
+
 def _forward_cache(spec: MlpSpec, weights: Weights, x: np.ndarray):
     a = [np.asarray(x, dtype=np.float64)]
     zs = []
@@ -164,15 +178,25 @@ def gradient(
     x = np.asarray(batch, dtype=np.float64)
     if x.ndim == 1:
         x = x[:, None]
+    grads = [(np.empty_like(w, dtype=np.float64), np.empty_like(b, dtype=np.float64)) for w, b in weights]
+    return grads, _backprop(spec, weights, x, loss, mu, grads)
+
+
+def _backprop(spec: MlpSpec, weights: Weights, x: np.ndarray, loss: str, mu: float, grads: Weights) -> float:
+    """Write each layer's (dL/dW, dL/db) into ``grads`` in place; returns
+    the batch loss. ``x`` is a (dim, batch) float64 matrix."""
     a, zs = _forward_cache(spec, weights, x)
     value, delta = _loss_grad(x, a[-1], loss, mu)
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(weights)
     for layer in range(len(weights) - 1, -1, -1):
-        delta = delta * _act_deriv(spec.activations[layer], zs[layer], a[layer + 1])
-        grads[layer] = (delta @ a[layer].T, delta.sum(axis=1))
+        act = spec.activations[layer]
+        if act != "linear":  # a linear layer's derivative is ones: the product is delta exactly
+            delta = delta * _act_deriv(act, zs[layer], a[layer + 1])
+        gw, gb = grads[layer]
+        np.matmul(delta, a[layer].T, out=gw)
+        delta.sum(axis=1, out=gb)
         if layer > 0:
             delta = weights[layer][0].T @ delta
-    return grads, value
+    return value
 
 
 @dataclass(frozen=True)
@@ -215,6 +239,15 @@ def train(dataset: np.ndarray, spec: MlpSpec, cfg: TrainConfig, log_path=None) -
     ``dataset`` has one sample per column. Inputs are scaled to unit RMS
     internally (the scale is stored with the model); a non-finite loss
     aborts with the failing epoch in the message.
+
+    Every parameter lives in one flat float64 vector, laid out as the
+    weights file lays it out (row-major W, then b, layer by layer); the
+    returned weights are (W, b) views into it. The gradient is written into
+    views of a second flat vector, and the update is Algorithm 1 of Kingma
+    & Ba (ICLR 2015) done in place over the whole vector, in the operation
+    order of the per-layer form
+    ``w -= lr * (m / corr1) / (sqrt(v / corr2) + eps)``, so its results
+    are bit for bit those of the per-layer loop.
     """
     data = np.asarray(dataset, dtype=np.float64)
     if data.ndim != 2 or data.shape[0] != spec.input_dim:
@@ -222,39 +255,50 @@ def train(dataset: np.ndarray, spec: MlpSpec, cfg: TrainConfig, log_path=None) -
     scale = float(np.sqrt(np.mean(data * data)))
     if scale == 0.0 or not math.isfinite(scale):
         scale = 1.0
-    data = data / scale
+    samples = np.divide(data.T, scale, order="C")  # sample-major: a batch is contiguous rows
+    n_samples = samples.shape[0]
+    buf = np.empty((min(cfg.batch_size, n_samples), spec.input_dim))
 
     rng = np.random.default_rng(cfg.seed)
-    weights = init_weights(spec, rng)
-    adam_m = [(np.zeros_like(w), np.zeros_like(b)) for w, b in weights]
-    adam_v = [(np.zeros_like(w), np.zeros_like(b)) for w, b in weights]
-    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    params = np.concatenate([part.ravel() for layer in init_weights(spec, rng) for part in layer])
+    weights = _layer_views(spec, params)
+    grad = np.empty_like(params)
+    grads = _layer_views(spec, grad)
+    m, v, t1, t2 = (np.zeros_like(params) for _ in range(4))
+    beta1, beta2, eps, lr = 0.9, 0.999, 1e-8, cfg.learning_rate
     step = 0
     history = []
     log_fh = open(log_path, "w", encoding="utf-8") if log_path else None
     try:
         for epoch in range(cfg.epochs):
-            order = rng.permutation(data.shape[1])
+            order = rng.permutation(n_samples)
             epoch_losses = []
             for start in range(0, order.size, cfg.batch_size):
-                batch = data[:, order[start : start + cfg.batch_size]]
-                grads, value = gradient(spec, weights, batch, loss=cfg.loss, mu=cfg.mu)
+                idx = order[start : start + cfg.batch_size]
+                batch = np.take(samples, idx, axis=0, out=buf[: idx.size], mode="clip").T
+                value = _backprop(spec, weights, batch, cfg.loss, cfg.mu, grads)
                 if not math.isfinite(value):
                     raise RuntimeError(f"non-finite loss {value} at epoch {epoch}, batch offset {start}")
                 epoch_losses.append(value)
                 step += 1
                 corr1 = 1.0 - beta1**step
                 corr2 = 1.0 - beta2**step
-                for layer, (gw, gb) in enumerate(grads):
-                    mw, mb = adam_m[layer]
-                    vw, vb = adam_v[layer]
-                    mw[:] = beta1 * mw + (1 - beta1) * gw
-                    mb[:] = beta1 * mb + (1 - beta1) * gb
-                    vw[:] = beta2 * vw + (1 - beta2) * gw * gw
-                    vb[:] = beta2 * vb + (1 - beta2) * gb * gb
-                    w, b = weights[layer]
-                    w -= cfg.learning_rate * (mw / corr1) / (np.sqrt(vw / corr2) + eps)
-                    b -= cfg.learning_rate * (mb / corr1) / (np.sqrt(vb / corr2) + eps)
+                # m = beta1 * m + (1 - beta1) * g
+                m *= beta1
+                m += np.multiply(grad, 1 - beta1, out=t1)
+                # v = beta2 * v + (1 - beta2) * g * g, left to right
+                np.multiply(grad, 1 - beta2, out=t1)
+                t1 *= grad
+                v *= beta2
+                v += t1
+                # params -= lr * (m / corr1) / (sqrt(v / corr2) + eps)
+                np.divide(m, corr1, out=t1)
+                t1 *= lr
+                np.divide(v, corr2, out=t2)
+                np.sqrt(t2, out=t2)
+                t2 += eps
+                t1 /= t2
+                params -= t1
             mean_loss = float(np.mean(epoch_losses))
             history.append(mean_loss)
             if log_fh:
@@ -350,40 +394,43 @@ def write_weights(model: TrainedModel, path) -> None:
 
 def read_weights(path) -> TrainedModel:
     """Read the format of :func:`write_weights`. Every count and code is
-    checked against the file before anything is allocated from it; any
-    malformed file raises :class:`WeightsFileError`."""
+    checked against the file's size before anything is read or allocated
+    from it, so a file with trailing bytes is refused without reading them;
+    any malformed file raises :class:`WeightsFileError`."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < 12:
-        raise WeightsFileError(f"truncated header: {len(raw)} bytes, need at least 12")
-    if raw[:4] != WEIGHTS_MAGIC:
-        raise WeightsFileError(f"bad weights magic in {path}")
-    version, n_dims = struct.unpack_from("<II", raw, 4)
-    if version != 1:
-        raise WeightsFileError(f"unsupported weights version {version}")
-    header = 12 + 4 * n_dims + (n_dims - 1) + 8
-    if n_dims < 2 or header > len(raw):
-        raise WeightsFileError(f"{n_dims} layer dims do not fit a {len(raw)}-byte file")
-    dims = struct.unpack_from(f"<{n_dims}I", raw, 12)
-    codes = raw[12 + 4 * n_dims : header - 8]
-    if any(c not in _CODE_ACTS for c in codes):
-        raise WeightsFileError(f"unknown activation code among {sorted(set(codes))}")
-    (scale,) = struct.unpack_from("<d", raw, header - 8)
-    if not (math.isfinite(scale) and scale > 0):
-        raise WeightsFileError(f"input scale {scale} is not positive and finite")
-    expected = header + 8 * sum(d_out * (d_in + 1) for d_in, d_out in zip(dims[:-1], dims[1:]))
-    if expected != len(raw):
-        raise WeightsFileError(f"payload needs {expected} bytes in all, file has {len(raw)}")
-    try:
-        spec = MlpSpec(layer_dims=dims, activations=tuple(_CODE_ACTS[c] for c in codes))
-    except ValueError as exc:
-        raise WeightsFileError(f"invalid architecture: {exc}") from exc
-    weights = []
-    off = header
-    for d_in, d_out in zip(dims[:-1], dims[1:]):
-        w = np.frombuffer(raw, dtype="<f8", count=d_out * d_in, offset=off).reshape(d_out, d_in).copy()
-        off += 8 * d_out * d_in
-        b = np.frombuffer(raw, dtype="<f8", count=d_out, offset=off).copy()
-        off += 8 * d_out
-        weights.append((w, b))
-    return TrainedModel(spec=spec, weights=weights, input_scale=scale, history=[])
+        size = os.fstat(fh.fileno()).st_size
+
+        def read(n: int) -> bytes:
+            raw = fh.read(n)
+            if len(raw) != n:  # the file shrank after fstat
+                raise WeightsFileError(f"{path} ended {n - len(raw)} bytes early")
+            return raw
+
+        if size < 12:
+            raise WeightsFileError(f"truncated header: {size} bytes, need at least 12")
+        raw = read(12)
+        if raw[:4] != WEIGHTS_MAGIC:
+            raise WeightsFileError(f"bad weights magic in {path}")
+        version, n_dims = struct.unpack_from("<II", raw, 4)
+        if version != 1:
+            raise WeightsFileError(f"unsupported weights version {version}")
+        header = 12 + 4 * n_dims + (n_dims - 1) + 8
+        if n_dims < 2 or header > size:
+            raise WeightsFileError(f"{n_dims} layer dims do not fit a {size}-byte file")
+        raw = read(header - 12)
+        dims = struct.unpack_from(f"<{n_dims}I", raw)
+        codes = raw[4 * n_dims : -8]
+        if any(c not in _CODE_ACTS for c in codes):
+            raise WeightsFileError(f"unknown activation code among {sorted(set(codes))}")
+        (scale,) = struct.unpack_from("<d", raw, len(raw) - 8)
+        if not (math.isfinite(scale) and scale > 0):
+            raise WeightsFileError(f"input scale {scale} is not positive and finite")
+        payload = 8 * sum(d_out * (d_in + 1) for d_in, d_out in zip(dims[:-1], dims[1:]))
+        if header + payload != size:
+            raise WeightsFileError(f"payload needs {header + payload} bytes in all, file has {size}")
+        try:
+            spec = MlpSpec(layer_dims=dims, activations=tuple(_CODE_ACTS[c] for c in codes))
+        except ValueError as exc:
+            raise WeightsFileError(f"invalid architecture: {exc}") from exc
+        flat = np.frombuffer(read(payload), dtype="<f8").astype(np.float64)
+    return TrainedModel(spec=spec, weights=_layer_views(spec, flat), input_scale=scale, history=[])

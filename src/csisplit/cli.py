@@ -133,7 +133,7 @@ def _write_split(args, csi, parts, predictable_path=None, unpredictable_path=Non
 def cmd_decompose(args) -> None:
     csi = read_csi_file(args.input)
     # pca and kpca fit on the one view they split and need no geometry
-    (parts,), details = pl.DECOMPOSERS[args.method](_pipeline_config(args), [to_real_view(csi)], None)
+    (parts,), details, _ = pl.DECOMPOSERS[args.method](_pipeline_config(args), [to_real_view(csi)], None)
     paths = _write_split(args, csi, parts, args.output_predictable, args.output_unpredictable)
     paths["details"] = str(_out(args, "decompose.json"))
     pl.write_report(details, paths["details"])
@@ -175,7 +175,12 @@ def cmd_ae_decompose(args) -> None:
 def cmd_dhsic(args) -> None:
     csi = read_csi_file(args.input)
     view = to_real_view(csi)
-    nodes = [int(tok) for tok in args.nodes.split(",")]
+    nodes = []
+    for tok in args.nodes.split(","):
+        try:
+            nodes.append(int(tok))
+        except ValueError:
+            raise ValueError(f"--nodes entry {tok!r} is not an integer index") from None
     if len(nodes) < 2:
         raise ValueError("--nodes needs at least two comma-separated indices")
     for pos, node in enumerate(nodes):

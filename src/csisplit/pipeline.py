@@ -166,6 +166,7 @@ class MethodOutput:
     unpred_ul: np.ndarray  # (2m, n) real view
     unpred_dl: np.ndarray
     details: dict
+    diagnostics: dict  # what the split reports beyond its details, such as the AE loss history
 
 
 def load_dataset(cfg: PipelineConfig) -> tuple[CsiMatrix, CsiMatrix, NodeGeometry]:
@@ -185,18 +186,18 @@ def load_dataset(cfg: PipelineConfig) -> tuple[CsiMatrix, CsiMatrix, NodeGeometr
 Parts = tuple[np.ndarray, np.ndarray]
 
 
-def _decompose_none(cfg: PipelineConfig, views, geom) -> tuple[list[Parts], dict]:
-    return [(view, view) for view in views], {"method": "none"}
+def _decompose_none(cfg: PipelineConfig, views, geom) -> tuple[list[Parts], dict, dict]:
+    return [(view, view) for view in views], {"method": "none"}, {}
 
 
-def _decompose_pca(cfg: PipelineConfig, views, geom) -> tuple[list[Parts], dict]:
+def _decompose_pca(cfg: PipelineConfig, views, geom) -> tuple[list[Parts], dict, dict]:
     basis = fit_pca(views[0], top=max(cfg.d_hat, cfg.d2))
     dcfg = DecompConfig(d_hat=cfg.d_hat, d1=cfg.d1, d2=cfg.d2)
     details = {"method": "pca", "d_hat": cfg.d_hat, "d1": cfg.d1, "d2": cfg.d2}
-    return [decompose(view, basis, dcfg) for view in views], details
+    return [decompose(view, basis, dcfg) for view in views], details, {}
 
 
-def _decompose_kpca(cfg: PipelineConfig, views, geom) -> tuple[list[Parts], dict]:
+def _decompose_kpca(cfg: PipelineConfig, views, geom) -> tuple[list[Parts], dict, dict]:
     model = fit_kpca(
         from_real_view(views[0]), cfg.d_hat, sigma=cfg.sigma, variant=cfg.kernel_variant, gamma=cfg.gamma
     )
@@ -207,7 +208,7 @@ def _decompose_kpca(cfg: PipelineConfig, views, geom) -> tuple[list[Parts], dict
         "eigenvalues": model.eigenvalues,
         **dataclasses.asdict(model.diagnostics),
     }
-    return parts, details
+    return parts, details, {}
 
 
 def ae_split(
@@ -226,9 +227,10 @@ def ae_split(
     return decompose_ae_pairs(model, view, geom, k, data)
 
 
-def _decompose_ae(cfg: PipelineConfig, views, geom) -> tuple[list[Parts], dict]:
+def _decompose_ae(cfg: PipelineConfig, views, geom) -> tuple[list[Parts], dict, dict]:
     """``views`` = (uplink, downlink). ae1 trains on node columns, ae2 on
-    (node, neighbor) pairs; a centralized model trains on the uplink alone."""
+    (node, neighbor) pairs; a centralized model trains on the uplink alone.
+    The diagnostics hold each direction's per-epoch training loss."""
     tc = TrainConfig(
         loss="e1" if cfg.method == "ae1" else "e2",
         learning_rate=cfg.ae_learning_rate,
@@ -255,14 +257,16 @@ def _decompose_ae(cfg: PipelineConfig, views, geom) -> tuple[list[Parts], dict]:
         "final_loss_ul": models[0].final_loss,
         "final_loss_dl": models[1].final_loss,
     }
+    diagnostics = {"loss_history_ul": models[0].history, "loss_history_dl": models[1].history}
     # ae2's splits take over the training pair data (None: not built yet), so
     # each direction's is built at most once; popping it lets the uplink's go
     # before the downlink's is used
-    return [ae_split(model, view, geom, k, data.pop(0)) for model, view in zip(models, views)], details
+    parts = [ae_split(model, view, geom, k, data.pop(0)) for model, view in zip(models, views)]
+    return parts, details, diagnostics
 
 
-#: method -> decompose(cfg, views, geom) -> (one Parts per view, details); the
-#: fit runs on views[0], the uplink
+#: method -> decompose(cfg, views, geom) -> (one Parts per view, details,
+#: diagnostics); the fit runs on views[0], the uplink
 DECOMPOSERS = {
     "none": _decompose_none,
     "pca": _decompose_pca,
@@ -277,10 +281,14 @@ def apply_method(cfg: PipelineConfig, ul: CsiMatrix, dl: CsiMatrix, geom: NodeGe
     with _stage("decompose"):
         if cfg.method not in DECOMPOSERS:
             raise ValueError(f"unknown method {cfg.method!r}")
-        parts, details = DECOMPOSERS[cfg.method](cfg, [to_real_view(ul), to_real_view(dl)], geom)
+        parts, details, diagnostics = DECOMPOSERS[cfg.method](cfg, [to_real_view(ul), to_real_view(dl)], geom)
         (predictable, unpred_ul), (_, unpred_dl) = parts
         return MethodOutput(
-            fingerprint=np.abs(view_to_complex(predictable)), unpred_ul=unpred_ul, unpred_dl=unpred_dl, details=details
+            fingerprint=np.abs(view_to_complex(predictable)),
+            unpred_ul=unpred_ul,
+            unpred_dl=unpred_dl,
+            details=details,
+            diagnostics=diagnostics,
         )
 
 
@@ -340,7 +348,7 @@ def run_pipeline(cfg: PipelineConfig, output_dir=None) -> dict:
         "config": _config_dict(cfg),
         "method_details": out.details,
         "metrics": metrics,
-        "diagnostics": diagnostics,
+        "diagnostics": {**out.diagnostics, **diagnostics},
     }
     if output_dir is not None:
         write_report(report, Path(output_dir) / "report.json")
@@ -403,6 +411,8 @@ def tvd_curve(
     if d_hat_max < 0:
         raise ValueError(f"d_hat_max must be at least 0, got {d_hat_max}")
     view = to_real_view(ul)
+    if d_hat_max > view.shape[0]:
+        raise ValueError(f"d_hat_max {d_hat_max} exceeds the {view.shape[0]} rows of the real view")
     basis = fit_pca(view, top=d_hat_max) if d_hat_max > 0 else None
     records = []
     for d in range(d_hat_max + 1):

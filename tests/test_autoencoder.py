@@ -1,11 +1,17 @@
+import dataclasses
 import math
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from csisplit import autoencoder
 from csisplit.autoencoder import (
     WEIGHTS_MAGIC,
     TrainConfig,
@@ -18,6 +24,8 @@ from csisplit.autoencoder import (
     gradient,
     init_weights,
     read_weights,
+    train,
+    train_for_mode,
     write_weights,
 )
 from csisplit.core import NodeGeometry, nearest_neighbors, neighbor_pairs, to_real_view
@@ -89,6 +97,105 @@ def test_e2_loss_rejects_mu_where_it_is_unbounded_below(mu):
 
 
 # ---------------------------------------------------------------------------
+# training: the flat-vector Adam against the per-layer loop it replaced
+# ---------------------------------------------------------------------------
+
+
+def _per_layer_gradient(spec, weights, x, loss, mu):
+    """Backprop with a fresh array per layer and the linear layers' ones_like
+    multiply."""
+    a, zs = autoencoder._forward_cache(spec, weights, x)
+    value, delta = autoencoder._loss_grad(x, a[-1], loss, mu)
+    grads = [None] * len(weights)
+    for layer in range(len(weights) - 1, -1, -1):
+        delta = delta * autoencoder._act_deriv(spec.activations[layer], zs[layer], a[layer + 1])
+        grads[layer] = (delta @ a[layer].T, delta.sum(axis=1))
+        if layer > 0:
+            delta = weights[layer][0].T @ delta
+    return grads, value
+
+
+def _per_layer_train(dataset, spec, cfg):
+    """The per-layer Adam loop: (weights, history)."""
+    data = np.asarray(dataset, dtype=np.float64)
+    scale = float(np.sqrt(np.mean(data * data)))
+    if scale == 0.0 or not math.isfinite(scale):
+        scale = 1.0
+    data = data / scale
+    rng = np.random.default_rng(cfg.seed)
+    weights = init_weights(spec, rng)
+    adam_m = [(np.zeros_like(w), np.zeros_like(b)) for w, b in weights]
+    adam_v = [(np.zeros_like(w), np.zeros_like(b)) for w, b in weights]
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    step = 0
+    history = []
+    for _ in range(cfg.epochs):
+        order = rng.permutation(data.shape[1])
+        epoch_losses = []
+        for start in range(0, order.size, cfg.batch_size):
+            batch = data[:, order[start : start + cfg.batch_size]]
+            grads, value = _per_layer_gradient(spec, weights, batch, cfg.loss, cfg.mu)
+            epoch_losses.append(value)
+            step += 1
+            corr1 = 1.0 - beta1**step
+            corr2 = 1.0 - beta2**step
+            for layer, (gw, gb) in enumerate(grads):
+                mw, mb = adam_m[layer]
+                vw, vb = adam_v[layer]
+                mw[:] = beta1 * mw + (1 - beta1) * gw
+                mb[:] = beta1 * mb + (1 - beta1) * gb
+                vw[:] = beta2 * vw + (1 - beta2) * gw * gw
+                vb[:] = beta2 * vb + (1 - beta2) * gb * gb
+                w, b = weights[layer]
+                w -= cfg.learning_rate * (mw / corr1) / (np.sqrt(vw / corr2) + eps)
+                b -= cfg.learning_rate * (mb / corr1) / (np.sqrt(vb / corr2) + eps)
+        history.append(float(np.mean(epoch_losses)))
+    return weights, history
+
+
+def _assert_same_model(model, weights, history):
+    assert model.history == history
+    assert len(model.weights) == len(weights)
+    for (w, b), (w0, b0) in zip(model.weights, weights):
+        assert np.array_equal(w, w0) and np.array_equal(b, b0)
+
+
+@pytest.mark.parametrize("loss", ["e1", "e2"])
+def test_train_equals_the_per_layer_loop_bit_for_bit(small_view, loss):
+    view, geom = small_view
+    data = view if loss == "e1" else build_pair_dataset(view, geom, 3)
+    assert data.shape[1] % 7 != 0  # a short last batch
+    spec = default_mlp_spec(data.shape[0], 2)
+    cfg = TrainConfig(loss=loss, batch_size=7, epochs=3, seed=5, learning_rate=3e-3)
+    _assert_same_model(train(data, spec, cfg), *_per_layer_train(data, spec, cfg))
+
+
+def test_localized_train_for_mode_equals_the_per_layer_loop(small_view):
+    view, geom = small_view
+    out = simulate(SimConfig(grid_shape=(5, 6), m=8, seed=7))
+    dl = build_pair_dataset(to_real_view(out.downlink), geom, 2)
+    ul = build_pair_dataset(view, geom, 2)
+    spec = default_mlp_spec(ul.shape[0], 2)
+    cfg = TrainConfig(loss="e2", batch_size=16, epochs=2, seed=11, mode="localized")
+    models = train_for_mode(spec, cfg, ul, dl)
+    seeds = np.random.SeedSequence(cfg.seed).spawn(2)
+    for model, data, seq in zip(models, (ul, dl), seeds):
+        direct = dataclasses.replace(cfg, seed=int(seq.generate_state(1)[0]))
+        _assert_same_model(model, *_per_layer_train(data, spec, direct))
+
+
+def test_gradient_equals_the_per_layer_backprop(small_view):
+    view, _ = small_view
+    spec = default_mlp_spec(view.shape[0], 2)
+    weights = init_weights(spec, np.random.default_rng(4))
+    grads, value = gradient(spec, weights, view, loss="e1")
+    want, want_value = _per_layer_gradient(spec, weights, view, "e1", 0.0)
+    assert value == want_value
+    for (gw, gb), (ww, wb) in zip(grads, want):
+        assert np.array_equal(gw, ww) and np.array_equal(gb, wb)
+
+
+# ---------------------------------------------------------------------------
 # weights file
 # ---------------------------------------------------------------------------
 
@@ -143,6 +250,35 @@ def test_bad_weights_raise_a_typed_error(tmp_path, raw, match):
     path.write_bytes(raw)
     with pytest.raises(WeightsFileError, match=match):
         read_weights(path)
+
+
+_TRAILING_BYTES_CHILD = """
+import resource, sys
+from csisplit.autoencoder import WeightsFileError, read_weights
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+try:
+    read_weights(sys.argv[1])
+except WeightsFileError as exc:
+    print("WeightsFileError", exc, file=sys.stderr)
+rise_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+print(rise_kib)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_trailing_bytes_are_refused_without_reading_them(tmp_path):
+    _weights_bytes(tmp_path)
+    path = tmp_path / "model.weights"
+    os.truncate(path, path.stat().st_size + 256 * 2**20)  # sparse: no disk blocks
+    # a fresh interpreter, whose peak resident size this call alone can raise
+    src = str(Path(autoencoder.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-c", _TRAILING_BYTES_CHILD, str(path)], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "WeightsFileError payload needs" in proc.stderr
+    assert int(proc.stdout) < 64 * 1024
 
 
 @settings(max_examples=200, deadline=None)

@@ -310,6 +310,8 @@ def test_tvd_curve_report_matches_golden(dataset, tmp_path, capsys):
         ("0,-1", "--nodes index -1 is outside [0, 16)"),
         ("0,99", "--nodes index 99 is outside [0, 16)"),
         ("0,1,0", "--nodes repeats index 0"),
+        ("0,a", "--nodes entry 'a' is not an integer index"),
+        ("0,,1", "--nodes entry '' is not an integer index"),
     ],
 )
 def test_dhsic_rejects_a_node_outside_the_set_or_repeated(dataset, tmp_path, capsys, nodes, message):
@@ -324,6 +326,16 @@ def test_tvd_curve_rejects_a_negative_d_hat_max(dataset, tmp_path, capsys):
     assert cli.main([*argv, "--d-hat-max", "-1", "--output-dir", str(tmp_path)]) == 1
     assert "d_hat_max must be at least 0, got -1" in capsys.readouterr().err
     assert not (tmp_path / "tvd_curve.json").exists()
+
+
+def test_tvd_curve_rejects_a_d_hat_max_beyond_the_view(dataset, tmp_path, capsys):
+    argv = ["tvd-curve", "--input", str(dataset / "uplink.csi"), "--geometry", str(dataset / "geometry.json")]
+    assert cli.main([*argv, "--d-hat-max", "33", "--output-dir", str(tmp_path)]) == 1
+    assert "d_hat_max 33 exceeds the 32 rows of the real view" in capsys.readouterr().err
+    assert not (tmp_path / "tvd_curve.json").exists()
+    # the full rank is a curve
+    assert cli.main([*argv, "--d-hat-max", "32", "--output-dir", str(tmp_path)]) == 0
+    assert len(json.loads((tmp_path / "tvd_curve.json").read_text(encoding="utf-8"))["curve"]) == 33
 
 
 def test_skg_mp_report_matches_golden(dataset, tmp_path, capsys):

@@ -184,6 +184,24 @@ def test_report_is_byte_identical_for_a_seed_and_records_each_pairs_test(tmp_pat
     assert pipeline.run_pipeline(dataclasses.replace(cfg, metrics=("cc",)))["diagnostics"] == {}
 
 
+@pytest.mark.parametrize("method, mode", [("ae1", "localized"), ("ae2", "centralized"), ("ae2", "localized")])
+def test_ae_report_carries_each_directions_loss_history(tmp_path, method, mode):
+    cfg = pipeline.PipelineConfig(
+        sim=SMALL, method=method, ae_mode=mode, ae_epochs=3, metrics=("cc", "mp"), d_hat=2, seed=0
+    )
+    first = pipeline.run_pipeline(cfg, output_dir=tmp_path / "a")
+    pipeline.run_pipeline(cfg, output_dir=tmp_path / "b")
+    assert (tmp_path / "a" / "report.json").read_bytes() == (tmp_path / "b" / "report.json").read_bytes()
+    details, diagnostics = first["method_details"], first["diagnostics"]
+    for side in ("ul", "dl"):
+        history = diagnostics[f"loss_history_{side}"]
+        assert len(history) == cfg.ae_epochs
+        assert history[-1] == details[f"final_loss_{side}"]
+    if mode == "centralized":  # one model serves both sides
+        assert diagnostics["loss_history_ul"] == diagnostics["loss_history_dl"]
+    assert set(first["metrics"]) == {"avg_cc", "avg_mp"}
+
+
 @pytest.mark.parametrize("command", [["pipeline", "--source", "files"], ["compare", "--methods", "pca"]])
 def test_cli_short_sequences_take_the_permutation_null(tmp_path, capsys, command):
     # m=32: M=64 observations give 49 shifts, fewer than the 100 a test needs
