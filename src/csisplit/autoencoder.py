@@ -13,6 +13,13 @@ The dot-product model consumes pair samples: each training column is a
 node's real-view vector concatenated with one neighbor's, one sample per
 (node, neighbor) edge, which keeps the input width at twice the per-node
 width.
+
+A model's parameters are one flat float64 vector, layer by layer the
+row-major (d_out, d_in) weights W, then the d_out biases b; the weights
+file stores it as is. ``ACTIVATIONS`` maps each activation to (f(z),
+f'(z, a = f(z))), and a layer's file code is its name's position there
+(linear 0, tanh 1, softplus 2, relu 3). f' is None for linear: backprop
+skips the product with ones, which is exact.
 """
 
 from __future__ import annotations
@@ -29,38 +36,18 @@ from scipy.special import expit
 
 from .core import Decomposition, NodeGeometry
 
-_ACT_CODES = {"linear": 0, "tanh": 1, "softplus": 2, "relu": 3}
-_CODE_ACTS = {v: k for k, v in _ACT_CODES.items()}
+ACTIVATIONS = {
+    "linear": (lambda z: z, None),
+    "tanh": (np.tanh, lambda z, a: 1.0 - a * a),
+    "softplus": (lambda z: np.logaddexp(0.0, z), lambda z, a: expit(z)),
+    "relu": (lambda z: np.maximum(z, 0.0), lambda z, a: (z > 0.0).astype(np.float64)),
+}
 
 WEIGHTS_MAGIC = b"AEW1"
 
 
 class WeightsFileError(ValueError):
     """Malformed autoencoder weights file."""
-
-
-def _act(name: str, z: np.ndarray) -> np.ndarray:
-    if name == "linear":
-        return z
-    if name == "tanh":
-        return np.tanh(z)
-    if name == "softplus":
-        return np.logaddexp(0.0, z)
-    if name == "relu":
-        return np.maximum(z, 0.0)
-    raise ValueError(f"unknown activation {name!r}")
-
-
-def _act_deriv(name: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
-    if name == "linear":
-        return np.ones_like(z)
-    if name == "tanh":
-        return 1.0 - a * a
-    if name == "softplus":
-        return expit(z)
-    if name == "relu":
-        return (z > 0.0).astype(np.float64)
-    raise ValueError(f"unknown activation {name!r}")
 
 
 @dataclass(frozen=True)
@@ -75,8 +62,8 @@ class MlpSpec:
             raise ValueError("need at least two positive layer dims")
         if len(acts) != len(dims) - 1:
             raise ValueError("need one activation per weight layer")
-        if any(a not in _ACT_CODES for a in acts):
-            raise ValueError(f"activations must be among {sorted(_ACT_CODES)}")
+        if any(a not in ACTIVATIONS for a in acts):
+            raise ValueError(f"activations must be among {list(ACTIVATIONS)}")
         if dims[0] != dims[-1]:
             raise ValueError("input and output widths must match")
         if any(dims[i] != dims[-1 - i] for i in range(len(dims) // 2)):
@@ -92,6 +79,10 @@ class MlpSpec:
     def bottleneck(self) -> int:
         return len(self.layer_dims) // 2
 
+    @property
+    def n_params(self) -> int:
+        return sum(d_out * (d_in + 1) for d_in, d_out in zip(self.layer_dims[:-1], self.layer_dims[1:]))
+
 
 def default_mlp_spec(input_dim: int, d_hat: int) -> MlpSpec:
     """Bow-tie architecture: input-100-50-20-code-20-50-100-input with
@@ -102,23 +93,18 @@ def default_mlp_spec(input_dim: int, d_hat: int) -> MlpSpec:
     )
 
 
-Weights = list[tuple[np.ndarray, np.ndarray]]
+def init_params(spec: MlpSpec, rng: np.random.Generator) -> np.ndarray:
+    """Symmetric uniform weights scaled by fan-in, layer by layer; zero biases."""
+    params = np.zeros(spec.n_params)
+    for w, _ in _layer_views(spec, params):
+        bound = 1.0 / math.sqrt(w.shape[1])
+        w[:] = rng.uniform(-bound, bound, size=w.shape)
+    return params
 
 
-def init_weights(spec: MlpSpec, rng: np.random.Generator) -> Weights:
-    """Symmetric uniform init scaled by fan-in; zero biases."""
-    weights = []
-    for d_in, d_out in zip(spec.layer_dims[:-1], spec.layer_dims[1:]):
-        bound = 1.0 / math.sqrt(d_in)
-        weights.append((rng.uniform(-bound, bound, size=(d_out, d_in)), np.zeros(d_out)))
-    return weights
-
-
-def _layer_views(spec: MlpSpec, flat: np.ndarray) -> Weights:
-    """Each layer's (W, b) as views into ``flat``, laid out as the weights
-    file lays them out: row-major W, then b, layer by layer."""
-    views = []
-    off = 0
+def _layer_views(spec: MlpSpec, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each layer's (W, b) as views into ``flat``."""
+    views, off = [], 0
     for d_in, d_out in zip(spec.layer_dims[:-1], spec.layer_dims[1:]):
         w = flat[off : off + d_out * d_in].reshape(d_out, d_in)
         off += d_out * d_in
@@ -127,30 +113,23 @@ def _layer_views(spec: MlpSpec, flat: np.ndarray) -> Weights:
     return views
 
 
-def _forward_cache(spec: MlpSpec, weights: Weights, x: np.ndarray):
+def _forward_cache(spec: MlpSpec, layers: list, x: np.ndarray):
     a = [np.asarray(x, dtype=np.float64)]
     zs = []
-    for (w, b), act in zip(weights, spec.activations):
+    for (w, b), act in zip(layers, spec.activations):
         z = w @ a[-1] + b[:, None]
         zs.append(z)
-        a.append(_act(act, z))
+        a.append(ACTIVATIONS[act][0](z))
     return a, zs
 
 
-def forward(spec: MlpSpec, weights: Weights, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Run the network; returns (reconstruction, bottleneck code).
-
-    ``x`` is one column vector or a (dim, batch) matrix.
-    """
+def forward(spec: MlpSpec, params: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(reconstruction, bottleneck code) of a (dim, batch) input matrix."""
     x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x[:, None]
-    if x.shape[0] != spec.input_dim:
-        raise ValueError(f"input dim {x.shape[0]} != spec input {spec.input_dim}")
-    a, _ = _forward_cache(spec, weights, x)
-    y, code = a[-1], a[spec.bottleneck]
-    return (y[:, 0], code[:, 0]) if single else (y, code)
+    if x.ndim != 2 or x.shape[0] != spec.input_dim:
+        raise ValueError(f"input must be ({spec.input_dim}, batch), got shape {x.shape}")
+    a, _ = _forward_cache(spec, _layer_views(spec, params), x)
+    return a[-1], a[spec.bottleneck]
 
 
 def _loss_grad(x: np.ndarray, y: np.ndarray, loss: str, mu: float) -> tuple[float, np.ndarray]:
@@ -172,30 +151,30 @@ def _loss_grad(x: np.ndarray, y: np.ndarray, loss: str, mu: float) -> tuple[floa
 
 
 def gradient(
-    spec: MlpSpec, weights: Weights, batch: np.ndarray, loss: str = "e1", mu: float = 0.0
-) -> tuple[list[tuple[np.ndarray, np.ndarray]], float]:
-    """Exact reverse-mode gradients of the batch loss for every W and b."""
+    spec: MlpSpec, params: np.ndarray, batch: np.ndarray, loss: str = "e1", mu: float = 0.0
+) -> tuple[np.ndarray, float]:
+    """Exact reverse-mode gradient of the batch loss, laid out as ``params``."""
     x = np.asarray(batch, dtype=np.float64)
     if x.ndim == 1:
         x = x[:, None]
-    grads = [(np.empty_like(w, dtype=np.float64), np.empty_like(b, dtype=np.float64)) for w, b in weights]
-    return grads, _backprop(spec, weights, x, loss, mu, grads)
+    grad = np.empty_like(params, dtype=np.float64)
+    return grad, _backprop(spec, _layer_views(spec, params), x, loss, mu, _layer_views(spec, grad))
 
 
-def _backprop(spec: MlpSpec, weights: Weights, x: np.ndarray, loss: str, mu: float, grads: Weights) -> float:
-    """Write each layer's (dL/dW, dL/db) into ``grads`` in place; returns
-    the batch loss. ``x`` is a (dim, batch) float64 matrix."""
-    a, zs = _forward_cache(spec, weights, x)
+def _backprop(spec: MlpSpec, layers: list, x: np.ndarray, loss: str, mu: float, grads: list) -> float:
+    """Write each layer's (dL/dW, dL/db) into the views ``grads`` in place;
+    returns the batch loss. ``x`` is a (dim, batch) float64 matrix."""
+    a, zs = _forward_cache(spec, layers, x)
     value, delta = _loss_grad(x, a[-1], loss, mu)
-    for layer in range(len(weights) - 1, -1, -1):
-        act = spec.activations[layer]
-        if act != "linear":  # a linear layer's derivative is ones: the product is delta exactly
-            delta = delta * _act_deriv(act, zs[layer], a[layer + 1])
+    for layer in range(len(layers) - 1, -1, -1):
+        deriv = ACTIVATIONS[spec.activations[layer]][1]
+        if deriv is not None:
+            delta = delta * deriv(zs[layer], a[layer + 1])
         gw, gb = grads[layer]
         np.matmul(delta, a[layer].T, out=gw)
         delta.sum(axis=1, out=gb)
         if layer > 0:
-            delta = weights[layer][0].T @ delta
+            delta = layers[layer][0].T @ delta
     return value
 
 
@@ -213,7 +192,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.loss not in ("e1", "e2"):
             raise ValueError("loss must be 'e1' or 'e2'")
-        if self.learning_rate <= 0 or self.epochs < 1 or self.batch_size < 1:
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
+        if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("invalid optimizer parameters")
         if self.mode not in ("centralized", "localized"):
             raise ValueError("mode must be 'centralized' or 'localized'")
@@ -224,7 +205,7 @@ class TrainConfig:
 @dataclass(frozen=True)
 class TrainedModel:
     spec: MlpSpec
-    weights: Weights
+    params: np.ndarray  # flat float64, in the layout of the module docstring
     input_scale: float
     history: list[float] = field(default_factory=list)
 
@@ -240,12 +221,9 @@ def train(dataset: np.ndarray, spec: MlpSpec, cfg: TrainConfig, log_path=None) -
     internally (the scale is stored with the model); a non-finite loss
     aborts with the failing epoch in the message.
 
-    Every parameter lives in one flat float64 vector, laid out as the
-    weights file lays it out (row-major W, then b, layer by layer); the
-    returned weights are (W, b) views into it. The gradient is written into
-    views of a second flat vector, and the update is Algorithm 1 of Kingma
-    & Ba (ICLR 2015) done in place over the whole vector, in the operation
-    order of the per-layer form
+    The gradient is written into a second flat vector, and the update is
+    Algorithm 1 of Kingma & Ba (ICLR 2015) done in place over the whole
+    parameter vector, in the operation order of the per-layer form
     ``w -= lr * (m / corr1) / (sqrt(v / corr2) + eps)``, so its results
     are bit for bit those of the per-layer loop.
     """
@@ -260,10 +238,9 @@ def train(dataset: np.ndarray, spec: MlpSpec, cfg: TrainConfig, log_path=None) -
     buf = np.empty((min(cfg.batch_size, n_samples), spec.input_dim))
 
     rng = np.random.default_rng(cfg.seed)
-    params = np.concatenate([part.ravel() for layer in init_weights(spec, rng) for part in layer])
-    weights = _layer_views(spec, params)
+    params = init_params(spec, rng)
     grad = np.empty_like(params)
-    grads = _layer_views(spec, grad)
+    layers, grads = _layer_views(spec, params), _layer_views(spec, grad)  # once: views cost ~10 us each
     m, v, t1, t2 = (np.zeros_like(params) for _ in range(4))
     beta1, beta2, eps, lr = 0.9, 0.999, 1e-8, cfg.learning_rate
     step = 0
@@ -276,7 +253,7 @@ def train(dataset: np.ndarray, spec: MlpSpec, cfg: TrainConfig, log_path=None) -
             for start in range(0, order.size, cfg.batch_size):
                 idx = order[start : start + cfg.batch_size]
                 batch = np.take(samples, idx, axis=0, out=buf[: idx.size], mode="clip").T
-                value = _backprop(spec, weights, batch, cfg.loss, cfg.mu, grads)
+                value = _backprop(spec, layers, batch, cfg.loss, cfg.mu, grads)
                 if not math.isfinite(value):
                     raise RuntimeError(f"non-finite loss {value} at epoch {epoch}, batch offset {start}")
                 epoch_losses.append(value)
@@ -306,14 +283,16 @@ def train(dataset: np.ndarray, spec: MlpSpec, cfg: TrainConfig, log_path=None) -
     finally:
         if log_fh:
             log_fh.close()
-    return TrainedModel(spec=spec, weights=weights, input_scale=scale, history=history)
+    if not np.all(np.isfinite(params)):  # the last update can overflow after a finite loss
+        raise RuntimeError(f"{np.count_nonzero(~np.isfinite(params))} parameters are not finite after training")
+    return TrainedModel(spec=spec, params=params, input_scale=scale, history=history)
 
 
 def decompose_ae(model: TrainedModel, view: np.ndarray) -> Decomposition:
     """Per-node reconstruction and residual; predictable + unpredictable
     equals the input exactly by construction."""
     view = np.asarray(view, dtype=np.float64)
-    y, _ = forward(model.spec, model.weights, view / model.input_scale)
+    y, _ = forward(model.spec, model.params, view / model.input_scale)
     predictable = model.input_scale * y
     return Decomposition(predictable=predictable, unpredictable=view - predictable)
 
@@ -347,7 +326,7 @@ def decompose_ae_pairs(
     if data is None:
         data = build_pair_dataset(view, geom, k)
     data /= model.input_scale  # in place: no second pair-sized array
-    y, _ = forward(model.spec, model.weights, data)
+    y, _ = forward(model.spec, model.params, data)
     half = view.shape[0]
     predictable = np.zeros_like(view)
     for rank in range(k):  # rank by rank keeps the summation order of a per-pair loop
@@ -379,24 +358,24 @@ def train_for_mode(
 
 def write_weights(model: TrainedModel, path) -> None:
     """Versioned binary weights: magic | u32 version | architecture echo |
-    f64 input scale | row-major f64 W then b per layer."""
+    f64 input scale | the flat parameter vector as f64, little-endian."""
     spec = model.spec
     with open(path, "wb") as fh:
         fh.write(WEIGHTS_MAGIC)
         fh.write(struct.pack("<II", 1, len(spec.layer_dims)))
         fh.write(struct.pack(f"<{len(spec.layer_dims)}I", *spec.layer_dims))
-        fh.write(struct.pack(f"<{len(spec.activations)}B", *(_ACT_CODES[a] for a in spec.activations)))
+        fh.write(bytes(list(ACTIVATIONS).index(a) for a in spec.activations))
         fh.write(struct.pack("<d", model.input_scale))
-        for w, b in model.weights:
-            fh.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(b, dtype="<f8").tobytes())
+        fh.write(np.asarray(model.params).astype("<f8").tobytes())
 
 
 def read_weights(path) -> TrainedModel:
     """Read the format of :func:`write_weights`. Every count and code is
     checked against the file's size before anything is read or allocated
     from it, so a file with trailing bytes is refused without reading them;
-    any malformed file raises :class:`WeightsFileError`."""
+    any malformed file, non-finite parameters included, raises
+    :class:`WeightsFileError`."""
+    names = list(ACTIVATIONS)
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
 
@@ -420,17 +399,18 @@ def read_weights(path) -> TrainedModel:
         raw = read(header - 12)
         dims = struct.unpack_from(f"<{n_dims}I", raw)
         codes = raw[4 * n_dims : -8]
-        if any(c not in _CODE_ACTS for c in codes):
+        if any(c >= len(names) for c in codes):
             raise WeightsFileError(f"unknown activation code among {sorted(set(codes))}")
         (scale,) = struct.unpack_from("<d", raw, len(raw) - 8)
         if not (math.isfinite(scale) and scale > 0):
             raise WeightsFileError(f"input scale {scale} is not positive and finite")
-        payload = 8 * sum(d_out * (d_in + 1) for d_in, d_out in zip(dims[:-1], dims[1:]))
-        if header + payload != size:
-            raise WeightsFileError(f"payload needs {header + payload} bytes in all, file has {size}")
         try:
-            spec = MlpSpec(layer_dims=dims, activations=tuple(_CODE_ACTS[c] for c in codes))
+            spec = MlpSpec(layer_dims=dims, activations=tuple(names[c] for c in codes))
         except ValueError as exc:
             raise WeightsFileError(f"invalid architecture: {exc}") from exc
-        flat = np.frombuffer(read(payload), dtype="<f8").astype(np.float64)
-    return TrainedModel(spec=spec, weights=_layer_views(spec, flat), input_scale=scale, history=[])
+        if header + 8 * spec.n_params != size:
+            raise WeightsFileError(f"payload needs {header + 8 * spec.n_params} bytes in all, file has {size}")
+        params = np.frombuffer(read(8 * spec.n_params), dtype="<f8").astype(np.float64)
+    if not np.all(np.isfinite(params)):
+        raise WeightsFileError(f"{np.count_nonzero(~np.isfinite(params))} parameters are not finite")
+    return TrainedModel(spec=spec, params=params, input_scale=scale, history=[])

@@ -13,7 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, stats
+from scipy import optimize, special, stats
 
 AMPLITUDE_FAMILIES = ("rician", "rayleigh", "nakagami", "weibull", "normal")
 PHASE_FAMILIES = ("uniform", "normal")
@@ -52,8 +52,8 @@ def aic(log_likelihood: float, k: int) -> float:
 def ks_test(samples, cdf) -> tuple[float, float]:
     """One-sample KS statistic and asymptotic p-value.
 
-    p = 2 sum_k (-1)^(k-1) exp(-2 k^2 M D^2), truncated once a term drops
-    below 1e-10. No correction for estimated parameters.
+    p is Kolmogorov's limiting survival function at sqrt(M) D
+    (``scipy.special.kolmogorov``). No correction for estimated parameters.
     """
     x = np.sort(np.asarray(samples, dtype=np.float64).ravel())
     m = x.size
@@ -62,18 +62,7 @@ def ks_test(samples, cdf) -> tuple[float, float]:
     f = np.clip(np.asarray(cdf(x), dtype=np.float64), 0.0, 1.0)
     grid = np.arange(1, m + 1) / m
     d = float(max(np.max(grid - f), np.max(f - (grid - 1.0 / m))))
-    lam = math.sqrt(m) * d
-    if lam < 0.05:  # survival probability is 1 to far beyond the truncation level
-        return d, 1.0
-    total, k, sign = 0.0, 1, 1.0
-    while True:
-        term = math.exp(-2.0 * k * k * lam * lam)
-        total += sign * term
-        if term < 1e-10:
-            break
-        k += 1
-        sign = -sign
-    return d, float(min(max(2.0 * total, 0.0), 1.0))
+    return d, float(special.kolmogorov(math.sqrt(m) * d))
 
 
 def _check_samples(samples, family: str) -> np.ndarray:

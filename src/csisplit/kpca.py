@@ -94,8 +94,8 @@ def gaussian_gram(columns: np.ndarray, sigma: float | None = None, variant: str 
         sigma = median_bandwidth(d2)
         if math.isnan(sigma):
             raise ValueError("degenerate bandwidth: every column coincides")
-    if sigma <= 0:
-        raise ValueError("bandwidth must be positive")
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise ValueError(f"sigma must be finite and positive, got {sigma}")
     k = np.exp(-d2 / (2.0 * sigma * sigma))
     asym = float(np.linalg.norm(k - k.T))
     k = 0.5 * (k + k.T)
@@ -122,8 +122,8 @@ def fit_kpca(
     n = h.shape[1]
     if not 1 <= d_hat <= n - 1:
         raise ValueError(f"d_hat must lie in [1, {n - 1}]")
-    if gamma is not None and gamma <= 0:
-        raise ValueError("ridge gamma must be positive")
+    if gamma is not None and not (math.isfinite(gamma) and gamma > 0):
+        raise ValueError(f"ridge gamma must be finite and positive, got {gamma}")
     gram = gaussian_gram(h, sigma=sigma, variant=variant)
     centered = center_gram(gram.k)
     bandwidth, asymmetry = gram.bandwidth_sigma, gram.asymmetry_norm

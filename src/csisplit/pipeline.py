@@ -29,7 +29,6 @@ from .autoencoder import (
 )
 from .core import (
     CsiMatrix,
-    Direction,
     NodeGeometry,
     from_real_view,
     read_csi_file,
@@ -440,8 +439,6 @@ def _jsonify(obj):
         return obj.tolist()
     if isinstance(obj, float) and math.isinf(obj):
         return "inf" if obj > 0 else "-inf"
-    if isinstance(obj, Direction):
-        return int(obj)
     return obj
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import os
 import struct
@@ -22,7 +23,7 @@ from csisplit.autoencoder import (
     default_mlp_spec,
     forward,
     gradient,
-    init_weights,
+    init_params,
     read_weights,
     train,
     train_for_mode,
@@ -45,7 +46,7 @@ def _per_pair_dataset(view, geom, k):
 def _per_pair_decomposition(model, view, geom, k):
     """The per-pair accumulation the rank-wise sum replaced."""
     data, pairs = _per_pair_dataset(view, geom, k)
-    y, _ = forward(model.spec, model.weights, data / model.input_scale)
+    y, _ = forward(model.spec, model.params, data / model.input_scale)
     half = view.shape[0]
     predictable = np.zeros_like(view)
     counts = np.zeros(view.shape[1])
@@ -75,7 +76,7 @@ def test_pair_dataset_equals_per_pair_loop(small_view, k):
 def test_pair_decomposition_equals_per_pair_loop(small_view, k):
     view, geom = small_view
     spec = default_mlp_spec(2 * view.shape[0], 2)
-    model = TrainedModel(spec=spec, weights=init_weights(spec, np.random.default_rng(8)), input_scale=1.7)
+    model = TrainedModel(spec=spec, params=init_params(spec, np.random.default_rng(8)), input_scale=1.7)
     dec = decompose_ae_pairs(model, view, geom, k)
     predictable, unpredictable = _per_pair_decomposition(model, view, geom, k)
     assert np.array_equal(dec.predictable, predictable)
@@ -96,6 +97,14 @@ def test_e2_loss_rejects_mu_where_it_is_unbounded_below(mu):
     TrainConfig(loss="e2", mu=0.51)
 
 
+
+def test_train_refuses_to_return_parameters_the_last_update_overflowed(small_view):
+    view, _ = small_view
+    spec = default_mlp_spec(view.shape[0], 2)
+    cfg = TrainConfig(learning_rate=1e308, batch_size=view.shape[1], epochs=1)  # one batch: the loss is finite
+    with np.errstate(over="ignore"), pytest.raises(RuntimeError, match="not finite after training"):
+        train(view, spec, cfg)
+
 # ---------------------------------------------------------------------------
 # training: the flat-vector Adam against the per-layer loop it replaced
 # ---------------------------------------------------------------------------
@@ -108,7 +117,8 @@ def _per_layer_gradient(spec, weights, x, loss, mu):
     value, delta = autoencoder._loss_grad(x, a[-1], loss, mu)
     grads = [None] * len(weights)
     for layer in range(len(weights) - 1, -1, -1):
-        delta = delta * autoencoder._act_deriv(spec.activations[layer], zs[layer], a[layer + 1])
+        deriv = autoencoder.ACTIVATIONS[spec.activations[layer]][1]
+        delta = delta * (np.ones_like(zs[layer]) if deriv is None else deriv(zs[layer], a[layer + 1]))
         grads[layer] = (delta @ a[layer].T, delta.sum(axis=1))
         if layer > 0:
             delta = weights[layer][0].T @ delta
@@ -123,7 +133,7 @@ def _per_layer_train(dataset, spec, cfg):
         scale = 1.0
     data = data / scale
     rng = np.random.default_rng(cfg.seed)
-    weights = init_weights(spec, rng)
+    weights = autoencoder._layer_views(spec, init_params(spec, rng))
     adam_m = [(np.zeros_like(w), np.zeros_like(b)) for w, b in weights]
     adam_v = [(np.zeros_like(w), np.zeros_like(b)) for w, b in weights]
     beta1, beta2, eps = 0.9, 0.999, 1e-8
@@ -155,8 +165,9 @@ def _per_layer_train(dataset, spec, cfg):
 
 def _assert_same_model(model, weights, history):
     assert model.history == history
-    assert len(model.weights) == len(weights)
-    for (w, b), (w0, b0) in zip(model.weights, weights):
+    layers = autoencoder._layer_views(model.spec, model.params)
+    assert len(layers) == len(weights)
+    for (w, b), (w0, b0) in zip(layers, weights):
         assert np.array_equal(w, w0) and np.array_equal(b, b0)
 
 
@@ -187,11 +198,11 @@ def test_localized_train_for_mode_equals_the_per_layer_loop(small_view):
 def test_gradient_equals_the_per_layer_backprop(small_view):
     view, _ = small_view
     spec = default_mlp_spec(view.shape[0], 2)
-    weights = init_weights(spec, np.random.default_rng(4))
-    grads, value = gradient(spec, weights, view, loss="e1")
-    want, want_value = _per_layer_gradient(spec, weights, view, "e1", 0.0)
+    params = init_params(spec, np.random.default_rng(4))
+    grad, value = gradient(spec, params, view, loss="e1")
+    want, want_value = _per_layer_gradient(spec, autoencoder._layer_views(spec, params), view, "e1", 0.0)
     assert value == want_value
-    for (gw, gb), (ww, wb) in zip(grads, want):
+    for (gw, gb), (ww, wb) in zip(autoencoder._layer_views(spec, grad), want):
         assert np.array_equal(gw, ww) and np.array_equal(gb, wb)
 
 
@@ -202,7 +213,7 @@ def test_gradient_equals_the_per_layer_backprop(small_view):
 
 def _weights_bytes(tmp_path, input_dim=6, d_hat=2, seed=9):
     spec = default_mlp_spec(input_dim, d_hat)
-    model = TrainedModel(spec=spec, weights=init_weights(spec, np.random.default_rng(seed)), input_scale=0.75)
+    model = TrainedModel(spec=spec, params=init_params(spec, np.random.default_rng(seed)), input_scale=0.75)
     path = tmp_path / "model.weights"
     write_weights(model, path)
     return model, path.read_bytes()
@@ -212,8 +223,30 @@ def test_weights_round_trip(tmp_path):
     model, _ = _weights_bytes(tmp_path)
     back = read_weights(tmp_path / "model.weights")
     assert back.spec == model.spec and back.input_scale == model.input_scale
-    for (w, b), (w2, b2) in zip(model.weights, back.weights):
-        assert np.array_equal(w, w2) and np.array_equal(b, b2)
+    assert np.array_equal(model.params, back.params)
+
+
+def test_weights_file_layout_is_pinned(tmp_path):
+    _, raw = _weights_bytes(tmp_path)
+    assert len(raw) == 109_088
+    assert hashlib.sha256(raw).hexdigest() == "3efa44dc6afa47b8b5121417d042f1354d0e93f675b3637580b4d2a457015aeb"
+    write_weights(read_weights(tmp_path / "model.weights"), tmp_path / "again.weights")
+    assert (tmp_path / "again.weights").read_bytes() == raw
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_parameters_raise_a_typed_error(tmp_path, value):
+    _, raw = _weights_bytes(tmp_path)
+    path = tmp_path / "model.weights"
+    path.write_bytes(raw[:-8] + struct.pack("<d", value))  # the last bias
+    with pytest.raises(WeightsFileError, match="not finite"):
+        read_weights(path)
+
+
+@pytest.mark.parametrize("lr", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_train_config_rejects_a_learning_rate_that_is_not_finite_and_positive(lr):
+    with pytest.raises(ValueError, match="learning_rate"):
+        TrainConfig(learning_rate=lr)
 
 
 def _header(n_dims, dims, codes, scale=1.0):
@@ -305,9 +338,13 @@ def test_gradient_matches_central_differences(loss, width, mu):
     rng = np.random.default_rng(0)
     spec = default_mlp_spec(width, 2)
     # nonzero biases, so that no unit starts exactly at a relu kink
-    weights = [(w, 0.1 * rng.standard_normal(b.shape)) for w, b in init_weights(spec, rng)]
+    params = init_params(spec, rng)
+    weights = autoencoder._layer_views(spec, params)
+    for _, b in weights:
+        b[:] = 0.1 * rng.standard_normal(b.shape)
     batch = rng.standard_normal((width, 16))
-    grads, _ = gradient(spec, weights, batch, loss=loss, mu=mu)
+    grad, _ = gradient(spec, params, batch, loss=loss, mu=mu)
+    grads = autoencoder._layer_views(spec, grad)
     h = 1e-6
     for layer, (w, b) in enumerate(weights):
         for param, grad in ((w, grads[layer][0]), (b, grads[layer][1])):
@@ -317,9 +354,9 @@ def test_gradient_matches_central_differences(loss, width, mu):
             for t, i in enumerate(idx):
                 old = flat[i]
                 flat[i] = old + h
-                up = gradient(spec, weights, batch, loss=loss, mu=mu)[1]
+                up = gradient(spec, params, batch, loss=loss, mu=mu)[1]
                 flat[i] = old - h
-                down = gradient(spec, weights, batch, loss=loss, mu=mu)[1]
+                down = gradient(spec, params, batch, loss=loss, mu=mu)[1]
                 flat[i] = old
                 numeric[t] = (up - down) / (2 * h)
             exact = grad.reshape(-1)[idx]

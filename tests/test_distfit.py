@@ -8,6 +8,7 @@ from csisplit.distfit import (
     PHASE_FAMILIES,
     fit_families,
     fit_mle,
+    ks_test,
 )
 from csisplit.simulate import SimConfig, simulate
 
@@ -76,3 +77,20 @@ def test_non_positive_amplitudes_rejected(family):
 def test_normal_and_uniform_accept_signed_samples():
     x = np.random.default_rng(7).standard_normal(50)
     assert {r.family for r in fit_families(x, ("normal", "uniform"))} == {"normal", "uniform"}
+
+
+@pytest.mark.parametrize(
+    "m, q, d, p",
+    [
+        (20, 1.0, 0.04761904761904767, 0.9999999999740203),
+        (50, 1.3, 0.10485561072029514, 0.6415891478663681),
+        (1000, 1.05, 0.018327799710419757, 0.8901163997593288),
+    ],
+)
+def test_ks_test_statistic_and_asymptotic_p_value(m, q, d, p):
+    """D exactly, and p within 1e-10 of the truncated Kolmogorov series
+    2 sum_k (-1)^(k-1) exp(-2 k^2 M D^2) that scipy's function replaced."""
+    x = (np.arange(1, m + 1) / (m + 1)) ** q
+    got_d, got_p = ks_test(x, lambda t: np.clip(t, 0.0, 1.0))
+    assert got_d == d
+    assert got_p == pytest.approx(p, abs=1e-10)

@@ -196,6 +196,17 @@ def test_reconstruct_gamma_validation():
         fit_kpca(csi, d_hat=2, gamma=0.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_sigma_and_gamma_must_be_finite_and_positive(value):
+    csi = CsiMatrix(_random_columns(np.random.default_rng(10), m=4, n=8))
+    with pytest.raises(ValueError, match="sigma"):
+        gaussian_gram(csi.data, sigma=value)
+    with pytest.raises(ValueError, match="sigma"):
+        fit_kpca(csi, d_hat=2, sigma=value)
+    with pytest.raises(ValueError, match="gamma"):
+        fit_kpca(csi, d_hat=2, gamma=value)
+
+
 def test_residual_is_exact_subtraction():
     rng = np.random.default_rng(11)
     csi = CsiMatrix(_random_columns(rng, m=5, n=9))
