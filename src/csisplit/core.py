@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
+import os
 import struct
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -234,23 +235,30 @@ def write_csi_file(csi: CsiMatrix, path) -> None:
 
 
 def read_csi_file(path) -> CsiMatrix:
-    """Read the binary CSI format written by :func:`write_csi_file`."""
+    """Read the binary CSI format written by :func:`write_csi_file`. The
+    header's dimensions are checked against the file's size before the
+    payload is read, so a file with missing or trailing bytes is refused
+    without reading its payload."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < _HEADER.size:
-        raise CsiFileError(f"truncated header: {len(raw)} bytes, need {_HEADER.size}")
-    magic, m, n, direction, snr = _HEADER.unpack_from(raw)
-    if magic != CSI_MAGIC:
-        raise CsiFileError(f"bad magic {magic!r}, expected {CSI_MAGIC!r}")
-    if m == 0 or n == 0 or m * n > MAX_FILE_ENTRIES:
-        raise CsiFileError(f"unsupported dimensions m={m}, n={n}")
-    if direction not in (0, 1):
-        raise CsiFileError(f"invalid direction byte {direction}")
-    expected = _HEADER.size + 16 * m * n
-    if len(raw) < expected:
-        raise CsiFileError(f"truncated payload: {len(raw)} bytes, need {expected}")
-    if len(raw) > expected:
-        raise CsiFileError(f"trailing bytes: {len(raw) - expected} past end of payload")
-    payload = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size)
+        size = os.fstat(fh.fileno()).st_size
+        raw = fh.read(_HEADER.size)
+        if len(raw) < _HEADER.size:
+            raise CsiFileError(f"truncated header: {len(raw)} bytes, need {_HEADER.size}")
+        magic, m, n, direction, snr = _HEADER.unpack(raw)
+        if magic != CSI_MAGIC:
+            raise CsiFileError(f"bad magic {magic!r}, expected {CSI_MAGIC!r}")
+        if m == 0 or n == 0 or m * n > MAX_FILE_ENTRIES:
+            raise CsiFileError(f"unsupported dimensions m={m}, n={n}")
+        if direction not in (0, 1):
+            raise CsiFileError(f"invalid direction byte {direction}")
+        expected = _HEADER.size + 16 * m * n
+        if size < expected:
+            raise CsiFileError(f"truncated payload: {size} bytes, need {expected}")
+        if size > expected:
+            raise CsiFileError(f"trailing bytes: {size - expected} past end of payload")
+        raw = fh.read(16 * m * n)
+    if len(raw) < 16 * m * n:  # the file shrank after fstat
+        raise CsiFileError(f"truncated payload: {_HEADER.size + len(raw)} bytes, need {expected}")
+    payload = np.frombuffer(raw, dtype="<f8")
     data = (payload[0::2] + 1j * payload[1::2]).reshape((m, n), order="F")
     return CsiMatrix(data, direction=Direction(direction), snr_db=None if math.isnan(snr) else snr)

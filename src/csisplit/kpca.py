@@ -15,12 +15,13 @@ sigma is dependence.median_bandwidth of the ||.||^2 and enters as 2 sigma^2;
 dependence's sigma^2 differs on purpose: one would move outputs. Columns
 that all coincide have no bandwidth, and the fit raises.
 
-Predictable components are rebuilt by kernel ridge regression from the
-projection scores (no iterative pre-image): the fit solves once for the
-n x n ridge map (K_Y + gamma I)^-1 K_Y, with the ridge gamma a fit
-parameter, and a decomposition is one product with that map; the
-unpredictable part is the exact residual. No tail-truncation denoising
-happens on this path.
+The fit solves only for the top d_hat eigenpairs (LAPACK ?syevr on an
+index subset) and keeps the centered Gram's trace. Predictable components
+are rebuilt by kernel ridge regression from the projection scores (no
+iterative pre-image): one Cholesky factor of K_Y + gamma I, gamma a fit
+parameter, gives the ?pocon 1-norm condition estimate and the n x n ridge
+map (K_Y + gamma I)^-1 K_Y. A decomposition is one product with that map;
+the unpredictable part is the exact residual (no tail-truncation denoising).
 """
 
 from __future__ import annotations
@@ -65,7 +66,8 @@ class KpcaDiagnostics:
 @dataclass(frozen=True)
 class KpcaModel:
     alphas: np.ndarray  # (n, d_hat), column i = V_i / sqrt(lambda_i)
-    eigenvalues: np.ndarray  # descending, of the (1/N)-scaled problem
+    eigenvalues: np.ndarray  # the d_hat retained, descending, of the (1/N)-scaled problem
+    eigenvalue_sum: float  # trace of the (1/N)-scaled centered Gram: all n eigenvalues, negative ones too
     ridge_map: np.ndarray  # (n, n) = (K_Y + gamma I)^-1 K_Y
     shape: tuple[int, int]  # (m, n) of the columns the model was fitted on
     diagnostics: KpcaDiagnostics
@@ -124,26 +126,26 @@ def fit_kpca(
         raise ValueError(f"d_hat must lie in [1, {n - 1}]")
     if gamma is not None and not (math.isfinite(gamma) and gamma > 0):
         raise ValueError(f"ridge gamma must be finite and positive, got {gamma}")
+    from scipy import linalg  # imported here: no other command should pay its import time
     gram = gaussian_gram(h, sigma=sigma, variant=variant)
     centered = center_gram(gram.k)
     bandwidth, asymmetry = gram.bandwidth_sigma, gram.asymmetry_norm
     del gram
-    evals, evecs = np.linalg.eigh(centered)
-    order = np.argsort(evals)[::-1]
-    lambdas = np.clip(evals[order] / n, 0.0, None)
-    rank = int(np.sum(lambdas > EIGENVALUE_FLOOR))
+    evals, evecs = linalg.eigh(centered, subset_by_index=[n - d_hat, n - 1], driver="evr")
+    lambdas = np.clip(evals[::-1] / n, 0.0, None)
+    rank = int(np.sum(lambdas > EIGENVALUE_FLOOR))  # min(d_hat, rank): the rest are below the floor
     if d_hat > rank:
         warnings.warn(f"d_hat={d_hat} exceeds numerical rank {rank}; truncating", RuntimeWarning)
         d_hat = rank
-    top = _fix_signs(evecs[:, order[:d_hat]].T).T
-    del evecs
-    alphas = top / np.sqrt(lambdas[:d_hat])[None, :]
+    alphas = _fix_signs(evecs[:, ::-1][:, :d_hat].T).T / np.sqrt(lambdas[:d_hat])[None, :]
     scores = alphas.T @ centered
-    del centered  # the n x n eigenproblem arrays go before the ridge allocates its own
+    eigenvalue_sum = float(np.trace(centered)) / n
+    del centered  # the n x n centered Gram goes before the ridge allocates its own
     ridge_map, score_sigma, gamma, condition = _ridge_map(scores, gamma)
     return KpcaModel(
         alphas=alphas,
-        eigenvalues=lambdas,
+        eigenvalues=lambdas[:d_hat],
+        eigenvalue_sum=eigenvalue_sum,
         ridge_map=ridge_map,
         shape=h.shape,
         diagnostics=KpcaDiagnostics(
@@ -163,13 +165,10 @@ def default_gamma(k_scores: np.ndarray) -> float:
 
 def _ridge_map(y: np.ndarray, gamma: float | None) -> tuple[np.ndarray, float, float, float]:
     """(K_Y + gamma I)^-1 K_Y, where K_Y is the real Gaussian Gram over the
-    score columns y (its own median bandwidth), solved as an SPD system and
-    never by explicit inverse; also the score bandwidth, gamma and the
-    condition estimate of K_Y + gamma I."""
-    # imported here: only the kpca fit needs scipy.linalg, and every other
-    # command would pay its import time
+    score columns y (its own median bandwidth), solved with one Cholesky
+    factor, never by explicit inverse; also the score bandwidth, gamma and
+    the ?pocon 1-norm condition estimate of K_Y + gamma I from that factor."""
     from scipy import linalg
-
     sq = np.sum(y * y, axis=0)
     d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (y.T @ y), 0.0)
     score_sigma = median_bandwidth(d2)
@@ -181,11 +180,16 @@ def _ridge_map(y: np.ndarray, gamma: float | None) -> tuple[np.ndarray, float, f
         gamma = default_gamma(k_scores)
     regularized = k_scores.copy()
     regularized.flat[:: k_scores.shape[0] + 1] += gamma
-    eigs = np.linalg.eigvalsh(regularized)
-    condition = float(eigs[-1] / eigs[0]) if eigs[0] > 0 else math.inf
+    norm = np.linalg.norm(regularized, 1)
+    try:
+        factor = linalg.cho_factor(regularized.T, overwrite_a=True)  # .T is F-ordered: factored in place
+    except linalg.LinAlgError:
+        raise ValueError(f"ridge gamma={gamma:.3g} is too small: the score Gram is singular") from None
+    rcond, _ = linalg.lapack.dpocon(factor[0], norm)  # cho_factor's default upper factor
+    condition = 1.0 / rcond if rcond > 0 else math.inf
     if condition > 1e12:
         warnings.warn(f"ill-conditioned ridge system (condition ~ {condition:.3g})", RuntimeWarning)
-    ridge_map = linalg.solve(regularized, k_scores, assume_a="pos", overwrite_a=True)
+    ridge_map = linalg.cho_solve(factor, k_scores)
     return ridge_map, score_sigma, float(gamma), condition
 
 

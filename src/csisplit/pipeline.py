@@ -2,7 +2,9 @@
 dispatch, metric computation and self-describing JSON/CSV reports.
 
 Reports embed the fully resolved configuration and seed so any run can be
-reproduced byte for byte.
+reproduced byte for byte with the same numpy/scipy BLAS build at the same
+BLAS thread count; another thread count changes the reductions' order and
+so the last bits of the outputs.
 """
 
 from __future__ import annotations
@@ -205,6 +207,7 @@ def _decompose_kpca(cfg: PipelineConfig, views, geom) -> tuple[list[Parts], dict
         "method": "kpca",
         "d_hat": model.alphas.shape[1],
         "eigenvalues": model.eigenvalues,
+        "eigenvalue_sum": model.eigenvalue_sum,
         **dataclasses.asdict(model.diagnostics),
     }
     return parts, details, {}

@@ -209,6 +209,17 @@ def test_decompose_kpca_rejects_d_hat_zero(dataset, tmp_path, capsys):
     assert not (tmp_path / "predictable.csi").exists()
 
 
+def test_decompose_kpca_exits_1_on_a_singular_ridge_system(tmp_path, capsys):
+    # 4 duplicated columns give duplicated scores, and K_Y + 1e-300 I is singular
+    rng = np.random.default_rng(18)
+    base = rng.standard_normal((6, 20)) + 1j * rng.standard_normal((6, 20))
+    write_csi_file(CsiMatrix(np.concatenate([base, base[:, :4]], axis=1)), tmp_path / "ul.csi")
+    argv = ["decompose", "--method", "kpca", "--d-hat", "2", "--gamma", "1e-300", "--input", str(tmp_path / "ul.csi")]
+    assert cli.main([*argv, "--output-dir", str(tmp_path / "out")]) == 1
+    assert "score Gram is singular" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "predictable.csi").exists()
+
+
 @pytest.fixture(scope="module")
 def weights(dataset, tmp_path_factory):
     """Two-epoch e1 (per-node) and e2 (pair) weights trained on the uplink."""

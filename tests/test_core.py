@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -304,3 +306,29 @@ def test_trailing_bytes_rejected(tmp_path):
     path.write_bytes(path.read_bytes() + b"\x00")
     with pytest.raises(CsiFileError, match="trailing"):
         read_csi_file(path)
+
+
+@pytest.mark.parametrize(
+    "shape, edit, message",
+    [
+        ((1, 1), lambda raw: raw + bytes(1 << 20), "trailing bytes: 1048576 past end of payload"),
+        ((4, 4), lambda raw: raw[:-8], "truncated payload: 269 bytes, need 277"),
+    ],
+    ids=["junk", "truncated"],
+)
+def test_size_mismatch_rejected_before_the_payload_is_read(tmp_path, monkeypatch, shape, edit, message):
+    path = tmp_path / "bad.csi"
+    write_csi_file(CsiMatrix(np.ones(shape, dtype=complex)), path)
+    path.write_bytes(edit(path.read_bytes()))
+    reads = []
+
+    class CountingFile(io.FileIO):
+        def read(self, size=-1):
+            raw = super().read(size)
+            reads.append(len(raw))
+            return raw
+
+    monkeypatch.setattr(core, "open", lambda p, mode: CountingFile(p, mode.replace("b", "")), raising=False)
+    with pytest.raises(CsiFileError, match=message):
+        read_csi_file(path)
+    assert sum(reads) <= 21  # the header alone

@@ -5,9 +5,11 @@ import pytest
 import scipy.linalg
 from scipy.stats import spearmanr
 
+from csisplit import kpca
 from csisplit.core import CsiMatrix, to_real_view
+from csisplit.dependence import median_bandwidth
 from csisplit.kpca import center_gram, decompose_kpca, fit_kpca, gaussian_gram
-from csisplit.pca import fit_pca
+from csisplit.pca import _fix_signs, fit_pca
 
 
 def oracle_gram(cols, sigma, variant="conjugate"):
@@ -118,12 +120,34 @@ def test_center_gram_zero_row_col_sums_and_hkh():
     assert np.max(np.abs(centered - h @ k @ h)) <= 1e-12
 
 
+def _full_spectrum(cols, sigma=None):
+    """Every eigenvalue of the (1/N)-scaled centered Gram, descending."""
+    return np.linalg.eigvalsh(center_gram(gaussian_gram(cols, sigma=sigma).k))[::-1] / cols.shape[1]
+
+
 def test_fit_two_columns_single_component():
     cols = np.column_stack([np.array([0.0, 1.0]), np.array([2.0, -1.0])]).astype(complex)
     model = fit_kpca(CsiMatrix(cols), d_hat=1)
-    lam = model.eigenvalues
+    lam = _full_spectrum(cols)
+    assert model.eigenvalues == pytest.approx(lam[:1], rel=1e-12)
     assert lam[0] > 1e-8
     assert np.all(lam[1:] <= 1e-10)
+
+
+@pytest.mark.parametrize("d_hat", [1, 3])
+def test_fit_top_pairs_match_the_full_eigendecomposition(d_hat):
+    rng = np.random.default_rng(16)
+    cols = _random_columns(rng, m=6, n=30)
+    model = fit_kpca(CsiMatrix(cols), d_hat=d_hat)
+    evals, evecs = np.linalg.eigh(center_gram(gaussian_gram(cols).k))
+    lam = evals[::-1] / 30
+    vectors = _fix_signs(evecs[:, ::-1][:, :d_hat].T).T
+    tol = 1e-12 * lam[0]
+    assert model.eigenvalues.shape == (d_hat,)
+    assert np.max(np.abs(model.eigenvalues - lam[:d_hat])) <= tol
+    assert np.max(np.abs(model.alphas * np.sqrt(model.eigenvalues) - vectors)) <= tol
+    # the trace: every eigenvalue, negative ones of the indefinite conjugate kernel too
+    assert model.eigenvalue_sum == pytest.approx(lam.sum(), rel=1e-12)
 
 
 def test_fit_eigen_identity_holds():
@@ -145,7 +169,8 @@ def test_fit_low_rank_line_concentrates_mass():
     cols = cols + direction[:, None]  # keep columns distinct but clustered
     with pytest.warns(RuntimeWarning, match="d_hat=2 exceeds numerical rank 1; truncating"):
         model = fit_kpca(CsiMatrix(cols), d_hat=2, sigma=50.0)
-    lam = model.eigenvalues
+    lam = np.clip(_full_spectrum(cols, sigma=50.0), 0.0, None)
+    assert model.eigenvalues == pytest.approx(lam[:1], rel=1e-12)
     assert lam[0] / lam.sum() >= 0.99
 
 
@@ -259,7 +284,37 @@ def test_decompose_reuses_the_fitted_ridge_map(monkeypatch):
 
     for name in ("eigh", "eigvalsh", "solve"):
         monkeypatch.setattr(np.linalg, name, forbidden)
-    monkeypatch.setattr(scipy.linalg, "solve", forbidden)
+    for name in ("eigh", "solve", "cho_factor", "cho_solve"):
+        monkeypatch.setattr(scipy.linalg, name, forbidden)
     pred, resid = decompose_kpca(model, other)
     assert np.array_equal(pred.data, other.data @ model.ridge_map)
     assert np.array_equal(resid.data, other.data - pred.data)
+
+
+def _ridge_system(y, gamma):
+    """K_Y + gamma I and K_Y as :func:`kpca._ridge_map` builds them."""
+    sq = np.sum(y * y, axis=0)
+    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (y.T @ y), 0.0)
+    sigma = median_bandwidth(d2)
+    k_scores = np.exp(-d2 / (2.0 * sigma * sigma))
+    return k_scores + gamma * np.eye(len(k_scores)), k_scores
+
+
+@pytest.mark.parametrize("n, d_hat", [(16, 1), (200, 3)])
+def test_ridge_map_equals_the_spd_solve_and_bounds_the_condition(n, d_hat):
+    y = np.random.default_rng(17).standard_normal((d_hat, n))
+    ridge_map, _, gamma, condition = kpca._ridge_map(y, None)
+    regularized, k_scores = _ridge_system(y, gamma)
+    assert np.array_equal(ridge_map, scipy.linalg.solve(regularized, k_scores, assume_a="pos"))
+    # ?pocon underestimates ||A^-1||_1, never over; 0.1 is a bound fixed in advance
+    exact = np.linalg.cond(regularized, 1)
+    assert 0.1 * exact <= condition <= exact * (1.0 + 1e-9)
+
+
+def test_near_singular_ridge_warns_and_a_singular_one_raises():
+    base = _random_columns(np.random.default_rng(18), m=6, n=20)
+    csi = CsiMatrix(np.concatenate([base, base[:, :4]], axis=1))  # 4 duplicated columns: duplicated scores
+    with pytest.warns(RuntimeWarning, match="ill-conditioned ridge system"):
+        fit_kpca(csi, d_hat=2, gamma=1e-14)
+    with pytest.raises(ValueError, match="gamma=1e-300 .*score Gram is singular"):
+        fit_kpca(csi, d_hat=2, gamma=1e-300)
