@@ -230,6 +230,8 @@ def cmd_fit_dist(args) -> None:
 
 
 def cmd_sweep(args) -> None:
+    if args.step < 1:
+        raise ValueError(f"--step must be at least 1, got {args.step}")
     ul = read_csi_file(args.input_ul)
     dl = read_csi_file(args.input_dl)
     geom = pl.read_geometry(args.geometry)

@@ -8,6 +8,8 @@ Conventions fixed here and relied on by every other module:
 * the real view stacks real parts above imaginary parts, giving a
   (2m, n) float64 matrix ([Re; Im] column stacking);
 * all arithmetic is float64 / complex128;
+* squared distances between points are :func:`squared_distances`, summed
+  in coordinate order: the neighbor table's ties rest on them;
 * node i's k nearest neighbors are row i of ``NodeGeometry.neighbors(k)``:
   nearest first, equal distances in ascending node index.
 """
@@ -18,7 +20,6 @@ import enum
 import math
 import os
 import struct
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -117,17 +118,17 @@ def _block_rows(n: int) -> int:
     return max(1, _BLOCK_ENTRIES // n)
 
 
-def _squared_distance_blocks(pos: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
-    """(start, d2) for each block of rows: d2[r, j] is the squared Euclidean
-    distance between nodes start + r and j, and infinite for j = start + r."""
-    n = pos.shape[0]
-    rows = _block_rows(n)
-    for start in range(0, n, rows):
-        delta = pos[None, :, :] - pos[start : start + rows, None, :]
-        d2 = np.einsum("bij,bij->bi", delta, delta)
-        own = np.arange(d2.shape[0])
-        d2[own, start + own] = np.inf
-        yield start, d2
+def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(len(a), len(b)) squared Euclidean distances between the rows of a and
+    those of b, built one coordinate at a time in place: no (len(a), len(b),
+    dim) difference array is made."""
+    d2 = np.subtract.outer(a[:, 0], b[:, 0])
+    d2 *= d2
+    for c in range(1, a.shape[1]):
+        diff = np.subtract.outer(a[:, c], b[:, c])
+        diff *= diff
+        d2 += diff
+    return d2
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,7 +167,7 @@ class NodeGeometry:
         """Read-only (n, k) table: row i holds the k nodes closest to node i,
         self excluded, nearest first.
 
-        Distances are ``sqrt`` of the summed squared coordinate differences;
+        Distances are ``sqrt`` of :func:`squared_distances`;
         a stable argsort of each row breaks equal distances by ascending node
         index, so ``neighbors(k)[:, :j]`` equals ``neighbors(j)``. A k below
         one already cached is served as that wider table's first k columns;
@@ -185,7 +186,10 @@ class NodeGeometry:
                 table = wider[:, :k]  # a view of a read-only array is read-only
             else:
                 table = np.empty((self.n, k), dtype=np.intp)
-                for start, d2 in _squared_distance_blocks(self.positions):
+                rows = _block_rows(self.n)
+                for start in range(0, self.n, rows):
+                    d2 = squared_distances(self.positions[start : start + rows], self.positions)
+                    np.fill_diagonal(d2[:, start:], np.inf)  # self excluded: d2[r, start + r]
                     order = np.argsort(np.sqrt(d2), axis=1, kind="stable")
                     table[start : start + d2.shape[0]] = order[:, :k]
                 table.setflags(write=False)

@@ -73,7 +73,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NodeGeometry
+from .core import NodeGeometry, squared_distances
 
 MIN_REPLICATES = 100  # the fewest null replicates a test may use
 
@@ -115,7 +115,7 @@ def gaussian_gram_1d(x: np.ndarray) -> tuple[np.ndarray, float, bool]:
         raise ValueError("need at least 2 observations")
     if not np.all(np.isfinite(x)):
         raise ValueError("observations contain non-finite values")
-    d2 = (x[:, None] - x[None, :]) ** 2
+    d2 = squared_distances(x[:, None], x[:, None])
     sigma = median_bandwidth(d2)
     if math.isnan(sigma):  # constant sequence
         return np.ones_like(d2), sigma, True

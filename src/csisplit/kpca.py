@@ -7,9 +7,13 @@ conjugates its second argument,
 
 which is symmetric for any complex input because norms are invariant
 under conjugation (||h_j - conj(h_i)|| = ||h_i - conj(h_j)||). The matrix
-is nevertheless symmetrized explicitly and the asymmetry norm reported,
-so any future kernel variant stays eigensolver-safe. A --kernel-variant
-switch selects the plain ||h_i - h_j|| kernel for comparison.
+is nevertheless symmetrized explicitly and the asymmetry norm reported; it
+reads 0.0 for both variants on the simulator's 4x4, 20x20 and 40x40 grids.
+A --kernel-variant switch selects the plain ||h_i - h_j|| kernel for
+comparison. For complex columns the conjugate kernel is not positive
+semi-definite: its centered Gram has negative eigenvalues (on a 4x4, m=16
+uplink the trace/N is 0.0479, below the top two eigenvalues' 0.0716), and
+the fit clips them to zero.
 
 sigma is dependence.median_bandwidth of the ||.||^2 and enters as 2 sigma^2;
 dependence's sigma^2 differs on purpose: one would move outputs. Columns
@@ -20,12 +24,15 @@ index subset) and keeps the centered Gram's trace. Predictable components
 are rebuilt by kernel ridge regression from the projection scores (no
 iterative pre-image): one Cholesky factor of K_Y + gamma I, gamma a fit
 parameter, gives the ?pocon 1-norm condition estimate and the n x n ridge
-map (K_Y + gamma I)^-1 K_Y. A decomposition is one product with that map;
-the unpredictable part is the exact residual (no tail-truncation denoising).
+map (K_Y + gamma I)^-1 K_Y; the estimate is truncated toward zero to 6
+significant digits, as its last bits vary between runs on one LAPACK build.
+A decomposition is one product with that map; the unpredictable part is
+the exact residual (no tail-truncation denoising).
 """
 
 from __future__ import annotations
 
+import decimal
 import math
 import warnings
 from dataclasses import dataclass
@@ -40,6 +47,9 @@ KERNEL_VARIANTS = ("conjugate", "standard")
 
 #: eigenvalues of the scaled Gram below this are treated as numerically zero
 EIGENVALUE_FLOOR = 1e-12
+
+#: the condition estimate keeps 6 significant digits, truncated toward zero
+_CONDITION_DIGITS = decimal.Context(prec=6, rounding=decimal.ROUND_DOWN)
 
 
 @dataclass(frozen=True)
@@ -74,7 +84,8 @@ class KpcaModel:
 
 
 def _pairwise_sq_dists(columns: np.ndarray, variant: str) -> np.ndarray:
-    h = np.asarray(columns, dtype=np.complex128)
+    """Squared distances between columns by the norm expansion, clipped at 0."""
+    h = np.asarray(columns)
     norms = np.sum(np.abs(h) ** 2, axis=0).real
     if variant == "conjugate":
         cross = (h.T @ h).real  # Re(h_i . h_j) = <h_i, conj(h_j)>
@@ -169,8 +180,7 @@ def _ridge_map(y: np.ndarray, gamma: float | None) -> tuple[np.ndarray, float, f
     factor, never by explicit inverse; also the score bandwidth, gamma and
     the ?pocon 1-norm condition estimate of K_Y + gamma I from that factor."""
     from scipy import linalg
-    sq = np.sum(y * y, axis=0)
-    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (y.T @ y), 0.0)
+    d2 = _pairwise_sq_dists(y, "standard")
     score_sigma = median_bandwidth(d2)
     if math.isnan(score_sigma):
         raise ValueError("degenerate bandwidth: every projection score coincides")
@@ -186,7 +196,7 @@ def _ridge_map(y: np.ndarray, gamma: float | None) -> tuple[np.ndarray, float, f
     except linalg.LinAlgError:
         raise ValueError(f"ridge gamma={gamma:.3g} is too small: the score Gram is singular") from None
     rcond, _ = linalg.lapack.dpocon(factor[0], norm)  # cho_factor's default upper factor
-    condition = 1.0 / rcond if rcond > 0 else math.inf
+    condition = float(_CONDITION_DIGITS.create_decimal(1.0 / rcond)) if rcond > 0 else math.inf
     if condition > 1e12:
         warnings.warn(f"ill-conditioned ridge system (condition ~ {condition:.3g})", RuntimeWarning)
     ridge_map = linalg.cho_solve(factor, k_scores)

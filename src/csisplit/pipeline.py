@@ -362,7 +362,8 @@ def compare_methods(cfgs: list[PipelineConfig], output_dir=None) -> dict:
     """Same dataset, several methods; one row per method with original and
     residual dependence/correlation plus the mismatch probability. The
     residual scores are the method's pipeline metrics, the original ones
-    those of method none, whatever metrics the configs name."""
+    those of method none, whatever metrics the configs name. A row whose
+    config equals the none config (every field) reuses those scores."""
     if not cfgs:
         raise ValueError("need at least one config")
     base = cfgs[0]
@@ -377,7 +378,7 @@ def compare_methods(cfgs: list[PipelineConfig], output_dir=None) -> dict:
     original, _ = compute_metrics(none, apply_method(none, ul, dl, geom), geom)
     rows = []
     for cfg in scored:
-        residual, _ = compute_metrics(cfg, apply_method(cfg, ul, dl, geom), geom)
+        residual = original if cfg == none else compute_metrics(cfg, apply_method(cfg, ul, dl, geom), geom)[0]
         rows.append(
             {
                 "method": cfg.method,

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import j0
 
-from .core import CsiMatrix, Direction, NodeGeometry
+from .core import CsiMatrix, Direction, NodeGeometry, squared_distances
 
 SPEED_OF_LIGHT = 299792458.0
 
@@ -109,9 +109,7 @@ def _correlated_fields(positions: np.ndarray, fields: list[tuple[float, np.ndarr
     the nodes' exponential correlation over corr_m. The distance matrix is
     built once and each distinct corr_m is factorized once; each factor is
     applied to its fields and released before the next one is made."""
-    diff = positions[:, None, :] - positions[None, :, :]
-    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    del diff
+    dist = np.sqrt(squared_distances(positions, positions))
     out = [None] * len(fields)
     for corr_m in dict.fromkeys(c for c, _ in fields):
         chol = _spatial_chol(dist, corr_m)
@@ -169,7 +167,7 @@ def simulate(cfg: SimConfig) -> SimOutput:
     # times spatially correlated log-normal shadowing
     bs = np.asarray(cfg.bs_position, dtype=np.float64)
     nodes3 = np.column_stack([positions, np.zeros(n)])
-    dist_bs = np.linalg.norm(nodes3 - bs, axis=1)
+    dist_bs = np.sqrt(squared_distances(nodes3, bs[None, :]))[:, 0]
     pl_amp = (cfg.reference_distance_m / dist_bs) ** (cfg.path_loss_exponent / 2.0)
     shadow_db = cfg.shadowing_sigma_db * shadow_field
     amp = pl_amp * 10.0 ** (shadow_db / 20.0)

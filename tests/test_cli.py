@@ -80,6 +80,13 @@ def test_sweep_band_beyond_the_basis_exits_1(dataset, tmp_path, capsys):
     assert not (tmp_path / "sweep.json").exists()
 
 
+@pytest.mark.parametrize("step", ["0", "-2"])
+def test_sweep_step_below_1_exits_1_naming_the_flag(dataset, tmp_path, capsys, step):
+    assert cli.main(["sweep", *_files(dataset), "--step", step, "--output-dir", str(tmp_path)]) == 1
+    assert f"--step must be at least 1, got {step}" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.json").exists()
+
+
 @pytest.mark.parametrize(
     "component, families, part", [("amplitude", ALL_FAMILIES, np.abs), ("phase", PHASE_FAMILIES, np.angle)]
 )

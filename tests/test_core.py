@@ -157,6 +157,16 @@ def test_geometry_rejects_no_nodes():
         NodeGeometry(positions=np.zeros((0, 2)))
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_squared_distances_sum_the_coordinates_in_order(dim):
+    rng = np.random.default_rng(5)
+    a, b = rng.uniform(-50.0, 50.0, size=(7, dim)), rng.uniform(-50.0, 50.0, size=(5, dim))
+    expected = np.zeros((7, 5))
+    for c in range(dim):
+        expected += (a[:, None, c] - b[None, :, c]) ** 2
+    assert np.array_equal(core.squared_distances(a, b), expected)
+
+
 def _per_node_neighbors(positions, k):
     """The per-node neighbor query the table replaced: one distance row per
     node, self at infinity, stable argsort."""
@@ -204,10 +214,10 @@ def test_narrower_neighbor_table_is_served_from_a_cached_wider_one(monkeypatch):
     geom = NodeGeometry(positions=grid_positions(SimConfig(grid_shape=(6, 7))))
     wide = geom.neighbors(8)
 
-    def forbidden(_pos):
+    def forbidden(*_):
         raise AssertionError("a narrower table was built anew")
 
-    monkeypatch.setattr(core, "_squared_distance_blocks", forbidden)
+    monkeypatch.setattr(core, "squared_distances", forbidden)
     narrow = geom.neighbors(1)
     assert narrow.shape == (42, 1) and not narrow.flags.writeable
     assert np.array_equal(narrow, wide[:, :1])

@@ -311,6 +311,23 @@ def test_ridge_map_equals_the_spd_solve_and_bounds_the_condition(n, d_hat):
     assert 0.1 * exact <= condition <= exact * (1.0 + 1e-9)
 
 
+def test_condition_estimate_ignores_the_last_bits_of_rcond(monkeypatch):
+    # ?pocon's last bits vary between runs on one LAPACK build; the report
+    # keeps 6 significant digits, truncated toward zero
+    y = np.random.default_rng(19).standard_normal((2, 40))
+    real = scipy.linalg.lapack.dpocon
+    estimates = []
+    for ulps in (0, 1, -1):
+        def shifted(factor, norm, ulps=ulps):
+            rcond, info = real(factor, norm)
+            return rcond if ulps == 0 else np.nextafter(rcond, ulps * np.inf), info
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dpocon", shifted)
+        estimates.append(kpca._ridge_map(y, None)[3])
+    assert estimates[0] == estimates[1] == estimates[2]
+    assert float(f"{estimates[0]:.5e}") == estimates[0]
+
+
 def test_near_singular_ridge_warns_and_a_singular_one_raises():
     base = _random_columns(np.random.default_rng(18), m=6, n=20)
     csi = CsiMatrix(np.concatenate([base, base[:, :4]], axis=1))  # 4 duplicated columns: duplicated scores

@@ -144,6 +144,24 @@ def test_compare_rows_equal_the_pipeline_metrics():
         assert row["original_delta_bar"] == original["avg_delta_bar"]
 
 
+def test_compare_splits_method_none_once(monkeypatch):
+    apply_method, applied = pipeline.apply_method, []
+
+    def counting_apply(cfg, *args):
+        applied.append(cfg.method)
+        return apply_method(cfg, *args)
+
+    monkeypatch.setattr(pipeline, "apply_method", counting_apply)
+    rows = pipeline.compare_methods([_cfg("none"), _cfg("pca")])["rows"]
+    assert applied == ["none", "pca"]
+    for row, method in zip(rows, ("none", "pca")):
+        assert row["original_cc"] == GOLDEN["none"]["avg_cc"]
+        assert row["original_delta_bar"] == GOLDEN["none"]["avg_delta_bar"]
+        assert row["residual_cc"] == GOLDEN[method]["avg_cc"]
+        assert row["residual_delta_bar"] == GOLDEN[method]["avg_delta_bar"]
+        assert row["mp"] == GOLDEN[method]["avg_mp"]
+
+
 def _run_cli(tmp_path, argv):
     assert cli.main(argv + ["--output-dir", str(tmp_path)]) == 0
     details = json.loads((tmp_path / "decompose.json").read_text(encoding="utf-8"))

@@ -3,10 +3,15 @@ configured temporal correlation of the diffuse part and the configured SNR."""
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import csisplit
 from csisplit.simulate import SimConfig, simulate, temporal_correlation
 
 # sha256 of the uplink, downlink, truth and large-scale CSI and the node
@@ -44,6 +49,33 @@ def _digest(out) -> str:
 def test_fixed_seed_gives_fixed_bytes(name):
     cfg, want = GOLDEN_HASHES[name]
     assert _digest(simulate(cfg)) == want
+
+
+_DIGEST_IN_A_PROCESS = """
+import hashlib, numpy as np
+from csisplit.simulate import SimConfig, simulate
+out = simulate(SimConfig())
+h = hashlib.sha256()
+for part in (out.uplink.data, out.downlink.data, out.truth.data, out.large_scale.data, out.geometry.neighbors(8)):
+    h.update(np.ascontiguousarray(part).tobytes())
+print(h.hexdigest())
+"""
+
+
+def test_default_size_bytes_repeat_across_processes_at_one_blas_thread():
+    # byte identity is claimed per BLAS build and thread count; at the default
+    # 20x20, m=256 size OpenBLAS can thread, so the count is pinned to one
+    src = str(Path(csisplit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
+    digests = []
+    for _ in range(2):
+        proc = subprocess.run(
+            [sys.executable, "-c", _DIGEST_IN_A_PROCESS], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.strip())
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
 
 
 @pytest.mark.parametrize("kwargs", [{}, {"temporal_rho": 0.5}, {"temporal_rho": 0.0}, {"temporal_rho": 0.97}])
