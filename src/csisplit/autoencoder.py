@@ -128,8 +128,14 @@ def forward(spec: MlpSpec, params: np.ndarray, x: np.ndarray) -> tuple[np.ndarra
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] != spec.input_dim:
         raise ValueError(f"input must be ({spec.input_dim}, batch), got shape {x.shape}")
-    a, _ = _forward_cache(spec, _layer_views(spec, params), x)
-    return a[-1], a[spec.bottleneck]
+    code = x
+    for layer, ((w, b), act) in enumerate(zip(_layer_views(spec, params), spec.activations), 1):
+        z = w @ x  # only the running activation and the code stay alive
+        z += b[:, None]
+        x = ACTIVATIONS[act][0](z)
+        if layer == spec.bottleneck:
+            code = x
+    return x, code
 
 
 def _loss_grad(x: np.ndarray, y: np.ndarray, loss: str, mu: float) -> tuple[float, np.ndarray]:

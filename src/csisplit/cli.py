@@ -34,17 +34,31 @@ from .simulate import SimConfig, simulate
 from .skg import avg_mp
 
 
+#: largest --config file read, in bytes
+MAX_CONFIG_BYTES = 1 << 20
+
+
+class ConfigError(ValueError):
+    """Malformed --config file: oversized, not UTF-8, a line that is not
+    ``key = value``, or a key that is no option of the subcommand."""
+
+
 def _config_tokens(path) -> list[str]:
-    """A flat ``key = value`` file as the tokens ``--key=value``, underscores
-    in keys read as dashes; the ``=`` form keeps a value such as -5 a value."""
+    """A flat ``key = value`` file of at most ``MAX_CONFIG_BYTES`` as the
+    tokens ``--key=value``, underscores in keys read as dashes; the ``=``
+    form keeps a value such as -5 a value."""
+    try:
+        text = pl.read_capped(path, MAX_CONFIG_BYTES, ConfigError).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not a UTF-8 file: {exc}") from exc
     tokens = []
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         key, sep, value = line.partition("=")
         if not sep or not key.strip():
-            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         tokens.append(f"--{key.strip().replace('_', '-')}={value.strip()}")
     return tokens
 
@@ -421,7 +435,7 @@ def main(argv=None) -> int:
             if args.config != "\0":
                 unknown.insert(0, "--config")
             if unknown:
-                raise ValueError(f"{path}: unknown key {unknown[0][2:].split('=', 1)[0]!r}")
+                raise ConfigError(f"{path}: unknown key {unknown[0][2:].split('=', 1)[0]!r}")
         args.func(args)
         return 0
     except Exception as exc:  # pragma: no cover - exercised via subcommand tests

@@ -167,13 +167,14 @@ class NodeGeometry:
         """Read-only (n, k) table: row i holds the k nodes closest to node i,
         self excluded, nearest first.
 
-        Distances are ``sqrt`` of :func:`squared_distances`;
-        a stable argsort of each row breaks equal distances by ascending node
-        index, so ``neighbors(k)[:, :j]`` equals ``neighbors(j)``. A k below
-        one already cached is served as that wider table's first k columns;
-        otherwise the table is built once per k, a block of rows at a time.
-        The same array is returned on every later call. Raises ValueError
-        unless 1 <= k < n.
+        Distances are ``sqrt`` of :func:`squared_distances`. Each row is
+        partitioned at its k-th distance, and only the candidates at or below
+        it are sorted, by distance and then ascending node index: the table
+        of a stable argsort of each full row, so ``neighbors(k)[:, :j]``
+        equals ``neighbors(j)``. A k below one already cached is served as
+        that wider table's first k columns; otherwise the table is built
+        once per k, a block of rows at a time. The same array is returned
+        on every later call. Raises ValueError unless 1 <= k < n.
         """
         if k < 1:
             raise ValueError("k must be >= 1")
@@ -190,8 +191,12 @@ class NodeGeometry:
                 for start in range(0, self.n, rows):
                     d2 = squared_distances(self.positions[start : start + rows], self.positions)
                     np.fill_diagonal(d2[:, start:], np.inf)  # self excluded: d2[r, start + r]
-                    order = np.argsort(np.sqrt(d2), axis=1, kind="stable")
-                    table[start : start + d2.shape[0]] = order[:, :k]
+                    dist = np.sqrt(d2, out=d2)
+                    # candidates: every node at or below the row's k-th distance, ties included
+                    row, col = np.nonzero(dist <= np.partition(dist, k - 1, axis=1)[:, k - 1 : k])
+                    order = np.lexsort((col, dist[row, col], row))
+                    first = np.searchsorted(row, np.arange(len(dist)))  # each row's first candidate
+                    table[start : start + len(dist)] = col[order][first[:, None] + np.arange(k)]
                 table.setflags(write=False)
             table = self._tables.setdefault(k, table)  # one object even when threads race
         return table

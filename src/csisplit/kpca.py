@@ -6,9 +6,9 @@ conjugates its second argument,
     K_ij = exp(-||h_i - conj(h_j)||^2 / (2 sigma^2)),
 
 which is symmetric for any complex input because norms are invariant
-under conjugation (||h_j - conj(h_i)|| = ||h_i - conj(h_j)||). The matrix
-is nevertheless symmetrized explicitly and the asymmetry norm reported; it
-reads 0.0 for both variants on the simulator's 4x4, 20x20 and 40x40 grids.
+under conjugation (||h_j - conj(h_i)|| = ||h_i - conj(h_j)||). Its cross
+term comes from one BLAS ?syrk on Re h and one on Im h, whose upper
+triangle is mirrored: the Gram is exactly symmetric by construction.
 A --kernel-variant switch selects the plain ||h_i - h_j|| kernel for
 comparison. For complex columns the conjugate kernel is not positive
 semi-definite: its centered Gram has negative eigenvalues (on a 4x4, m=16
@@ -19,14 +19,18 @@ sigma is dependence.median_bandwidth of the ||.||^2 and enters as 2 sigma^2;
 dependence's sigma^2 differs on purpose: one would move outputs. Columns
 that all coincide have no bandwidth, and the fit raises.
 
-The fit solves only for the top d_hat eigenpairs (LAPACK ?syevr on an
-index subset) and keeps the centered Gram's trace. Predictable components
-are rebuilt by kernel ridge regression from the projection scores (no
-iterative pre-image): one Cholesky factor of K_Y + gamma I, gamma a fit
-parameter, gives the ?pocon 1-norm condition estimate and the n x n ridge
-map (K_Y + gamma I)^-1 K_Y; the estimate is truncated toward zero to 6
-significant digits, as its last bits vary between runs on one LAPACK build.
-A decomposition is one product with that map; the unpredictable part is
+The fit solves only for the top d_hat eigenpairs, by implicitly restarted
+Lanczos (ARPACK's eigsh; Lehoucq, Sorensen & Yang, 1998) at machine
+precision; its start vector (uniform on [-1, 1]; not ones, which the
+centered Gram maps to 0) and its restarts draw from one fixed generator,
+so a fit repeats bit for bit. It keeps the centered Gram's trace.
+Predictable components are rebuilt by kernel ridge regression from the
+projection scores (no iterative pre-image): the kept upper Cholesky factor
+of K_Y + gamma I, gamma a fit parameter, gives the ?pocon 1-norm condition
+estimate, truncated toward zero to 6 significant digits as its last bits
+vary between runs on one LAPACK build. As (K_Y + gamma I)^-1 K_Y =
+I - gamma (K_Y + gamma I)^-1, a decomposition is H - gamma X^T, X the
+factor's solve on the 2m real columns of H^T; the unpredictable part is
 the exact residual (no tail-truncation denoising).
 """
 
@@ -56,7 +60,6 @@ _CONDITION_DIGITS = decimal.Context(prec=6, rounding=decimal.ROUND_DOWN)
 class GramMatrix:
     k: np.ndarray
     bandwidth_sigma: float
-    asymmetry_norm: float
 
     def __post_init__(self):
         arr = np.asarray(self.k, dtype=np.float64)
@@ -66,7 +69,6 @@ class GramMatrix:
 
 @dataclass(frozen=True)
 class KpcaDiagnostics:
-    asymmetry_norm: float
     bandwidth_sigma: float
     score_bandwidth: float
     gamma: float
@@ -78,21 +80,22 @@ class KpcaModel:
     alphas: np.ndarray  # (n, d_hat), column i = V_i / sqrt(lambda_i)
     eigenvalues: np.ndarray  # the d_hat retained, descending, of the (1/N)-scaled problem
     eigenvalue_sum: float  # trace of the (1/N)-scaled centered Gram: all n eigenvalues, negative ones too
-    ridge_map: np.ndarray  # (n, n) = (K_Y + gamma I)^-1 K_Y
+    factor: np.ndarray  # (n, n) upper Cholesky factor of K_Y + gamma I (as cho_factor leaves it)
     shape: tuple[int, int]  # (m, n) of the columns the model was fitted on
     diagnostics: KpcaDiagnostics
 
 
 def _pairwise_sq_dists(columns: np.ndarray, variant: str) -> np.ndarray:
-    """Squared distances between columns by the norm expansion, clipped at 0."""
+    """Exactly symmetric squared distances between columns by the norm expansion, clipped at 0."""
+    if variant not in KERNEL_VARIANTS:
+        raise ValueError(f"kernel variant must be one of {KERNEL_VARIANTS}")
+    from scipy.linalg.blas import dsyrk
     h = np.asarray(columns)
     norms = np.sum(np.abs(h) ** 2, axis=0).real
-    if variant == "conjugate":
-        cross = (h.T @ h).real  # Re(h_i . h_j) = <h_i, conj(h_j)>
-    elif variant == "standard":
-        cross = (h.conj().T @ h).real
-    else:
-        raise ValueError(f"kernel variant must be one of {KERNEL_VARIANTS}")
+    cross = dsyrk(1.0, h.real.T)  # upper triangle of Re^T Re, zeros below
+    if np.iscomplexobj(h):  # Re(h_i . h_j) = <h_i, conj(h_j)> for conjugate, Re<h_i, h_j> for standard
+        cross = dsyrk(-1.0 if variant == "conjugate" else 1.0, h.imag.T, beta=1.0, c=cross, overwrite_c=True)
+    cross += np.triu(cross, 1).T
     d2 = norms[:, None] + norms[None, :] - 2.0 * cross
     return np.maximum(d2, 0.0)
 
@@ -109,10 +112,7 @@ def gaussian_gram(columns: np.ndarray, sigma: float | None = None, variant: str 
             raise ValueError("degenerate bandwidth: every column coincides")
     if not (math.isfinite(sigma) and sigma > 0):
         raise ValueError(f"sigma must be finite and positive, got {sigma}")
-    k = np.exp(-d2 / (2.0 * sigma * sigma))
-    asym = float(np.linalg.norm(k - k.T))
-    k = 0.5 * (k + k.T)
-    return GramMatrix(k=k, bandwidth_sigma=float(sigma), asymmetry_norm=asym)
+    return GramMatrix(k=np.exp(-d2 / (2.0 * sigma * sigma)), bandwidth_sigma=float(sigma))
 
 
 def center_gram(k: np.ndarray) -> np.ndarray:
@@ -129,20 +129,21 @@ def fit_kpca(
     csi: CsiMatrix, d_hat: int, sigma: float | None = None, variant: str = "conjugate", gamma: float | None = None
 ) -> KpcaModel:
     """Solve the centered-Gram eigenproblem K~ a = N lambda a, retain the
-    top d_hat components as scaled eigenvectors, and fit the ridge map of
-    :func:`decompose_kpca` on the training columns' projection scores."""
+    top d_hat components as scaled eigenvectors, and factor the ridge system
+    of :func:`decompose_kpca` on the training columns' projection scores."""
     h = csi.data
     n = h.shape[1]
     if not 1 <= d_hat <= n - 1:
         raise ValueError(f"d_hat must lie in [1, {n - 1}]")
     if gamma is not None and not (math.isfinite(gamma) and gamma > 0):
         raise ValueError(f"ridge gamma must be finite and positive, got {gamma}")
-    from scipy import linalg  # imported here: no other command should pay its import time
+    from scipy.sparse.linalg import eigsh  # imported here: no other command should pay its import time
     gram = gaussian_gram(h, sigma=sigma, variant=variant)
     centered = center_gram(gram.k)
-    bandwidth, asymmetry = gram.bandwidth_sigma, gram.asymmetry_norm
+    bandwidth = gram.bandwidth_sigma
     del gram
-    evals, evecs = linalg.eigh(centered, subset_by_index=[n - d_hat, n - 1], driver="evr")
+    rng = np.random.default_rng(0)  # the start vector and every restart: a fit repeats bit for bit
+    evals, evecs = eigsh(centered, k=d_hat, which="LA", tol=0, v0=rng.uniform(-1.0, 1.0, n), rng=rng)
     lambdas = np.clip(evals[::-1] / n, 0.0, None)
     rank = int(np.sum(lambdas > EIGENVALUE_FLOOR))  # min(d_hat, rank): the rest are below the floor
     if d_hat > rank:
@@ -152,15 +153,14 @@ def fit_kpca(
     scores = alphas.T @ centered
     eigenvalue_sum = float(np.trace(centered)) / n
     del centered  # the n x n centered Gram goes before the ridge allocates its own
-    ridge_map, score_sigma, gamma, condition = _ridge_map(scores, gamma)
+    factor, score_sigma, gamma, condition = _ridge_factor(scores, gamma)
     return KpcaModel(
         alphas=alphas,
         eigenvalues=lambdas[:d_hat],
         eigenvalue_sum=eigenvalue_sum,
-        ridge_map=ridge_map,
+        factor=factor,
         shape=h.shape,
         diagnostics=KpcaDiagnostics(
-            asymmetry_norm=asymmetry,
             bandwidth_sigma=bandwidth,
             score_bandwidth=score_sigma,
             gamma=gamma,
@@ -174,22 +174,21 @@ def default_gamma(k_scores: np.ndarray) -> float:
     return 1e-3 * float(np.trace(k_scores)) / k_scores.shape[0]
 
 
-def _ridge_map(y: np.ndarray, gamma: float | None) -> tuple[np.ndarray, float, float, float]:
-    """(K_Y + gamma I)^-1 K_Y, where K_Y is the real Gaussian Gram over the
-    score columns y (its own median bandwidth), solved with one Cholesky
-    factor, never by explicit inverse; also the score bandwidth, gamma and
-    the ?pocon 1-norm condition estimate of K_Y + gamma I from that factor."""
+def _ridge_factor(y: np.ndarray, gamma: float | None) -> tuple[np.ndarray, float, float, float]:
+    """The upper Cholesky factor of K_Y + gamma I, where K_Y is the real
+    Gaussian Gram over the score columns y (its own median bandwidth), as
+    ``cho_factor`` leaves it; also the score bandwidth, gamma and the ?pocon
+    1-norm condition estimate of K_Y + gamma I from that factor."""
     from scipy import linalg
     d2 = _pairwise_sq_dists(y, "standard")
     score_sigma = median_bandwidth(d2)
     if math.isnan(score_sigma):
         raise ValueError("degenerate bandwidth: every projection score coincides")
-    k_scores = np.exp(-d2 / (2.0 * score_sigma * score_sigma))
+    regularized = np.exp(-d2 / (2.0 * score_sigma * score_sigma))
     del d2
     if gamma is None:
-        gamma = default_gamma(k_scores)
-    regularized = k_scores.copy()
-    regularized.flat[:: k_scores.shape[0] + 1] += gamma
+        gamma = default_gamma(regularized)
+    regularized.flat[:: regularized.shape[0] + 1] += gamma
     norm = np.linalg.norm(regularized, 1)
     try:
         factor = linalg.cho_factor(regularized.T, overwrite_a=True)  # .T is F-ordered: factored in place
@@ -199,17 +198,19 @@ def _ridge_map(y: np.ndarray, gamma: float | None) -> tuple[np.ndarray, float, f
     condition = float(_CONDITION_DIGITS.create_decimal(1.0 / rcond)) if rcond > 0 else math.inf
     if condition > 1e12:
         warnings.warn(f"ill-conditioned ridge system (condition ~ {condition:.3g})", RuntimeWarning)
-    ridge_map = linalg.cho_solve(factor, k_scores)
-    return ridge_map, score_sigma, float(gamma), condition
+    return factor[0], score_sigma, float(gamma), condition
 
 
 def decompose_kpca(model: KpcaModel, csi: CsiMatrix) -> tuple[CsiMatrix, CsiMatrix]:
-    """Predictable part H_hat = H (K_Y + gamma I)^-1 K_Y with the fitted
-    ridge map, plus the exact residual H - H_hat."""
+    """Predictable part H_hat = H (K_Y + gamma I)^-1 K_Y = H - gamma X^T, X the
+    fitted factor's solve on [Re H^T | Im H^T], plus the exact residual H - H_hat."""
+    from scipy import linalg
     h = csi.data
     if h.shape != model.shape:
         raise ValueError("matrix shape differs from the fitted columns")
-    predictable = h @ model.ridge_map
+    m = h.shape[0]
+    x = linalg.cho_solve((model.factor, False), np.hstack([h.real.T, h.imag.T]))
+    predictable = h - model.diagnostics.gamma * (x[:, :m] + 1j * x[:, m:]).T
     return (
         CsiMatrix(predictable, direction=csi.direction, snr_db=csi.snr_db),
         CsiMatrix(h - predictable, direction=csi.direction, snr_db=csi.snr_db),

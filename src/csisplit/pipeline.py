@@ -14,6 +14,7 @@ import csv
 import dataclasses
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -115,19 +116,45 @@ class PipelineConfig:
             raise ValueError(f"ae_loss_mu must be finite and above 0.5 for method ae2, got {self.ae_loss_mu}")
 
 
+#: largest geometry file read, in bytes: 64 MiB, over a million nodes in 3-D
+MAX_GEOMETRY_BYTES = 1 << 26
+
+
+class GeometryError(ValueError):
+    """Malformed geometry file: oversized, not UTF-8 JSON, or no valid
+    geometry."""
+
+
+def read_capped(path, limit: int, error: type[ValueError]) -> bytes:
+    """The bytes of a file of at most ``limit`` bytes. Its size is checked
+    with ``os.fstat`` before anything is read, and the read itself stops
+    past ``limit``; a larger file raises ``error``."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size > limit:
+            raise error(f"{path}: {size} bytes, more than the {limit}-byte limit")
+        raw = fh.read(limit + 1)
+    if len(raw) > limit:  # the file grew after fstat
+        raise error(f"{path}: more than the {limit}-byte limit")
+    return raw
+
+
 def geometry_to_dict(geom: NodeGeometry) -> dict:
     return {"positions": geom.positions.tolist(), "k": geom.k}
 
 
 def geometry_from_dict(obj: dict) -> NodeGeometry:
-    """Inverse of :func:`geometry_to_dict`; a ValueError names the bad key."""
+    """Inverse of :func:`geometry_to_dict`; a GeometryError names the bad key."""
     if not isinstance(obj, dict) or "positions" not in obj:
-        raise ValueError("geometry must be a JSON object with a 'positions' key")
+        raise GeometryError("geometry must be a JSON object with a 'positions' key")
     try:
         positions = np.asarray(obj["positions"], dtype=np.float64)
     except (TypeError, ValueError) as exc:
-        raise ValueError(f"geometry 'positions' is not a numeric matrix: {exc}") from exc
-    return NodeGeometry(positions=positions, k=obj.get("k", 8))
+        raise GeometryError(f"geometry 'positions' is not a numeric matrix: {exc}") from exc
+    try:
+        return NodeGeometry(positions=positions, k=obj.get("k", 8))
+    except ValueError as exc:
+        raise GeometryError(str(exc)) from exc
 
 
 def write_geometry(geom: NodeGeometry, path) -> None:
@@ -135,12 +162,13 @@ def write_geometry(geom: NodeGeometry, path) -> None:
 
 
 def read_geometry(path) -> NodeGeometry:
-    """The geometry of a JSON file; a file that is not UTF-8 JSON raises a
-    ValueError naming it."""
+    """The geometry of a JSON file of at most ``MAX_GEOMETRY_BYTES``; a bad
+    file raises a GeometryError, one that is not UTF-8 JSON naming it."""
+    raw = read_capped(path, MAX_GEOMETRY_BYTES, GeometryError)
     try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+        obj = json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ValueError(f"{path}: not a UTF-8 JSON geometry file: {exc}") from exc
+        raise GeometryError(f"{path}: not a UTF-8 JSON geometry file: {exc}") from exc
     return geometry_from_dict(obj)
 
 

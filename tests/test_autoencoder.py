@@ -5,6 +5,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -204,6 +205,31 @@ def test_gradient_equals_the_per_layer_backprop(small_view):
     assert value == want_value
     for (gw, gb), (ww, wb) in zip(autoencoder._layer_views(spec, grad), want):
         assert np.array_equal(gw, ww) and np.array_equal(gb, wb)
+
+
+def test_forward_equals_the_cached_pass(small_view):
+    view, _ = small_view
+    spec = default_mlp_spec(view.shape[0], 2)
+    params = init_params(spec, np.random.default_rng(5))
+    y, code = forward(spec, params, view)
+    a, _ = autoencoder._forward_cache(spec, autoencoder._layer_views(spec, params), view)
+    assert np.array_equal(y, a[-1]) and np.array_equal(code, a[spec.bottleneck])
+
+
+def test_forward_holds_only_the_running_activation():
+    # a pair-width input (m=64) over 4,000 columns: every layer's input and
+    # pre-activation together come to about 4.7 times the input's bytes; the
+    # bound of twice them is fixed in advance
+    spec = default_mlp_spec(256, 2)
+    params = init_params(spec, np.random.default_rng(6))
+    x = np.random.default_rng(7).standard_normal((256, 4000))
+    tracemalloc.start()
+    try:
+        forward(spec, params, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * x.nbytes
 
 
 # ---------------------------------------------------------------------------

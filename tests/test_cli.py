@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -136,6 +137,35 @@ def _config(tmp_path, text: str) -> str:
     path = tmp_path / "run.conf"
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+@pytest.mark.parametrize(
+    "raw, match",
+    [
+        (b"component phase\n", "expected 'key = value'"),
+        (b" = 5\n", "expected 'key = value'"),
+        (b"component = \xff\n", "not a UTF-8 file"),
+    ],
+)
+def test_bad_config_file_raises_a_config_error(tmp_path, raw, match):
+    path = tmp_path / "run.conf"
+    path.write_bytes(raw)
+    with pytest.raises(cli.ConfigError, match=match) as excinfo:
+        cli._config_tokens(path)
+    assert isinstance(excinfo.value, ValueError)
+
+
+def test_oversized_config_file_is_refused_without_being_read(tmp_path):
+    path = Path(_config(tmp_path, "component = phase\n"))
+    os.truncate(path, cli.MAX_CONFIG_BYTES + 1)  # sparse: no disk blocks
+    tracemalloc.start()
+    try:
+        with pytest.raises(cli.ConfigError, match=f"more than the {cli.MAX_CONFIG_BYTES}-byte limit"):
+            cli._config_tokens(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**18  # reading the file would allocate its 1 MiB
 
 
 def test_config_line_without_a_key_names_file_and_line(dataset, tmp_path, capsys):

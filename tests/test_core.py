@@ -194,6 +194,31 @@ def test_neighbor_table_matches_per_node_query(positions):
         assert np.array_equal(geom.neighbors(k), _per_node_neighbors(geom.positions, k))
 
 
+def _stable_argsort_table(positions, k):
+    """The table partial selection replaced: sqrt of the full squared
+    distances, self at infinity, a stable argsort of every row."""
+    dist = np.sqrt(core.squared_distances(positions, positions))
+    np.fill_diagonal(dist, np.inf)
+    return np.argsort(dist, axis=1, kind="stable")[:, :k]
+
+
+@pytest.mark.parametrize(
+    "positions",
+    [
+        grid_positions(SimConfig(grid_shape=(20, 20))),
+        grid_positions(SimConfig(grid_shape=(40, 40))),
+        np.random.default_rng(6).uniform(-50.0, 50.0, size=(900, 3)),
+        np.array([(x, y) for x in range(-6, 7) for y in range(-6, 7)], dtype=np.float64),  # rings of equal distances
+    ],
+    ids=["grid20", "grid40", "random3d", "lattice"],
+)
+@pytest.mark.parametrize("k", [1, 8, 30])
+def test_neighbor_table_equals_the_stable_argsort_of_every_row(positions, k):
+    table = NodeGeometry(positions=positions).neighbors(k)
+    assert table.dtype == np.intp
+    assert np.array_equal(table, _stable_argsort_table(positions, k))
+
+
 def test_neighbor_table_is_cached_read_only_and_nested():
     geom = NodeGeometry(positions=grid_positions(SimConfig(grid_shape=(6, 7))))
     table = geom.neighbors(8)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -50,10 +51,10 @@ def test_gram_matches_brute_force_oracle():
         assert np.max(np.abs(gram.k - expected)) <= 1e-12
 
 
-def test_gram_is_symmetric_with_zero_asymmetry():
+@pytest.mark.parametrize("variant", kpca.KERNEL_VARIANTS)
+def test_gram_is_exactly_symmetric(variant):
     rng = np.random.default_rng(1)
-    gram = gaussian_gram(_random_columns(rng))
-    assert gram.asymmetry_norm <= 1e-14
+    gram = gaussian_gram(_random_columns(rng, m=7, n=40), variant=variant)
     assert np.array_equal(gram.k, gram.k.T)
 
 
@@ -148,6 +149,49 @@ def test_fit_top_pairs_match_the_full_eigendecomposition(d_hat):
     assert np.max(np.abs(model.alphas * np.sqrt(model.eigenvalues) - vectors)) <= tol
     # the trace: every eigenvalue, negative ones of the indefinite conjugate kernel too
     assert model.eigenvalue_sum == pytest.approx(lam.sum(), rel=1e-12)
+
+
+@pytest.mark.parametrize("variant", kpca.KERNEL_VARIANTS)
+def test_fit_of_every_top_pair_matches_the_full_eigendecomposition(variant):
+    # d_hat = n - 1, the widest the Lanczos solver takes; the conjugate
+    # kernel's negative eigenvalues are clipped, so its fit truncates
+    cols = _random_columns(np.random.default_rng(20), m=6, n=16)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "d_hat=15 exceeds numerical rank", RuntimeWarning)
+        model = fit_kpca(CsiMatrix(cols), d_hat=15, variant=variant)
+    evals, evecs = np.linalg.eigh(center_gram(gaussian_gram(cols, variant=variant).k))
+    lam = evals[::-1] / 16
+    d_hat = len(model.eigenvalues)
+    assert d_hat == (15 if variant == "standard" else int(np.sum(lam > kpca.EIGENVALUE_FLOOR)))
+    vectors = _fix_signs(evecs[:, ::-1][:, :d_hat].T).T
+    tol = 1e-12 * lam[0]
+    assert np.max(np.abs(model.eigenvalues - lam[:d_hat])) <= tol
+    assert np.max(np.abs(model.alphas * np.sqrt(model.eigenvalues) - vectors)) <= tol
+
+
+def test_fit_of_a_repeated_top_eigenvalue_matches_the_full_eigendecomposition():
+    # 12 points evenly spaced on a circle: a circulant Gram, whose top
+    # eigenvalue after centring is double; its eigenvectors are fixed only
+    # up to a rotation, so the retained span is compared as a projector
+    n = 12
+    cols = np.exp(2j * np.pi * np.arange(n) / n)[None, :]
+    model = fit_kpca(CsiMatrix(cols), d_hat=2, variant="standard")
+    evals, evecs = np.linalg.eigh(center_gram(gaussian_gram(cols, variant="standard").k))
+    lam = evals[::-1] / n
+    tol = 1e-12 * lam[0]
+    assert lam[0] - lam[1] <= tol < lam[1] - lam[2]
+    assert np.max(np.abs(model.eigenvalues - lam[:2])) <= tol
+    vectors = model.alphas * np.sqrt(model.eigenvalues)
+    assert np.max(np.abs(vectors @ vectors.T - evecs[:, -2:] @ evecs[:, -2:].T)) <= tol
+
+
+def test_two_fits_in_one_process_are_identical():
+    csi = CsiMatrix(_random_columns(np.random.default_rng(21), m=6, n=300))
+    first, second = fit_kpca(csi, d_hat=3), fit_kpca(csi, d_hat=3)
+    for name in ("alphas", "eigenvalues", "factor"):
+        assert np.array_equal(getattr(first, name), getattr(second, name)), name
+    assert first.diagnostics == second.diagnostics
+    assert np.array_equal(decompose_kpca(first, csi)[0].data, decompose_kpca(second, csi)[0].data)
 
 
 def test_fit_eigen_identity_holds():
@@ -273,26 +317,29 @@ def test_shape_mismatch_rejected():
         decompose_kpca(model, other)
 
 
-def test_decompose_reuses_the_fitted_ridge_map(monkeypatch):
+def test_decompose_solves_with_the_fitted_factor(monkeypatch):
     rng = np.random.default_rng(15)
     csi = CsiMatrix(_random_columns(rng, m=5, n=9))
     other = CsiMatrix(_random_columns(rng, m=5, n=9))
     model = fit_kpca(csi, d_hat=2)
+    h = other.data
+    x = scipy.linalg.cho_solve((model.factor, False), np.hstack([h.real.T, h.imag.T]))
+    want = h - model.diagnostics.gamma * (x[:, :5] + 1j * x[:, 5:]).T
 
     def forbidden(*args, **kwargs):
         raise AssertionError("decompose_kpca must not factorize")
 
     for name in ("eigh", "eigvalsh", "solve"):
         monkeypatch.setattr(np.linalg, name, forbidden)
-    for name in ("eigh", "solve", "cho_factor", "cho_solve"):
+    for name in ("eigh", "solve", "cho_factor"):
         monkeypatch.setattr(scipy.linalg, name, forbidden)
     pred, resid = decompose_kpca(model, other)
-    assert np.array_equal(pred.data, other.data @ model.ridge_map)
+    assert np.array_equal(pred.data, want)
     assert np.array_equal(resid.data, other.data - pred.data)
 
 
 def _ridge_system(y, gamma):
-    """K_Y + gamma I and K_Y as :func:`kpca._ridge_map` builds them."""
+    """K_Y + gamma I and K_Y as :func:`kpca._ridge_factor` builds them."""
     sq = np.sum(y * y, axis=0)
     d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (y.T @ y), 0.0)
     sigma = median_bandwidth(d2)
@@ -301,14 +348,20 @@ def _ridge_system(y, gamma):
 
 
 @pytest.mark.parametrize("n, d_hat", [(16, 1), (200, 3)])
-def test_ridge_map_equals_the_spd_solve_and_bounds_the_condition(n, d_hat):
-    y = np.random.default_rng(17).standard_normal((d_hat, n))
-    ridge_map, _, gamma, condition = kpca._ridge_map(y, None)
-    regularized, k_scores = _ridge_system(y, gamma)
-    assert np.array_equal(ridge_map, scipy.linalg.solve(regularized, k_scores, assume_a="pos"))
+def test_split_matches_the_spd_solve_map_and_bounds_the_condition(n, d_hat):
+    rng = np.random.default_rng(17)
+    csi = CsiMatrix(_random_columns(rng, m=6, n=n))
+    model = fit_kpca(csi, d_hat=d_hat)
+    scores = model.alphas.T @ center_gram(gaussian_gram(csi.data).k)
+    regularized, k_scores = _ridge_system(scores, model.diagnostics.gamma)
+    # the map the split replaced: H (K_Y + gamma I)^-1 K_Y; 1e-9 relative
+    # is a tolerance fixed in advance
+    former = csi.data @ scipy.linalg.solve(regularized, k_scores, assume_a="pos")
+    pred, _ = decompose_kpca(model, csi)
+    assert np.max(np.abs(pred.data - former)) <= 1e-9 * np.max(np.abs(former))
     # ?pocon underestimates ||A^-1||_1, never over; 0.1 is a bound fixed in advance
     exact = np.linalg.cond(regularized, 1)
-    assert 0.1 * exact <= condition <= exact * (1.0 + 1e-9)
+    assert 0.1 * exact <= model.diagnostics.condition_estimate <= exact * (1.0 + 1e-9)
 
 
 def test_condition_estimate_ignores_the_last_bits_of_rcond(monkeypatch):
@@ -323,7 +376,7 @@ def test_condition_estimate_ignores_the_last_bits_of_rcond(monkeypatch):
             return rcond if ulps == 0 else np.nextafter(rcond, ulps * np.inf), info
 
         monkeypatch.setattr(scipy.linalg.lapack, "dpocon", shifted)
-        estimates.append(kpca._ridge_map(y, None)[3])
+        estimates.append(kpca._ridge_factor(y, None)[3])
     assert estimates[0] == estimates[1] == estimates[2]
     assert float(f"{estimates[0]:.5e}") == estimates[0]
 

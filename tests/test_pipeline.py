@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -82,10 +84,10 @@ def test_simulated_run_rejects_a_seed_that_differs_from_the_simulators():
         ('{"positions": [[0, 0], [1, 0]], "k": "8"}', "'k'"),
     ],
 )
-def test_bad_geometry_file_raises_a_value_error_naming_the_key(tmp_path, text, match):
+def test_bad_geometry_file_raises_a_geometry_error_naming_the_key(tmp_path, text, match):
     path = tmp_path / "geometry.json"
     path.write_text(text, encoding="utf-8")
-    with pytest.raises(ValueError, match=match):
+    with pytest.raises(pipeline.GeometryError, match=match):
         pipeline.read_geometry(path)
 
 
@@ -94,12 +96,26 @@ def test_bad_geometry_file_raises_a_value_error_naming_the_key(tmp_path, text, m
     [b'{"positions": [[0, 0], [1, 0]], "k": "\xff"}', b'{"positions": [[0, 0], [1, 0]'],
     ids=["not-utf8", "malformed-json"],
 )
-def test_geometry_file_that_is_not_utf8_json_raises_a_value_error_naming_it(tmp_path, raw):
+def test_geometry_file_that_is_not_utf8_json_raises_a_geometry_error_naming_it(tmp_path, raw):
     path = tmp_path / "geometry.json"
     path.write_bytes(raw)
-    with pytest.raises(ValueError, match="geometry.json: not a UTF-8 JSON geometry file") as excinfo:
+    with pytest.raises(pipeline.GeometryError, match="geometry.json: not a UTF-8 JSON geometry file") as excinfo:
         pipeline.read_geometry(path)
-    assert type(excinfo.value) is ValueError
+    assert isinstance(excinfo.value, ValueError)
+
+
+def test_oversized_geometry_file_is_refused_without_being_read(tmp_path):
+    path = tmp_path / "geometry.json"
+    path.write_text('{"positions": [[0, 0], [1, 0]]}', encoding="utf-8")
+    os.truncate(path, pipeline.MAX_GEOMETRY_BYTES + 1)  # sparse: no disk blocks
+    tracemalloc.start()
+    try:
+        with pytest.raises(pipeline.GeometryError, match=f"more than the {pipeline.MAX_GEOMETRY_BYTES}-byte limit"):
+            pipeline.read_geometry(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # reading the file would allocate its 64 MiB
 
 
 def _stage_of(call) -> str:
