@@ -23,9 +23,11 @@ The fit solves only for the top d_hat eigenpairs, by implicitly restarted
 Lanczos (ARPACK's eigsh; Lehoucq, Sorensen & Yang, 1998) at machine
 precision; its start vector (uniform on [-1, 1]; not ones, which the
 centered Gram maps to 0) and its restarts draw from one fixed generator,
-so a fit repeats bit for bit. It keeps the centered Gram's trace.
+so a fit repeats bit for bit. The centered Gram is exactly symmetric, so
+Lanczos, reading both triangles, sees the matrix a dense solver reads from
+one. It keeps the centered Gram's trace.
 Predictable components are rebuilt by kernel ridge regression from the
-projection scores (no iterative pre-image): the kept upper Cholesky factor
+projection scores (no iterative pre-image): the kept Cholesky factor
 of K_Y + gamma I, gamma a fit parameter, gives the ?pocon 1-norm condition
 estimate, truncated toward zero to 6 significant digits as its last bits
 vary between runs on one LAPACK build. As (K_Y + gamma I)^-1 K_Y =
@@ -80,7 +82,7 @@ class KpcaModel:
     alphas: np.ndarray  # (n, d_hat), column i = V_i / sqrt(lambda_i)
     eigenvalues: np.ndarray  # the d_hat retained, descending, of the (1/N)-scaled problem
     eigenvalue_sum: float  # trace of the (1/N)-scaled centered Gram: all n eigenvalues, negative ones too
-    factor: np.ndarray  # (n, n) upper Cholesky factor of K_Y + gamma I (as cho_factor leaves it)
+    factor: tuple[np.ndarray, bool]  # cho_factor's (c, lower) of K_Y + gamma I
     shape: tuple[int, int]  # (m, n) of the columns the model was fitted on
     diagnostics: KpcaDiagnostics
 
@@ -116,13 +118,13 @@ def gaussian_gram(columns: np.ndarray, sigma: float | None = None, variant: str 
 
 
 def center_gram(k: np.ndarray) -> np.ndarray:
-    """K - (1/N) 1K - (1/N) K1 + (1/N^2) 1K1; zero row/column sums after."""
+    """K - (1/N) 1K - (1/N) K1 + (1/N^2) 1K1 of a symmetric K, its one vector
+    of means in one symmetric sum: exactly symmetric, zero row/column sums."""
     k = np.asarray(k, dtype=np.float64)
     if k.ndim != 2 or k.shape[0] != k.shape[1]:
         raise ValueError("Gram matrix must be square")
-    row = k.mean(axis=0, keepdims=True)
-    col = k.mean(axis=1, keepdims=True)
-    return k - row - col + k.mean()
+    means = k.mean(axis=0)
+    return k - (means[:, None] + means[None, :]) + k.mean()
 
 
 def fit_kpca(
@@ -174,11 +176,11 @@ def default_gamma(k_scores: np.ndarray) -> float:
     return 1e-3 * float(np.trace(k_scores)) / k_scores.shape[0]
 
 
-def _ridge_factor(y: np.ndarray, gamma: float | None) -> tuple[np.ndarray, float, float, float]:
-    """The upper Cholesky factor of K_Y + gamma I, where K_Y is the real
-    Gaussian Gram over the score columns y (its own median bandwidth), as
-    ``cho_factor`` leaves it; also the score bandwidth, gamma and the ?pocon
-    1-norm condition estimate of K_Y + gamma I from that factor."""
+def _ridge_factor(y: np.ndarray, gamma: float | None) -> tuple[tuple[np.ndarray, bool], float, float, float]:
+    """``cho_factor``'s (c, lower) of K_Y + gamma I, where K_Y is the real
+    Gaussian Gram over the score columns y (its own median bandwidth); also
+    the score bandwidth, gamma and the ?pocon 1-norm condition estimate of
+    K_Y + gamma I from that factor."""
     from scipy import linalg
     d2 = _pairwise_sq_dists(y, "standard")
     score_sigma = median_bandwidth(d2)
@@ -194,11 +196,11 @@ def _ridge_factor(y: np.ndarray, gamma: float | None) -> tuple[np.ndarray, float
         factor = linalg.cho_factor(regularized.T, overwrite_a=True)  # .T is F-ordered: factored in place
     except linalg.LinAlgError:
         raise ValueError(f"ridge gamma={gamma:.3g} is too small: the score Gram is singular") from None
-    rcond, _ = linalg.lapack.dpocon(factor[0], norm)  # cho_factor's default upper factor
+    rcond, _ = linalg.lapack.dpocon(factor[0], norm, uplo="L" if factor[1] else "U")
     condition = float(_CONDITION_DIGITS.create_decimal(1.0 / rcond)) if rcond > 0 else math.inf
     if condition > 1e12:
         warnings.warn(f"ill-conditioned ridge system (condition ~ {condition:.3g})", RuntimeWarning)
-    return factor[0], score_sigma, float(gamma), condition
+    return factor, score_sigma, float(gamma), condition
 
 
 def decompose_kpca(model: KpcaModel, csi: CsiMatrix) -> tuple[CsiMatrix, CsiMatrix]:
@@ -209,7 +211,7 @@ def decompose_kpca(model: KpcaModel, csi: CsiMatrix) -> tuple[CsiMatrix, CsiMatr
     if h.shape != model.shape:
         raise ValueError("matrix shape differs from the fitted columns")
     m = h.shape[0]
-    x = linalg.cho_solve((model.factor, False), np.hstack([h.real.T, h.imag.T]))
+    x = linalg.cho_solve(model.factor, np.hstack([h.real.T, h.imag.T]))
     predictable = h - model.diagnostics.gamma * (x[:, :m] + 1j * x[:, m:]).T
     return (
         CsiMatrix(predictable, direction=csi.direction, snr_db=csi.snr_db),

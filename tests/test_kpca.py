@@ -56,6 +56,8 @@ def test_gram_is_exactly_symmetric(variant):
     rng = np.random.default_rng(1)
     gram = gaussian_gram(_random_columns(rng, m=7, n=40), variant=variant)
     assert np.array_equal(gram.k, gram.k.T)
+    centered = center_gram(gram.k)
+    assert np.array_equal(centered, centered.T)
 
 
 def test_gram_median_bandwidth_matches_oracle():
@@ -188,8 +190,9 @@ def test_fit_of_a_repeated_top_eigenvalue_matches_the_full_eigendecomposition():
 def test_two_fits_in_one_process_are_identical():
     csi = CsiMatrix(_random_columns(np.random.default_rng(21), m=6, n=300))
     first, second = fit_kpca(csi, d_hat=3), fit_kpca(csi, d_hat=3)
-    for name in ("alphas", "eigenvalues", "factor"):
+    for name in ("alphas", "eigenvalues"):
         assert np.array_equal(getattr(first, name), getattr(second, name)), name
+    assert np.array_equal(first.factor[0], second.factor[0]) and first.factor[1] == second.factor[1]
     assert first.diagnostics == second.diagnostics
     assert np.array_equal(decompose_kpca(first, csi)[0].data, decompose_kpca(second, csi)[0].data)
 
@@ -216,6 +219,38 @@ def test_fit_low_rank_line_concentrates_mass():
     lam = np.clip(_full_spectrum(cols, sigma=50.0), 0.0, None)
     assert model.eigenvalues == pytest.approx(lam[:1], rel=1e-12)
     assert lam[0] / lam.sum() >= 0.99
+
+
+def _low_rank_line(n):
+    rng = np.random.default_rng(6)
+    direction = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    return np.outer(direction, np.linspace(0.0, 0.02, n)) + direction[:, None]
+
+
+def _repeated_columns(n):
+    return np.repeat(_random_columns(np.random.default_rng(22), m=2, n=3), n // 3, axis=1)
+
+
+@pytest.mark.parametrize(
+    "columns, sigma, variant, rank",
+    [(_low_rank_line(200), 50.0, "conjugate", 1), (_repeated_columns(300), None, "standard", 2)],
+    ids=["line-200", "repeated-300"],
+)
+def test_fit_past_the_numerical_rank_truncates_at_an_iterating_size(columns, sigma, variant, rank):
+    # n >= 200 against eigsh's 20 Lanczos vectors for d_hat=5: the Krylov
+    # space is not the whole space, and the pairs past the rank have Ritz
+    # values near zero, where tol=0 asks for the most of the iteration; the
+    # standard kernel's Gram of 3 distinct columns has an exact null space
+    n = columns.shape[1]
+    with pytest.warns(RuntimeWarning, match=f"d_hat=5 exceeds numerical rank {rank}; truncating"):
+        model = fit_kpca(CsiMatrix(columns), d_hat=5, sigma=sigma, variant=variant)
+    evals, evecs = np.linalg.eigh(center_gram(gaussian_gram(columns, sigma=sigma, variant=variant).k))
+    lam = evals[::-1] / n
+    vectors = _fix_signs(evecs[:, ::-1][:, :rank].T).T
+    assert model.eigenvalues.shape == (rank,)
+    assert np.max(np.abs(model.eigenvalues - lam[:rank])) <= 1e-12 * lam[0]
+    # the line's lambda_0 is 7e-8: the unit eigenvectors take 1e-12 itself
+    assert np.max(np.abs(model.alphas * np.sqrt(model.eigenvalues) - vectors)) <= 1e-12
 
 
 def test_fit_truncates_beyond_numerical_rank():
@@ -323,7 +358,7 @@ def test_decompose_solves_with_the_fitted_factor(monkeypatch):
     other = CsiMatrix(_random_columns(rng, m=5, n=9))
     model = fit_kpca(csi, d_hat=2)
     h = other.data
-    x = scipy.linalg.cho_solve((model.factor, False), np.hstack([h.real.T, h.imag.T]))
+    x = scipy.linalg.cho_solve(model.factor, np.hstack([h.real.T, h.imag.T]))
     want = h - model.diagnostics.gamma * (x[:, :5] + 1j * x[:, 5:]).T
 
     def forbidden(*args, **kwargs):
@@ -371,8 +406,8 @@ def test_condition_estimate_ignores_the_last_bits_of_rcond(monkeypatch):
     real = scipy.linalg.lapack.dpocon
     estimates = []
     for ulps in (0, 1, -1):
-        def shifted(factor, norm, ulps=ulps):
-            rcond, info = real(factor, norm)
+        def shifted(factor, norm, ulps=ulps, **triangle):
+            rcond, info = real(factor, norm, **triangle)
             return rcond if ulps == 0 else np.nextafter(rcond, ulps * np.inf), info
 
         monkeypatch.setattr(scipy.linalg.lapack, "dpocon", shifted)
