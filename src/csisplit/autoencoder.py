@@ -306,7 +306,8 @@ def decompose_ae(model: TrainedModel, view: np.ndarray) -> Decomposition:
 def build_pair_dataset(view: np.ndarray, geom: NodeGeometry, k: int = 8) -> np.ndarray:
     """Stack (node, neighbor) column pairs for the dot-product model: one
     sample per edge, width = 2 x per-node width. Column i * k + r pairs node
-    i with its rank-r neighbor, in the order of ``core.neighbor_pairs``."""
+    i with its rank-r neighbor ``geom.neighbors(k)[i, r]``: node-major,
+    neighbors nearest first."""
     view = np.asarray(view, dtype=np.float64)
     if view.ndim != 2 or view.shape[1] != geom.n:
         raise ValueError(f"view must have one column per node ({geom.n}), got shape {view.shape}")

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__, pipeline as pl
 from .autoencoder import TrainConfig, build_pair_dataset, default_mlp_spec, read_weights, train, write_weights
-from .core import from_real_view, read_csi_file, to_real_view, write_csi_file
+from .core import Decomposition, from_real_view, read_csi_file, to_real_view, write_csi_file
 from .dependence import dhsic_test
 from .kpca import KERNEL_VARIANTS
 from .pca import fit_pca, sweep
@@ -132,14 +132,14 @@ def cmd_simulate(args) -> None:
     print(json.dumps(paths, sort_keys=True, indent=2))
 
 
-def _write_split(args, csi, parts, predictable_path=None, unpredictable_path=None) -> dict[str, str]:
-    """Write the (predictable, unpredictable) real views of a CSI file's split
-    as CSI files with the input's direction and SNR; returns their paths."""
+def _write_split(args, csi, split: Decomposition, predictable_path=None, unpredictable_path=None) -> dict[str, str]:
+    """Write the two real views of a CSI file's split as CSI files with the
+    input's direction and SNR; returns their paths."""
     paths = {
         "predictable": str(_out(args, "predictable.csi", predictable_path)),
         "unpredictable": str(_out(args, "unpredictable.csi", unpredictable_path)),
     }
-    for part, path in zip(parts, paths.values()):
+    for part, path in zip(split, paths.values()):
         write_csi_file(from_real_view(part, direction=csi.direction, snr_db=csi.snr_db), path)
     return paths
 
@@ -147,8 +147,8 @@ def _write_split(args, csi, parts, predictable_path=None, unpredictable_path=Non
 def cmd_decompose(args) -> None:
     csi = read_csi_file(args.input)
     # pca and kpca fit on the one view they split and need no geometry
-    (parts,), details, _ = pl.DECOMPOSERS[args.method](_pipeline_config(args), [to_real_view(csi)], None)
-    paths = _write_split(args, csi, parts, args.output_predictable, args.output_unpredictable)
+    (split,), details, _ = pl.DECOMPOSERS[args.method](_pipeline_config(args), [to_real_view(csi)], None)
+    paths = _write_split(args, csi, split, args.output_predictable, args.output_unpredictable)
     paths["details"] = str(_out(args, "decompose.json"))
     pl.write_report(details, paths["details"])
     print(json.dumps(paths, sort_keys=True, indent=2))
@@ -182,8 +182,8 @@ def cmd_ae_train(args) -> None:
 def cmd_ae_decompose(args) -> None:
     csi = read_csi_file(args.input)
     geom = pl.read_geometry(args.geometry) if args.geometry else None
-    parts = pl.ae_split(read_weights(args.weights), to_real_view(csi), geom, args.k)
-    print(json.dumps(_write_split(args, csi, parts), sort_keys=True, indent=2))
+    split = pl.ae_split(read_weights(args.weights), to_real_view(csi), geom, args.k)
+    print(json.dumps(_write_split(args, csi, split), sort_keys=True, indent=2))
 
 
 def cmd_dhsic(args) -> None:
@@ -246,9 +246,7 @@ def cmd_fit_dist(args) -> None:
 def cmd_sweep(args) -> None:
     if args.step < 1:
         raise ValueError(f"--step must be at least 1, got {args.step}")
-    ul = read_csi_file(args.input_ul)
-    dl = read_csi_file(args.input_dl)
-    geom = pl.read_geometry(args.geometry)
+    ul, dl, geom = pl.load_dataset(_pipeline_config(args, source="files"))
     ul_view, dl_view = to_real_view(ul), to_real_view(dl)
     d2_grid = range(args.d2_min, args.d2_max + 1, args.step)
     # the sweep reads components 1 to the largest d2 and no further

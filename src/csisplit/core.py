@@ -63,7 +63,7 @@ class CsiMatrix:
         arr = np.asarray(self.data, dtype=np.complex128)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError(f"CSI data must be a 2-D m x n matrix, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+        if not np.all(np.isfinite(arr)):
             raise ValueError("CSI data contains non-finite entries")
         object.__setattr__(self, "data", _as_readonly(arr))
         object.__setattr__(self, "direction", Direction(self.direction))
@@ -212,12 +212,6 @@ def nearest_neighbors(geom: NodeGeometry, node: int, k: int) -> np.ndarray:
     if not 0 <= node < geom.n:
         raise ValueError(f"node index {node} out of range [0, {geom.n})")
     return geom.neighbors(k)[node].copy()
-
-
-def neighbor_pairs(geom: NodeGeometry, k: int) -> list[tuple[int, int]]:
-    """All ordered (node, neighbor) pairs under the k-nearest-neighbor rule,
-    node-major, neighbors nearest first."""
-    return [(i, j) for i, row in enumerate(geom.neighbors(k).tolist()) for j in row]
 
 
 # ---------------------------------------------------------------------------

@@ -14,14 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NodeGeometry, neighbor_pairs
+from .core import NodeGeometry
 
 DEFAULT_BINS = 32
 
 
 @dataclass(frozen=True)
 class FingerprintReport:
-    pairs: list[tuple[int, int]]
+    pairs: np.ndarray  # read-only (n k, 2) rows of (node, neighbor), node-major, nearest first
     pair_tvd: np.ndarray
     avg_tvd: float
 
@@ -113,5 +113,7 @@ def avg_neighbor_tvd(
         probs_b = _bin_counts(fp[:, b], edges) / samples
         unique_tvd[start : start + chunk] = 0.5 * np.sum(np.abs(probs_a - probs_b), axis=1)
     vals = unique_tvd[directed]
+    pairs = np.column_stack([node, other])
     vals.setflags(write=False)
-    return FingerprintReport(pairs=neighbor_pairs(geom, kk), pair_tvd=vals, avg_tvd=float(np.mean(vals)))
+    pairs.setflags(write=False)
+    return FingerprintReport(pairs=pairs, pair_tvd=vals, avg_tvd=float(np.mean(vals)))

@@ -27,13 +27,16 @@ so a fit repeats bit for bit. The centered Gram is exactly symmetric, so
 Lanczos, reading both triangles, sees the matrix a dense solver reads from
 one. It keeps the centered Gram's trace.
 Predictable components are rebuilt by kernel ridge regression from the
-projection scores (no iterative pre-image): the kept Cholesky factor
-of K_Y + gamma I, gamma a fit parameter, gives the ?pocon 1-norm condition
-estimate, truncated toward zero to 6 significant digits as its last bits
-vary between runs on one LAPACK build. As (K_Y + gamma I)^-1 K_Y =
-I - gamma (K_Y + gamma I)^-1, a decomposition is H - gamma X^T, X the
-factor's solve on the 2m real columns of H^T; the unpredictable part is
-the exact residual (no tail-truncation denoising).
+projection scores (no iterative pre-image). K_Y is :func:`gaussian_gram` of
+the score columns (the standard kernel, their own median bandwidth); the
+kept Cholesky factor of K_Y + gamma I, gamma a fit parameter (default
+1e-3 trace(K_Y) / N), gives the ?pocon 1-norm condition estimate, truncated
+toward zero to 6 significant digits as its last bits vary between runs on
+one LAPACK build. As (K_Y + gamma I)^-1 K_Y = I - gamma (K_Y + gamma I)^-1,
+the split works on the (2m, n) real view V = [Re H; Im H]: its predictable
+part is V - gamma X^T, X the factor's solve on the 2m columns of V^T, and
+its unpredictable part the exact residual (no tail-truncation denoising),
+a ``core.Decomposition`` like every other method's.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CsiMatrix
+from .core import CsiMatrix, Decomposition, to_real_view
 from .dependence import median_bandwidth
 from .pca import _fix_signs
 
@@ -56,17 +59,6 @@ EIGENVALUE_FLOOR = 1e-12
 
 #: the condition estimate keeps 6 significant digits, truncated toward zero
 _CONDITION_DIGITS = decimal.Context(prec=6, rounding=decimal.ROUND_DOWN)
-
-
-@dataclass(frozen=True)
-class GramMatrix:
-    k: np.ndarray
-    bandwidth_sigma: float
-
-    def __post_init__(self):
-        arr = np.asarray(self.k, dtype=np.float64)
-        arr.setflags(write=False)
-        object.__setattr__(self, "k", arr)
 
 
 @dataclass(frozen=True)
@@ -102,9 +94,13 @@ def _pairwise_sq_dists(columns: np.ndarray, variant: str) -> np.ndarray:
     return np.maximum(d2, 0.0)
 
 
-def gaussian_gram(columns: np.ndarray, sigma: float | None = None, variant: str = "conjugate") -> GramMatrix:
-    """Gram matrix of the complex Gaussian kernel over CSI columns."""
-    h = np.asarray(columns, dtype=np.complex128)
+def gaussian_gram(
+    columns: np.ndarray, sigma: float | None = None, variant: str = "conjugate"
+) -> tuple[np.ndarray, float]:
+    """(K, sigma): the Gaussian-kernel Gram over real or complex columns and
+    its bandwidth, the median rule's unless ``sigma`` is given."""
+    h = np.asarray(columns)
+    h = h.astype(np.complex128 if np.iscomplexobj(h) else np.float64, copy=False)
     if h.ndim != 2 or h.shape[1] < 2:
         raise ValueError("need a (m, n) column matrix with n >= 2")
     d2 = _pairwise_sq_dists(h, variant)
@@ -114,7 +110,7 @@ def gaussian_gram(columns: np.ndarray, sigma: float | None = None, variant: str 
             raise ValueError("degenerate bandwidth: every column coincides")
     if not (math.isfinite(sigma) and sigma > 0):
         raise ValueError(f"sigma must be finite and positive, got {sigma}")
-    return GramMatrix(k=np.exp(-d2 / (2.0 * sigma * sigma)), bandwidth_sigma=float(sigma))
+    return np.exp(-d2 / (2.0 * sigma * sigma)), float(sigma)
 
 
 def center_gram(k: np.ndarray) -> np.ndarray:
@@ -140,9 +136,8 @@ def fit_kpca(
     if gamma is not None and not (math.isfinite(gamma) and gamma > 0):
         raise ValueError(f"ridge gamma must be finite and positive, got {gamma}")
     from scipy.sparse.linalg import eigsh  # imported here: no other command should pay its import time
-    gram = gaussian_gram(h, sigma=sigma, variant=variant)
-    centered = center_gram(gram.k)
-    bandwidth = gram.bandwidth_sigma
+    gram, bandwidth = gaussian_gram(h, sigma=sigma, variant=variant)
+    centered = center_gram(gram)
     del gram
     rng = np.random.default_rng(0)  # the start vector and every restart: a fit repeats bit for bit
     evals, evecs = eigsh(centered, k=d_hat, which="LA", tol=0, v0=rng.uniform(-1.0, 1.0, n), rng=rng)
@@ -171,25 +166,15 @@ def fit_kpca(
     )
 
 
-def default_gamma(k_scores: np.ndarray) -> float:
-    """Scale-aware ridge default: 1e-3 * trace(K_Y) / N."""
-    return 1e-3 * float(np.trace(k_scores)) / k_scores.shape[0]
-
-
 def _ridge_factor(y: np.ndarray, gamma: float | None) -> tuple[tuple[np.ndarray, bool], float, float, float]:
-    """``cho_factor``'s (c, lower) of K_Y + gamma I, where K_Y is the real
-    Gaussian Gram over the score columns y (its own median bandwidth); also
-    the score bandwidth, gamma and the ?pocon 1-norm condition estimate of
-    K_Y + gamma I from that factor."""
+    """``cho_factor``'s (c, lower) of K_Y + gamma I, where K_Y is
+    :func:`gaussian_gram` of the score columns y; also the score bandwidth,
+    gamma and the ?pocon 1-norm condition estimate of K_Y + gamma I from
+    that factor."""
     from scipy import linalg
-    d2 = _pairwise_sq_dists(y, "standard")
-    score_sigma = median_bandwidth(d2)
-    if math.isnan(score_sigma):
-        raise ValueError("degenerate bandwidth: every projection score coincides")
-    regularized = np.exp(-d2 / (2.0 * score_sigma * score_sigma))
-    del d2
+    regularized, score_sigma = gaussian_gram(y, variant="standard")
     if gamma is None:
-        gamma = default_gamma(regularized)
+        gamma = 1e-3 * float(np.trace(regularized)) / regularized.shape[0]
     regularized.flat[:: regularized.shape[0] + 1] += gamma
     norm = np.linalg.norm(regularized, 1)
     try:
@@ -203,17 +188,13 @@ def _ridge_factor(y: np.ndarray, gamma: float | None) -> tuple[tuple[np.ndarray,
     return factor, score_sigma, float(gamma), condition
 
 
-def decompose_kpca(model: KpcaModel, csi: CsiMatrix) -> tuple[CsiMatrix, CsiMatrix]:
-    """Predictable part H_hat = H (K_Y + gamma I)^-1 K_Y = H - gamma X^T, X the
-    fitted factor's solve on [Re H^T | Im H^T], plus the exact residual H - H_hat."""
+def decompose_kpca(model: KpcaModel, csi: CsiMatrix) -> Decomposition:
+    """The split of the real view V = [Re H; Im H]: predictable part
+    V (K_Y + gamma I)^-1 K_Y = V - gamma X^T, X the fitted factor's solve on
+    V^T, plus the exact residual."""
     from scipy import linalg
-    h = csi.data
-    if h.shape != model.shape:
+    if csi.data.shape != model.shape:
         raise ValueError("matrix shape differs from the fitted columns")
-    m = h.shape[0]
-    x = linalg.cho_solve(model.factor, np.hstack([h.real.T, h.imag.T]))
-    predictable = h - model.diagnostics.gamma * (x[:, :m] + 1j * x[:, m:]).T
-    return (
-        CsiMatrix(predictable, direction=csi.direction, snr_db=csi.snr_db),
-        CsiMatrix(h - predictable, direction=csi.direction, snr_db=csi.snr_db),
-    )
+    view = to_real_view(csi)
+    predictable = view - model.diagnostics.gamma * linalg.cho_solve(model.factor, view.T).T
+    return Decomposition(predictable, view - predictable)

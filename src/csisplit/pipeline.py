@@ -32,6 +32,7 @@ from .autoencoder import (
 )
 from .core import (
     CsiMatrix,
+    Decomposition,
     NodeGeometry,
     from_real_view,
     read_csi_file,
@@ -211,26 +212,21 @@ def load_dataset(cfg: PipelineConfig) -> tuple[CsiMatrix, CsiMatrix, NodeGeometr
         return ul, dl, geom
 
 
-#: a view's (predictable, unpredictable) real views
-Parts = tuple[np.ndarray, np.ndarray]
+def _decompose_none(cfg: PipelineConfig, views, geom) -> tuple[list[Decomposition], dict, dict]:
+    return [Decomposition(view, view) for view in views], {"method": "none"}, {}
 
 
-def _decompose_none(cfg: PipelineConfig, views, geom) -> tuple[list[Parts], dict, dict]:
-    return [(view, view) for view in views], {"method": "none"}, {}
-
-
-def _decompose_pca(cfg: PipelineConfig, views, geom) -> tuple[list[Parts], dict, dict]:
+def _decompose_pca(cfg: PipelineConfig, views, geom) -> tuple[list[Decomposition], dict, dict]:
     basis = fit_pca(views[0], top=max(cfg.d_hat, cfg.d2))
     dcfg = DecompConfig(d_hat=cfg.d_hat, d1=cfg.d1, d2=cfg.d2)
     details = {"method": "pca", "d_hat": cfg.d_hat, "d1": cfg.d1, "d2": cfg.d2}
     return [decompose(view, basis, dcfg) for view in views], details, {}
 
 
-def _decompose_kpca(cfg: PipelineConfig, views, geom) -> tuple[list[Parts], dict, dict]:
-    model = fit_kpca(
-        from_real_view(views[0]), cfg.d_hat, sigma=cfg.sigma, variant=cfg.kernel_variant, gamma=cfg.gamma
-    )
-    parts = [tuple(to_real_view(part) for part in decompose_kpca(model, from_real_view(view))) for view in views]
+def _decompose_kpca(cfg: PipelineConfig, views, geom) -> tuple[list[Decomposition], dict, dict]:
+    csis = [from_real_view(view) for view in views]
+    model = fit_kpca(csis[0], cfg.d_hat, sigma=cfg.sigma, variant=cfg.kernel_variant, gamma=cfg.gamma)
+    parts = [decompose_kpca(model, csi) for csi in csis]
     details = {
         "method": "kpca",
         "d_hat": model.alphas.shape[1],
@@ -243,7 +239,7 @@ def _decompose_kpca(cfg: PipelineConfig, views, geom) -> tuple[list[Parts], dict
 
 def ae_split(
     model: TrainedModel, view: np.ndarray, geom: NodeGeometry | None, k: int, data: np.ndarray | None = None
-) -> Parts:
+) -> Decomposition:
     """Split by a trained autoencoder: a per-node model when its input width
     is the view's, a (node, neighbor) pair model when it is twice that.
     ``data`` is the view's pair data when already built; the pair model
@@ -257,7 +253,7 @@ def ae_split(
     return decompose_ae_pairs(model, view, geom, k, data)
 
 
-def _decompose_ae(cfg: PipelineConfig, views, geom) -> tuple[list[Parts], dict, dict]:
+def _decompose_ae(cfg: PipelineConfig, views, geom) -> tuple[list[Decomposition], dict, dict]:
     """``views`` = (uplink, downlink). ae1 trains on node columns, ae2 on
     (node, neighbor) pairs; a centralized model trains on the uplink alone.
     The diagnostics hold each direction's per-epoch training loss."""
@@ -295,8 +291,8 @@ def _decompose_ae(cfg: PipelineConfig, views, geom) -> tuple[list[Parts], dict, 
     return parts, details, diagnostics
 
 
-#: method -> decompose(cfg, views, geom) -> (one Parts per view, details,
-#: diagnostics); the fit runs on views[0], the uplink
+#: method -> decompose(cfg, views, geom) -> (one Decomposition per view,
+#: details, diagnostics); the fit runs on views[0], the uplink
 DECOMPOSERS = {
     "none": _decompose_none,
     "pca": _decompose_pca,
@@ -382,7 +378,7 @@ def run_pipeline(cfg: PipelineConfig, output_dir=None) -> dict:
     }
     if output_dir is not None:
         write_report(report, Path(output_dir) / "report.json")
-        write_metrics_csv(metrics, Path(output_dir) / "report.csv")
+        write_rows_csv([{"metric": k, "value": metrics[k]} for k in sorted(metrics)], Path(output_dir) / "report.csv")
     return report
 
 
@@ -477,15 +473,6 @@ def _jsonify(obj):
 def write_report(report: dict, path) -> None:
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     Path(path).write_text(json.dumps(_jsonify(report), sort_keys=True, indent=2) + "\n", encoding="utf-8")
-
-
-def write_metrics_csv(metrics: dict, path) -> None:
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["metric", "value"])
-        for key in sorted(metrics):
-            writer.writerow([key, repr(float(metrics[key]))])
 
 
 def write_rows_csv(rows: list[dict], path) -> None:

@@ -30,7 +30,7 @@ from csisplit.autoencoder import (
     train_for_mode,
     write_weights,
 )
-from csisplit.core import NodeGeometry, nearest_neighbors, neighbor_pairs, to_real_view
+from csisplit.core import nearest_neighbors, to_real_view
 from csisplit.simulate import SimConfig, simulate
 
 
@@ -70,7 +70,8 @@ def test_pair_dataset_equals_per_pair_loop(small_view, k):
     data = build_pair_dataset(view, geom, k)
     want_data, want_pairs = _per_pair_dataset(view, geom, k)
     assert np.array_equal(data, want_data)
-    assert neighbor_pairs(geom, k) == want_pairs  # the column order the docstring names
+    # the column order the docstring names: column i * k + r is node i's rank-r neighbor
+    assert want_pairs == [(col // k, int(geom.neighbors(k)[col // k, col % k])) for col in range(geom.n * k)]
 
 
 @pytest.mark.parametrize("k", [1, 4])

@@ -81,6 +81,19 @@ def test_sweep_band_beyond_the_basis_exits_1(dataset, tmp_path, capsys):
     assert not (tmp_path / "sweep.json").exists()
 
 
+@pytest.mark.parametrize("geometry_from_3x4", [True, False], ids=["csi-4x4-geometry-3x4", "csi-3x4-geometry-4x4"])
+def test_sweep_with_a_geometry_of_another_node_count_exits_1(dataset, tmp_path, capsys, geometry_from_3x4):
+    other = tmp_path / "3x4"
+    assert cli.main(["simulate", "--grid-rows", "3", "--grid-cols", "4", "--m", "16", "--output-dir", str(other)]) == 0
+    csi_dir, geometry_dir = (dataset, other) if geometry_from_3x4 else (other, dataset)
+    files = ["--input-ul", str(csi_dir / "uplink.csi"), "--input-dl", str(csi_dir / "downlink.csi")]
+    files += ["--geometry", str(geometry_dir / "geometry.json"), "--output-dir", str(tmp_path / "out")]
+    capsys.readouterr()
+    assert cli.main(["sweep", *files]) == 1
+    assert "stage 'dataset': uplink/downlink/geometry dimensions disagree" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "sweep.json").exists()
+
+
 @pytest.mark.parametrize("step", ["0", "-2"])
 def test_sweep_step_below_1_exits_1_naming_the_flag(dataset, tmp_path, capsys, step):
     assert cli.main(["sweep", *_files(dataset), "--step", step, "--output-dir", str(tmp_path)]) == 1

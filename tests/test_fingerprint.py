@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csisplit.core import NodeGeometry, neighbor_pairs
+from csisplit.core import NodeGeometry
 from csisplit.fingerprint import avg_neighbor_tvd, pairwise_tvd
 from csisplit.simulate import SimConfig, simulate
 
@@ -164,7 +164,12 @@ def test_pairwise_tvd_degenerate_identical_constant():
 
 def _per_pair_tvd(fp, geom, k, bins):
     """The reference, pair by pair over the neighbor pairs."""
-    return np.array([reference_tvd(fp[:, i], fp[:, j], bins) for i, j in neighbor_pairs(geom, k)])
+    return np.array([reference_tvd(fp[:, i], fp[:, j], bins) for i, j in _neighbor_pairs(geom, k)])
+
+
+def _neighbor_pairs(geom, k):
+    """Every (node, neighbor) pair: node-major, neighbors nearest first."""
+    return [(i, j) for i in range(geom.n) for j in geom.neighbors(k)[i].tolist()]
 
 
 def _awkward_fingerprints():
@@ -186,7 +191,8 @@ def test_avg_neighbor_tvd_equals_per_pair_loop(k, bins):
     fp, geom = _awkward_fingerprints()
     report = avg_neighbor_tvd(fp, geom, k=k, bins=bins)
     assert np.array_equal(report.pair_tvd, _per_pair_tvd(fp, geom, k, bins))
-    assert report.pairs == neighbor_pairs(geom, k)
+    assert report.pairs.shape == (geom.n * k, 2) and not report.pairs.flags.writeable
+    assert report.pairs.tolist() == [list(pair) for pair in _neighbor_pairs(geom, k)]
     assert report.avg_tvd == float(np.mean(_per_pair_tvd(fp, geom, k, bins)))
 
 

@@ -30,45 +30,45 @@ def _random_columns(rng, m=6, n=5):
 def test_gram_identical_real_columns():
     col = np.array([1.0, -2.0, 0.5])
     cols = np.column_stack([col, col, col + 1.0])
-    gram = gaussian_gram(cols.astype(complex))
-    assert gram.k[0, 1] == pytest.approx(1.0)
+    k, _ = gaussian_gram(cols.astype(complex))
+    assert k[0, 1] == pytest.approx(1.0)
 
 
 def test_gram_e_minus_one_at_one_bandwidth():
     a = np.array([0.0, 0.0], dtype=complex)
     b = np.array([1.0, 1.0], dtype=complex)
     # ||a - b*||^2 = 2; choose sigma so that 2 sigma^2 = 2
-    gram = gaussian_gram(np.column_stack([a, b, 2 * b]), sigma=1.0)
-    assert gram.k[0, 1] == pytest.approx(math.exp(-1.0), abs=1e-12)
+    k, _ = gaussian_gram(np.column_stack([a, b, 2 * b]), sigma=1.0)
+    assert k[0, 1] == pytest.approx(math.exp(-1.0), abs=1e-12)
 
 
 def test_gram_matches_brute_force_oracle():
     rng = np.random.default_rng(0)
     cols = _random_columns(rng)
     for variant in ("conjugate", "standard"):
-        gram = gaussian_gram(cols, sigma=1.3, variant=variant)
+        k, _ = gaussian_gram(cols, sigma=1.3, variant=variant)
         expected = oracle_gram(cols, 1.3, variant)
-        assert np.max(np.abs(gram.k - expected)) <= 1e-12
+        assert np.max(np.abs(k - expected)) <= 1e-12
 
 
 @pytest.mark.parametrize("variant", kpca.KERNEL_VARIANTS)
 def test_gram_is_exactly_symmetric(variant):
     rng = np.random.default_rng(1)
-    gram = gaussian_gram(_random_columns(rng, m=7, n=40), variant=variant)
-    assert np.array_equal(gram.k, gram.k.T)
-    centered = center_gram(gram.k)
+    k, _ = gaussian_gram(_random_columns(rng, m=7, n=40), variant=variant)
+    assert np.array_equal(k, k.T)
+    centered = center_gram(k)
     assert np.array_equal(centered, centered.T)
 
 
 def test_gram_median_bandwidth_matches_oracle():
     rng = np.random.default_rng(2)
     cols = _random_columns(rng, m=4, n=6)
-    gram = gaussian_gram(cols)
+    _, sigma = gaussian_gram(cols)
     d2 = []
     for i in range(6):
         for j in range(i + 1, 6):
             d2.append(float(np.sum(np.abs(cols[:, i] - np.conj(cols[:, j])) ** 2)))
-    assert gram.bandwidth_sigma == pytest.approx(math.sqrt(np.median(d2) / 2.0), rel=1e-12)
+    assert sigma == pytest.approx(math.sqrt(np.median(d2) / 2.0), rel=1e-12)
 
 
 def test_gram_convention_is_two_sigma_squared_at_the_median_bandwidth():
@@ -77,9 +77,9 @@ def test_gram_convention_is_two_sigma_squared_at_the_median_bandwidth():
     cols = _random_columns(rng, m=5, n=9)
     d2 = np.array([[float(np.sum(np.abs(a - np.conj(b)) ** 2)) for b in cols.T] for a in cols.T])
     sigma = math.sqrt(np.median(d2[np.triu_indices(9, k=1)]) / 2.0)
-    gram = gaussian_gram(cols)
-    assert gram.bandwidth_sigma == pytest.approx(sigma, rel=1e-12)
-    assert np.allclose(gram.k, np.exp(-d2 / (2.0 * sigma**2)), rtol=0.0, atol=1e-12)
+    k, bandwidth = gaussian_gram(cols)
+    assert bandwidth == pytest.approx(sigma, rel=1e-12)
+    assert np.allclose(k, np.exp(-d2 / (2.0 * sigma**2)), rtol=0.0, atol=1e-12)
 
 
 def test_gram_degenerate_bandwidth_error():
@@ -94,18 +94,18 @@ def test_gram_bandwidth_with_more_than_half_coincident_columns():
     # the bandwidth comes from the positive ones, which are all 8
     col = np.array([1.0, 2.0], dtype=complex)  # real-valued: conj is identity
     cols = np.column_stack([col, col, col, col, col + 2.0])
-    gram = gaussian_gram(cols)
+    k, sigma = gaussian_gram(cols)
     d2 = np.array([[float(np.sum(np.abs(a - b) ** 2)) for b in cols.T] for a in cols.T])
     assert np.median(d2[np.triu_indices(5, k=1)]) == 0.0
-    assert gram.bandwidth_sigma == 2.0
-    assert np.array_equal(gram.k, np.exp(-d2 / 8.0))
+    assert sigma == 2.0
+    assert np.array_equal(k, np.exp(-d2 / 8.0))
 
 
 def test_gram_psd_on_real_inputs():
     rng = np.random.default_rng(3)
     cols = rng.standard_normal((5, 12)).astype(complex)
-    gram = gaussian_gram(cols)
-    assert np.linalg.eigvalsh(gram.k).min() >= -1e-8
+    k, _ = gaussian_gram(cols)
+    assert np.linalg.eigvalsh(k).min() >= -1e-8
 
 
 def test_center_gram_all_ones_to_zero():
@@ -125,7 +125,7 @@ def test_center_gram_zero_row_col_sums_and_hkh():
 
 def _full_spectrum(cols, sigma=None):
     """Every eigenvalue of the (1/N)-scaled centered Gram, descending."""
-    return np.linalg.eigvalsh(center_gram(gaussian_gram(cols, sigma=sigma).k))[::-1] / cols.shape[1]
+    return np.linalg.eigvalsh(center_gram(gaussian_gram(cols, sigma=sigma)[0]))[::-1] / cols.shape[1]
 
 
 def test_fit_two_columns_single_component():
@@ -142,7 +142,7 @@ def test_fit_top_pairs_match_the_full_eigendecomposition(d_hat):
     rng = np.random.default_rng(16)
     cols = _random_columns(rng, m=6, n=30)
     model = fit_kpca(CsiMatrix(cols), d_hat=d_hat)
-    evals, evecs = np.linalg.eigh(center_gram(gaussian_gram(cols).k))
+    evals, evecs = np.linalg.eigh(center_gram(gaussian_gram(cols)[0]))
     lam = evals[::-1] / 30
     vectors = _fix_signs(evecs[:, ::-1][:, :d_hat].T).T
     tol = 1e-12 * lam[0]
@@ -161,7 +161,7 @@ def test_fit_of_every_top_pair_matches_the_full_eigendecomposition(variant):
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "d_hat=15 exceeds numerical rank", RuntimeWarning)
         model = fit_kpca(CsiMatrix(cols), d_hat=15, variant=variant)
-    evals, evecs = np.linalg.eigh(center_gram(gaussian_gram(cols, variant=variant).k))
+    evals, evecs = np.linalg.eigh(center_gram(gaussian_gram(cols, variant=variant)[0]))
     lam = evals[::-1] / 16
     d_hat = len(model.eigenvalues)
     assert d_hat == (15 if variant == "standard" else int(np.sum(lam > kpca.EIGENVALUE_FLOOR)))
@@ -178,7 +178,7 @@ def test_fit_of_a_repeated_top_eigenvalue_matches_the_full_eigendecomposition():
     n = 12
     cols = np.exp(2j * np.pi * np.arange(n) / n)[None, :]
     model = fit_kpca(CsiMatrix(cols), d_hat=2, variant="standard")
-    evals, evecs = np.linalg.eigh(center_gram(gaussian_gram(cols, variant="standard").k))
+    evals, evecs = np.linalg.eigh(center_gram(gaussian_gram(cols, variant="standard")[0]))
     lam = evals[::-1] / n
     tol = 1e-12 * lam[0]
     assert lam[0] - lam[1] <= tol < lam[1] - lam[2]
@@ -194,14 +194,14 @@ def test_two_fits_in_one_process_are_identical():
         assert np.array_equal(getattr(first, name), getattr(second, name)), name
     assert np.array_equal(first.factor[0], second.factor[0]) and first.factor[1] == second.factor[1]
     assert first.diagnostics == second.diagnostics
-    assert np.array_equal(decompose_kpca(first, csi)[0].data, decompose_kpca(second, csi)[0].data)
+    assert np.array_equal(decompose_kpca(first, csi).predictable, decompose_kpca(second, csi).predictable)
 
 
 def test_fit_eigen_identity_holds():
     rng = np.random.default_rng(5)
     csi = CsiMatrix(_random_columns(rng, m=5, n=10))
     model = fit_kpca(csi, d_hat=3)
-    centered = center_gram(gaussian_gram(csi.data).k)
+    centered = center_gram(gaussian_gram(csi.data)[0])
     n = 10
     for i in range(3):
         lhs = centered @ model.alphas[:, i]
@@ -244,7 +244,7 @@ def test_fit_past_the_numerical_rank_truncates_at_an_iterating_size(columns, sig
     n = columns.shape[1]
     with pytest.warns(RuntimeWarning, match=f"d_hat=5 exceeds numerical rank {rank}; truncating"):
         model = fit_kpca(CsiMatrix(columns), d_hat=5, sigma=sigma, variant=variant)
-    evals, evecs = np.linalg.eigh(center_gram(gaussian_gram(columns, sigma=sigma, variant=variant).k))
+    evals, evecs = np.linalg.eigh(center_gram(gaussian_gram(columns, sigma=sigma, variant=variant)[0]))
     lam = evals[::-1] / n
     vectors = _fix_signs(evecs[:, ::-1][:, :rank].T).T
     assert model.eigenvalues.shape == (rank,)
@@ -268,7 +268,7 @@ def test_fit_scores_have_zero_mean():
     rng = np.random.default_rng(7)
     csi = CsiMatrix(_random_columns(rng, m=6, n=12))
     model = fit_kpca(csi, d_hat=4)
-    scores = model.alphas.T @ center_gram(gaussian_gram(csi.data).k)
+    scores = model.alphas.T @ center_gram(gaussian_gram(csi.data)[0])
     assert np.max(np.abs(scores.mean(axis=1))) <= 1e-8
 
 
@@ -277,8 +277,8 @@ def test_reconstruct_ridge_shrinkage_limit():
     csi = CsiMatrix(_random_columns(rng, m=5, n=10))
     pred6, _ = decompose_kpca(fit_kpca(csi, d_hat=3, gamma=1e6), csi)
     pred8, _ = decompose_kpca(fit_kpca(csi, d_hat=3, gamma=1e8), csi)
-    assert np.linalg.norm(pred6.data) < 1e-3 * np.linalg.norm(csi.data)
-    ratio = np.linalg.norm(pred8.data) / np.linalg.norm(pred6.data)
+    assert np.linalg.norm(pred6) < 1e-3 * np.linalg.norm(to_real_view(csi))
+    ratio = np.linalg.norm(pred8) / np.linalg.norm(pred6)
     assert ratio == pytest.approx(1e-2, rel=1e-2)
 
 
@@ -288,7 +288,8 @@ def test_reconstruct_near_interpolation():
     with pytest.warns(RuntimeWarning, match="numerical rank"):
         model = fit_kpca(csi, d_hat=11, gamma=1e-8)  # truncates to the kernel rank
     pred, _ = decompose_kpca(model, csi)
-    rel = np.linalg.norm(csi.data - pred.data) / np.linalg.norm(csi.data)
+    view = to_real_view(csi)
+    rel = np.linalg.norm(view - pred) / np.linalg.norm(view)
     assert rel <= 0.05
     assert model.diagnostics.gamma == 1e-8
 
@@ -315,7 +316,7 @@ def test_residual_is_exact_subtraction():
     rng = np.random.default_rng(11)
     csi = CsiMatrix(_random_columns(rng, m=5, n=9))
     pred, resid = decompose_kpca(fit_kpca(csi, d_hat=3, gamma=1e-2), csi)
-    assert np.array_equal(resid.data, csi.data - pred.data)
+    assert np.array_equal(resid, to_real_view(csi) - pred)
 
 
 def test_reconstruction_error_non_increasing_in_rank():
@@ -327,7 +328,7 @@ def test_reconstruction_error_non_increasing_in_rank():
     errors = []
     for d_hat in range(1, 11):
         pred, _ = decompose_kpca(fit_kpca(csi, d_hat, gamma=1e-4), csi)
-        errors.append(float(np.linalg.norm(csi.data - pred.data)))
+        errors.append(float(np.linalg.norm(to_real_view(csi) - pred)))
     assert np.all(np.diff(errors) <= 1e-9)
 
 
@@ -338,7 +339,7 @@ def test_wide_bandwidth_matches_pca_ordering():
     csi = CsiMatrix(cols)
     model = fit_kpca(csi, d_hat=1, sigma=500.0)
     pca_scores = (fit_pca(to_real_view(csi)).eigenvectors[0] @ to_real_view(csi))
-    scores = model.alphas.T @ center_gram(gaussian_gram(csi.data, sigma=500.0).k)
+    scores = model.alphas.T @ center_gram(gaussian_gram(csi.data, sigma=500.0)[0])
     rho = spearmanr(scores[0], pca_scores).statistic
     assert abs(rho) >= 0.99
 
@@ -357,6 +358,7 @@ def test_decompose_solves_with_the_fitted_factor(monkeypatch):
     csi = CsiMatrix(_random_columns(rng, m=5, n=9))
     other = CsiMatrix(_random_columns(rng, m=5, n=9))
     model = fit_kpca(csi, d_hat=2)
+    # the complex form of the split, H - gamma X^T on the columns of X's two halves
     h = other.data
     x = scipy.linalg.cho_solve(model.factor, np.hstack([h.real.T, h.imag.T]))
     want = h - model.diagnostics.gamma * (x[:, :5] + 1j * x[:, 5:]).T
@@ -369,8 +371,8 @@ def test_decompose_solves_with_the_fitted_factor(monkeypatch):
     for name in ("eigh", "solve", "cho_factor"):
         monkeypatch.setattr(scipy.linalg, name, forbidden)
     pred, resid = decompose_kpca(model, other)
-    assert np.array_equal(pred.data, want)
-    assert np.array_equal(resid.data, other.data - pred.data)
+    assert np.array_equal(pred, to_real_view(CsiMatrix(want)))
+    assert np.array_equal(resid, to_real_view(other) - pred)
 
 
 def _ridge_system(y, gamma):
@@ -387,13 +389,13 @@ def test_split_matches_the_spd_solve_map_and_bounds_the_condition(n, d_hat):
     rng = np.random.default_rng(17)
     csi = CsiMatrix(_random_columns(rng, m=6, n=n))
     model = fit_kpca(csi, d_hat=d_hat)
-    scores = model.alphas.T @ center_gram(gaussian_gram(csi.data).k)
+    scores = model.alphas.T @ center_gram(gaussian_gram(csi.data)[0])
     regularized, k_scores = _ridge_system(scores, model.diagnostics.gamma)
     # the map the split replaced: H (K_Y + gamma I)^-1 K_Y; 1e-9 relative
     # is a tolerance fixed in advance
-    former = csi.data @ scipy.linalg.solve(regularized, k_scores, assume_a="pos")
+    former = to_real_view(csi) @ scipy.linalg.solve(regularized, k_scores, assume_a="pos")
     pred, _ = decompose_kpca(model, csi)
-    assert np.max(np.abs(pred.data - former)) <= 1e-9 * np.max(np.abs(former))
+    assert np.max(np.abs(pred - former)) <= 1e-9 * np.max(np.abs(former))
     # ?pocon underestimates ||A^-1||_1, never over; 0.1 is a bound fixed in advance
     exact = np.linalg.cond(regularized, 1)
     assert 0.1 * exact <= model.diagnostics.condition_estimate <= exact * (1.0 + 1e-9)
@@ -414,6 +416,12 @@ def test_condition_estimate_ignores_the_last_bits_of_rcond(monkeypatch):
         estimates.append(kpca._ridge_factor(y, None)[3])
     assert estimates[0] == estimates[1] == estimates[2]
     assert float(f"{estimates[0]:.5e}") == estimates[0]
+
+
+def test_score_gram_of_coincident_scores_has_no_bandwidth():
+    # the ridge's score Gram is gaussian_gram's, degenerate bandwidth included
+    with pytest.raises(ValueError, match="degenerate bandwidth: every column coincides"):
+        kpca._ridge_factor(np.ones((2, 5)), None)
 
 
 def test_near_singular_ridge_warns_and_a_singular_one_raises():

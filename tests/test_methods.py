@@ -17,7 +17,7 @@ from csisplit.autoencoder import (
     train,
     train_for_mode,
 )
-from csisplit.core import read_csi_file, to_real_view, view_to_complex, write_csi_file
+from csisplit.core import Decomposition, read_csi_file, to_real_view, view_to_complex, write_csi_file
 from csisplit.kpca import decompose_kpca, fit_kpca
 from csisplit.pca import DecompConfig, decompose, fit_pca
 from csisplit.simulate import SimConfig, simulate
@@ -63,6 +63,20 @@ def test_pipeline_metrics_match_golden(method):
     assert metrics.keys() == GOLDEN[method].keys()
     for key, want in GOLDEN[method].items():
         assert abs(metrics[key] - want) <= 1e-9, key
+
+
+@pytest.mark.parametrize("method", sorted(pipeline.DECOMPOSERS))
+def test_every_decomposer_splits_each_view_into_one_real_view_decomposition(dataset, method):
+    ul, dl, geom = dataset
+    views = [to_real_view(ul), to_real_view(dl)]
+    splits, _, _ = pipeline.DECOMPOSERS[method](_cfg(method, d_hat=2), views, geom)
+    assert len(splits) == len(views)
+    for split, view in zip(splits, views):
+        assert type(split) is Decomposition
+        for part in split:
+            assert part.dtype == np.float64 and part.shape == view.shape
+        if method in ("kpca", "ae1", "ae2"):  # the unpredictable part is the exact residual
+            assert np.array_equal(split.unpredictable, view - split.predictable)
 
 
 def _pair_data(view, geom, k):
@@ -203,8 +217,8 @@ def test_cli_kpca_decompose_files_equal_the_direct_split(tmp_path, dataset):
     pred, unpred, details = _run_cli(tmp_path, argv)
     model = fit_kpca(ul, 2, gamma=0.01)
     want_pred, want_unpred = decompose_kpca(model, ul)
-    assert np.array_equal(pred.data, want_pred.data)
-    assert np.array_equal(unpred.data, want_unpred.data)
+    assert np.array_equal(to_real_view(pred), want_pred)
+    assert np.array_equal(to_real_view(unpred), want_unpred)
     assert details["gamma"] == 0.01 and details["d_hat"] == 2
     assert details["condition_estimate"] == model.diagnostics.condition_estimate
     assert details["eigenvalues"] == model.eigenvalues.tolist()

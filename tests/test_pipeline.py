@@ -150,6 +150,18 @@ def test_cli_stage_error_names_the_stage_and_exits_1(tmp_path, capsys):
     assert not (tmp_path / "run" / "report.json").exists()
 
 
+def test_report_csv_bytes_are_pinned_for_a_seed(tmp_path):
+    # one row per metric, sorted by name, each value its repr(float)
+    cfg = pipeline.PipelineConfig(sim=SimConfig(grid_shape=(4, 4), m=32), method="none", metrics=("tvd", "cc", "mp"))
+    pipeline.run_pipeline(cfg, output_dir=tmp_path)
+    assert (tmp_path / "report.csv").read_bytes() == (
+        b"metric,value\r\n"
+        b"avg_cc,0.5706495140837886\r\n"
+        b"avg_mp,0.072265625\r\n"
+        b"avg_tvd,0.648681640625\r\n"
+    )
+
+
 def test_geometry_file_round_trip(tmp_path):
     geom = simulate(SMALL).geometry
     pipeline.write_geometry(geom, tmp_path / "geometry.json")
