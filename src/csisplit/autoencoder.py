@@ -9,6 +9,12 @@ below for anticorrelated residuals, so it is trained as a composite
 (2 mu - 1) * ||r||^2, so the composite is bounded below only for mu > 0.5,
 and ``TrainConfig`` rejects any other mu for the e2 loss.
 
+``TrainConfig`` holds only what :func:`train` reads: the loss, mu, the
+Adam step size, the batch size, the epochs and the seed. What a model
+trains on, and whether one model serves both link directions, is the
+caller's choice; ``pipeline.train_config`` and
+``pipeline.ae_training_data`` make it from the pipeline's options.
+
 The dot-product model consumes pair samples: each training column is a
 node's real-view vector concatenated with one neighbor's, one sample per
 (node, neighbor) edge, which keeps the input width at twice the per-node
@@ -24,7 +30,6 @@ skips the product with ones, which is exact.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import os
@@ -191,7 +196,6 @@ class TrainConfig:
     batch_size: int = 32
     epochs: int = 200
     seed: int = 0
-    mode: str = "centralized"  # or "localized"
     mu: float = 1.0  # reconstruction weight inside the e2 composite; must exceed 0.5 or the
     # loss is unbounded below (anticorrelated residuals give (2 mu - 1) * ||r||^2)
 
@@ -202,8 +206,6 @@ class TrainConfig:
             raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("invalid optimizer parameters")
-        if self.mode not in ("centralized", "localized"):
-            raise ValueError("mode must be 'centralized' or 'localized'")
         if self.loss == "e2" and not (math.isfinite(self.mu) and self.mu > 0.5):
             raise ValueError(f"mu must be finite and above 0.5 for the e2 loss, got {self.mu}")
 
@@ -340,22 +342,6 @@ def decompose_ae_pairs(
         predictable += y[:half, rank::k]
     predictable *= model.input_scale / k
     return Decomposition(predictable=predictable, unpredictable=view - predictable)
-
-
-def train_for_mode(
-    spec: MlpSpec, cfg: TrainConfig, ul_dataset: np.ndarray, dl_dataset: np.ndarray | None
-) -> tuple[TrainedModel, TrainedModel]:
-    """Centralized: one model fitted on the uplink data serves both sides,
-    and ``dl_dataset`` is not read (it may be None). Localized: each side
-    trains on its own observations, the uplink first, each with its own
-    seed spawned from ``cfg.seed``."""
-    if cfg.mode == "centralized":
-        model = train(ul_dataset, spec, cfg)
-        return model, model
-    seeds = np.random.SeedSequence(cfg.seed).spawn(2)
-    cfg_ul = dataclasses.replace(cfg, seed=int(seeds[0].generate_state(1)[0]))
-    cfg_dl = dataclasses.replace(cfg, seed=int(seeds[1].generate_state(1)[0]))
-    return train(ul_dataset, spec, cfg_ul), train(dl_dataset, spec, cfg_dl)
 
 
 # ---------------------------------------------------------------------------

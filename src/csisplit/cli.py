@@ -4,9 +4,12 @@ Subcommands: simulate, decompose, ae-train, ae-decompose, dhsic,
 tvd-curve, skg-mp, fit-dist, sweep, compare, pipeline. ``decompose
 --method {pca,kpca}`` splits one CSI file, once, with the pipeline's
 decomposer for the method and writes predictable.csi, unpredictable.csi
-and decompose.json (the method's details); ae-train and ae-decompose
-persist and apply autoencoder weights, and ae-decompose splits with the
-pipeline's ``ae_split``. Global flags --seed, --output-dir and --config: a
+and decompose.json (the method's details). ae-train trains one
+autoencoder on one CSI file as the pipeline's centralized ae1 (``--loss
+e1``) or ae2 (``--loss e2``, which needs --geometry) trains its uplink
+model, through ``pipeline.train_config`` and ``pipeline.ae_training_data``,
+and writes its weights; ae-decompose applies them with the pipeline's
+``ae_split``. Global flags --seed, --output-dir and --config: a
 flat key = value file whose entries are parsed as --key=value after the
 command line, so they override it and take the flag's type, choices and
 errors; keys are the subcommand's long option names, with dashes or
@@ -25,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, pipeline as pl
-from .autoencoder import TrainConfig, build_pair_dataset, default_mlp_spec, read_weights, train, write_weights
+from .autoencoder import default_mlp_spec, read_weights, train, write_weights
 from .core import Decomposition, from_real_view, read_csi_file, to_real_view, write_csi_file
 from .dependence import dhsic_test
 from .kpca import KERNEL_VARIANTS
@@ -155,25 +158,14 @@ def cmd_decompose(args) -> None:
 
 
 def cmd_ae_train(args) -> None:
-    csi = read_csi_file(args.input)
-    view = to_real_view(csi)
-    if args.loss == "e2":
-        if not args.geometry:
-            raise ValueError("--geometry is required for the e2 loss (neighbor pairs)")
-        dataset = build_pair_dataset(view, pl.read_geometry(args.geometry), args.k)
-    else:
-        dataset = view
-    spec = default_mlp_spec(dataset.shape[0], args.d_hat)
-    cfg = TrainConfig(
-        loss=args.loss,
-        learning_rate=args.ae_learning_rate,
-        batch_size=args.ae_batch_size,
-        epochs=args.ae_epochs,
-        seed=args.seed,
-        mu=args.mu,
-    )
+    cfg = _pipeline_config(args, method="ae1" if args.loss == "e1" else "ae2")
+    view = to_real_view(read_csi_file(args.input))
+    # the e1 loss trains on node columns alone and does not read a given geometry
+    geom = pl.read_geometry(args.geometry) if args.geometry and args.loss == "e2" else None
+    dataset = pl.ae_training_data(cfg, view, geom)
+    tc = pl.train_config(cfg)
     log_path = _out(args, "ae_train_log.jsonl", args.log)
-    model = train(dataset, spec, cfg, log_path=log_path)
+    model = train(dataset, default_mlp_spec(dataset.shape[0], cfg.d_hat), tc, log_path=log_path)
     weights_path = _out(args, "ae.weights", args.weights_out)
     write_weights(model, weights_path)
     print(json.dumps({"weights": str(weights_path), "final_loss": model.final_loss, "log": str(log_path)}))
@@ -319,7 +311,7 @@ _FLAGS = {
     "ae-epochs": dict(type=int, default=_DEFAULTS.ae_epochs),
     "ae-batch-size": dict(type=int, default=_DEFAULTS.ae_batch_size),
     "ae-learning-rate": dict(type=float, default=_DEFAULTS.ae_learning_rate),
-    "ae-mode": dict(choices=("centralized", "localized"), default=_DEFAULTS.ae_mode),
+    "ae-mode": dict(choices=pl.AE_MODES, default=_DEFAULTS.ae_mode),
     "metrics": dict(default=",".join(_DEFAULTS.metrics), help="comma-separated metric subset"),
     "k": dict(type=int, default=_DEFAULTS.k_neighbors, help="neighbors per node"),
     "bins": dict(type=int, default=_DEFAULTS.bins, help="fingerprint histogram bins"),

@@ -88,16 +88,16 @@ def from_real_view(
     snr_db: float | None = None,
 ) -> CsiMatrix:
     """Inverse of :func:`to_real_view`; requires an even row count."""
-    view = np.asarray(view, dtype=np.float64)
-    if view.ndim != 2 or view.shape[0] % 2 != 0:
-        raise ValueError(f"real view must be 2-D with an even row count, got {view.shape}")
-    m = view.shape[0] // 2
-    return CsiMatrix(view[:m] + 1j * view[m:], direction=direction, snr_db=snr_db)
+    return CsiMatrix(view_to_complex(view), direction=direction, snr_db=snr_db)
 
 
 def view_to_complex(view: np.ndarray) -> np.ndarray:
-    """Real view (2m, n) -> bare complex array (m, n), no CsiMatrix wrapping."""
+    """Real view (2m, n) -> bare complex array (m, n), no CsiMatrix
+    wrapping; a view that is not 2-D with an even row count raises a
+    ValueError naming its shape."""
     view = np.asarray(view, dtype=np.float64)
+    if view.ndim != 2 or view.shape[0] % 2 != 0:
+        raise ValueError(f"real view must be 2-D with an even row count, got {view.shape}")
     m = view.shape[0] // 2
     return view[:m] + 1j * view[m:]
 

@@ -28,7 +28,7 @@ from .autoencoder import (
     decompose_ae,
     decompose_ae_pairs,
     default_mlp_spec,
-    train_for_mode,
+    train,
 )
 from .core import (
     CsiMatrix,
@@ -48,6 +48,9 @@ from .simulate import SimConfig, SimOutput, simulate
 from .skg import avg_mp
 
 ALL_METRICS = ("tvd", "cc", "delta_bar", "mp")
+#: centralized: one autoencoder, trained on the uplink, splits both sides;
+#: localized: each side trains its own
+AE_MODES = ("centralized", "localized")
 
 
 class PipelineError(RuntimeError):
@@ -103,6 +106,10 @@ class PipelineConfig:
             raise ValueError(f"method must be one of {METHODS}")
         if self.method in ("kpca", "ae1", "ae2") and self.d_hat < 1:
             raise ValueError(f"d_hat must be at least 1 for method {self.method}, got {self.d_hat}")
+        if self.method in ("ae1", "ae2") and self.ae_mode not in AE_MODES:
+            raise ValueError(f"ae_mode must be one of {AE_MODES}, got {self.ae_mode!r}")
+        if not self.metrics:
+            raise ValueError(f"metrics must name at least one of {ALL_METRICS}")
         unknown = set(self.metrics) - set(ALL_METRICS)
         if unknown:
             raise ValueError(f"unknown metrics {sorted(unknown)}")
@@ -253,28 +260,44 @@ def ae_split(
     return decompose_ae_pairs(model, view, geom, k, data)
 
 
-def _decompose_ae(cfg: PipelineConfig, views, geom) -> tuple[list[Decomposition], dict, dict]:
-    """``views`` = (uplink, downlink). ae1 trains on node columns, ae2 on
-    (node, neighbor) pairs; a centralized model trains on the uplink alone.
-    The diagnostics hold each direction's per-epoch training loss."""
-    tc = TrainConfig(
+def train_config(cfg: PipelineConfig) -> TrainConfig:
+    """The training settings of an autoencoder method's options: ae1 trains
+    on the reconstruction loss e1, ae2 on the neighbor-residual loss e2."""
+    return TrainConfig(
         loss="e1" if cfg.method == "ae1" else "e2",
         learning_rate=cfg.ae_learning_rate,
         batch_size=cfg.ae_batch_size,
         epochs=cfg.ae_epochs,
         seed=cfg.seed,
-        mode=cfg.ae_mode,
         mu=cfg.ae_loss_mu,
     )
-    ul_view, dl_view = views
-    k = cfg.k_neighbors
+
+
+def ae_training_data(cfg: PipelineConfig, view: np.ndarray, geom: NodeGeometry | None) -> np.ndarray:
+    """An autoencoder method's training samples of one real view: its node
+    columns for ae1, its (node, neighbor) pairs for ae2."""
     if cfg.method == "ae1":
-        models = train_for_mode(default_mlp_spec(ul_view.shape[0], cfg.d_hat), tc, ul_view, dl_view)
-        data = [None, None]
+        return view
+    if geom is None:
+        raise ValueError("a pair-input model needs the node geometry")
+    return build_pair_dataset(view, geom, cfg.k_neighbors)
+
+
+def _decompose_ae(cfg: PipelineConfig, views, geom) -> tuple[list[Decomposition], dict, dict]:
+    """``views`` = (uplink, downlink). Centralized, one model trained on the
+    uplink's data splits both views; localized, each view trains its own
+    model, the uplink's first, each with a seed spawned from ``cfg.seed``.
+    The diagnostics hold each direction's per-epoch training loss."""
+    tc = train_config(cfg)
+    if cfg.ae_mode == "centralized":
+        data = [ae_training_data(cfg, views[0], geom), None]
+        spec = default_mlp_spec(data[0].shape[0], cfg.d_hat)
+        models = [train(data[0], spec, tc)] * 2
     else:
-        localized = cfg.ae_mode == "localized"
-        data = [build_pair_dataset(ul_view, geom, k), build_pair_dataset(dl_view, geom, k) if localized else None]
-        models = train_for_mode(default_mlp_spec(data[0].shape[0], cfg.d_hat), tc, *data)
+        data = [ae_training_data(cfg, view, geom) for view in views]
+        spec = default_mlp_spec(data[0].shape[0], cfg.d_hat)
+        seeds = [int(seq.generate_state(1)[0]) for seq in np.random.SeedSequence(cfg.seed).spawn(2)]
+        models = [train(d, spec, dataclasses.replace(tc, seed=seed)) for d, seed in zip(data, seeds)]
     details = {
         "method": cfg.method,
         "d_hat": cfg.d_hat,
@@ -284,10 +307,11 @@ def _decompose_ae(cfg: PipelineConfig, views, geom) -> tuple[list[Decomposition]
         "final_loss_dl": models[1].final_loss,
     }
     diagnostics = {"loss_history_ul": models[0].history, "loss_history_dl": models[1].history}
-    # ae2's splits take over the training pair data (None: not built yet), so
-    # each direction's is built at most once; popping it lets the uplink's go
-    # before the downlink's is used
-    parts = [ae_split(model, view, geom, k, data.pop(0)) for model, view in zip(models, views)]
+    # a pair model's split takes over its view's training data (None: not
+    # built yet), so each direction's is built at most once; popping it lets
+    # the uplink's go before the downlink's is used. A per-node model's split
+    # reads the view itself.
+    parts = [ae_split(model, view, geom, cfg.k_neighbors, data.pop(0)) for model, view in zip(models, views)]
     return parts, details, diagnostics
 
 
@@ -355,12 +379,6 @@ def compute_metrics(cfg: PipelineConfig, out: MethodOutput, geom: NodeGeometry) 
         return results, diagnostics
 
 
-def _config_dict(cfg: PipelineConfig) -> dict:
-    out = dataclasses.asdict(cfg)
-    out["metrics"] = list(cfg.metrics)
-    return out
-
-
 def run_pipeline(cfg: PipelineConfig, output_dir=None) -> dict:
     """simulate/ingest -> decompose -> metrics; returns (and optionally
     writes) the self-describing report."""
@@ -371,7 +389,7 @@ def run_pipeline(cfg: PipelineConfig, output_dir=None) -> dict:
     report = {
         "tool": "csisplit",
         "version": __version__,
-        "config": _config_dict(cfg),
+        "config": dataclasses.asdict(cfg),
         "method_details": out.details,
         "metrics": metrics,
         "diagnostics": {**out.diagnostics, **diagnostics},
@@ -416,7 +434,7 @@ def compare_methods(cfgs: list[PipelineConfig], output_dir=None) -> dict:
     report = {
         "tool": "csisplit",
         "version": __version__,
-        "config": _config_dict(base),
+        "config": dataclasses.asdict(base),
         "methods": [c.method for c in cfgs],
         "rows": rows,
     }

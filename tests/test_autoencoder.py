@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import math
 import os
@@ -13,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csisplit import autoencoder
+from csisplit import autoencoder, pipeline
 from csisplit.autoencoder import (
     WEIGHTS_MAGIC,
     TrainConfig,
@@ -27,7 +26,6 @@ from csisplit.autoencoder import (
     init_params,
     read_weights,
     train,
-    train_for_mode,
     write_weights,
 )
 from csisplit.core import nearest_neighbors, to_real_view
@@ -183,18 +181,28 @@ def test_train_equals_the_per_layer_loop_bit_for_bit(small_view, loss):
     _assert_same_model(train(data, spec, cfg), *_per_layer_train(data, spec, cfg))
 
 
-def test_localized_train_for_mode_equals_the_per_layer_loop(small_view):
+def test_localized_ae2_trains_each_side_as_the_per_layer_loop(small_view, monkeypatch):
     view, geom = small_view
-    out = simulate(SimConfig(grid_shape=(5, 6), m=8, seed=7))
-    dl = build_pair_dataset(to_real_view(out.downlink), geom, 2)
-    ul = build_pair_dataset(view, geom, 2)
-    spec = default_mlp_spec(ul.shape[0], 2)
-    cfg = TrainConfig(loss="e2", batch_size=16, epochs=2, seed=11, mode="localized")
-    models = train_for_mode(spec, cfg, ul, dl)
-    seeds = np.random.SeedSequence(cfg.seed).spawn(2)
-    for model, data, seq in zip(models, (ul, dl), seeds):
-        direct = dataclasses.replace(cfg, seed=int(seq.generate_state(1)[0]))
-        _assert_same_model(model, *_per_layer_train(data, spec, direct))
+    dl_view = to_real_view(simulate(SimConfig(grid_shape=(5, 6), m=8, seed=7)).downlink)
+    models = []
+
+    def recording_train(*args, **kwargs):
+        models.append(train(*args, **kwargs))
+        return models[-1]
+
+    monkeypatch.setattr(pipeline, "train", recording_train)
+    cfg = pipeline.PipelineConfig(
+        method="ae2", ae_mode="localized", d_hat=2, k_neighbors=2, ae_batch_size=16, ae_epochs=2, seed=11
+    )
+    pipeline.DECOMPOSERS["ae2"](cfg, [view, dl_view], geom)
+    # the uplink's model first, each side with its own seed spawned from the pipeline's
+    seeds = np.random.SeedSequence(11).spawn(2)
+    spec = default_mlp_spec(2 * view.shape[0], 2)
+    assert len(models) == 2
+    for model, side, seq in zip(models, (view, dl_view), seeds):
+        assert model.spec == spec
+        direct = TrainConfig(loss="e2", batch_size=16, epochs=2, seed=int(seq.generate_state(1)[0]))
+        _assert_same_model(model, *_per_layer_train(_per_pair_dataset(side, geom, 2)[0], spec, direct))
 
 
 def test_gradient_equals_the_per_layer_backprop(small_view):

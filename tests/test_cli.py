@@ -12,7 +12,7 @@ import pytest
 
 import csisplit
 from csisplit import cli, pipeline
-from csisplit.autoencoder import decompose_ae, read_weights
+from csisplit.autoencoder import decompose_ae, read_weights, train
 from csisplit.core import CsiMatrix, read_csi_file, to_real_view, write_csi_file
 from csisplit.distfit import ALL_FAMILIES, PHASE_FAMILIES, fit_families
 from csisplit.pca import fit_pca, sweep
@@ -413,6 +413,38 @@ def test_ae_train_makes_the_directories_of_given_log_and_weights_paths(dataset, 
     assert cli.main(argv) == 0
     assert len((fresh / "log.jsonl").read_text(encoding="utf-8").splitlines()) == 1
     assert read_weights(tmp_path / "w" / "ae.weights").spec.input_dim == 32
+
+
+@pytest.mark.parametrize("loss, method", [("e1", "ae1"), ("e2", "ae2")])
+def test_ae_train_weights_equal_the_pipelines_centralized_uplink_model(dataset, tmp_path, monkeypatch, loss, method):
+    options = ["--d-hat", "2", "--ae-epochs", "2", "--ae-batch-size", "8", "--ae-learning-rate", "3e-3"]
+    options += ["--mu", "2", "--k", "3", "--seed", "4"]
+    argv = ["ae-train", "--input", str(dataset / "uplink.csi"), "--geometry", str(dataset / "geometry.json")]
+    assert cli.main([*argv, "--loss", loss, *options, "--output-dir", str(tmp_path)]) == 0
+    written = read_weights(tmp_path / "ae.weights")
+
+    models = []
+
+    def recording_train(*args, **kwargs):
+        models.append(train(*args, **kwargs))
+        return models[-1]
+
+    monkeypatch.setattr(pipeline, "train", recording_train)
+    settings = dict(ae_epochs=2, ae_batch_size=8, ae_learning_rate=3e-3, ae_loss_mu=2.0, k_neighbors=3)
+    cfg = pipeline.PipelineConfig(method=method, d_hat=2, seed=4, **settings)
+    views = [to_real_view(read_csi_file(dataset / f"{side}.csi")) for side in ("uplink", "downlink")]
+    pipeline.DECOMPOSERS[method](cfg, views, pipeline.read_geometry(dataset / "geometry.json"))
+    (model,) = models
+    assert written.spec == model.spec
+    assert written.input_scale == model.input_scale
+    assert np.array_equal(written.params, model.params)
+
+
+def test_ae_train_e2_without_geometry_exits_1(dataset, tmp_path, capsys):
+    argv = ["ae-train", "--loss", "e2", "--ae-epochs", "1", "--input", str(dataset / "uplink.csi")]
+    assert cli.main([*argv, "--output-dir", str(tmp_path)]) == 1
+    assert "a pair-input model needs the node geometry" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_decompose_makes_the_directories_of_given_output_paths(dataset, tmp_path):

@@ -18,6 +18,7 @@ from csisplit.core import (
     nearest_neighbors,
     read_csi_file,
     to_real_view,
+    view_to_complex,
     write_csi_file,
 )
 
@@ -45,6 +46,14 @@ def test_real_view_round_trip_bit_identical():
     back = from_real_view(to_real_view(csi), direction=csi.direction, snr_db=csi.snr_db)
     assert np.array_equal(back.data, csi.data)
     assert back.direction == Direction.DOWNLINK and back.snr_db == 12.5
+
+
+@pytest.mark.parametrize("shape", [(3, 2), (1, 4)])
+def test_odd_row_real_view_raises_naming_its_shape(shape):
+    view = np.ones(shape)
+    for convert in (view_to_complex, from_real_view):
+        with pytest.raises(ValueError, match=rf"even row count, got \({shape[0]}, {shape[1]}\)"):
+            convert(view)
 
 
 def test_real_view_is_linear():

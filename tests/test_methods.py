@@ -2,6 +2,7 @@
 ``compare`` and the ``decompose`` command must give what the methods' own
 fit and decompose functions give."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -15,7 +16,6 @@ from csisplit.autoencoder import (
     decompose_ae_pairs,
     default_mlp_spec,
     train,
-    train_for_mode,
 )
 from csisplit.core import Decomposition, read_csi_file, to_real_view, view_to_complex, write_csi_file
 from csisplit.kpca import decompose_kpca, fit_kpca
@@ -99,7 +99,6 @@ def test_autoencoder_methods_equal_direct_train_and_decompose(dataset, method, m
         batch_size=cfg.ae_batch_size,
         epochs=cfg.ae_epochs,
         seed=cfg.seed,
-        mode=mode,
         mu=cfg.ae_loss_mu,
     )
     if method == "ae1":
@@ -109,8 +108,10 @@ def test_autoencoder_methods_equal_direct_train_and_decompose(dataset, method, m
     spec = default_mlp_spec(data_ul.shape[0], 1)
     if mode == "centralized":
         model_ul = model_dl = train(data_ul, spec, tc)
-    else:
-        model_ul, model_dl = train_for_mode(spec, tc, data_ul, data_dl)
+    else:  # each side its own model, with seeds spawned from the pipeline's
+        seeds = [int(seq.generate_state(1)[0]) for seq in np.random.SeedSequence(cfg.seed).spawn(2)]
+        model_ul = train(data_ul, spec, dataclasses.replace(tc, seed=seeds[0]))
+        model_dl = train(data_dl, spec, dataclasses.replace(tc, seed=seeds[1]))
     if method == "ae1":
         dec_ul, dec_dl = decompose_ae(model_ul, ul_view), decompose_ae(model_dl, dl_view)
     else:

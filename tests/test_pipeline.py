@@ -27,6 +27,22 @@ def test_bad_delta_bar_settings_fail_before_any_stage(field, value):
     dataclasses.replace(cfg, metrics=("tvd", "cc", "mp")).validate()
 
 
+def test_empty_metric_set_fails_before_any_stage(tmp_path):
+    cfg = pipeline.PipelineConfig(sim=SMALL, metrics=())
+    with pytest.raises(ValueError, match="metrics"):
+        pipeline.run_pipeline(cfg, output_dir=tmp_path)
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("method", ["ae1", "ae2"])
+def test_bad_ae_mode_fails_before_any_stage(method):
+    cfg = pipeline.PipelineConfig(sim=SMALL, method=method, ae_mode="federated")
+    with pytest.raises(ValueError, match="ae_mode"):
+        pipeline.run_pipeline(cfg)
+    # the methods that train no autoencoder do not read the mode
+    dataclasses.replace(cfg, method="pca").validate()
+
+
 @pytest.mark.parametrize("mu", [0.5, 0.0, float("nan")])
 def test_bad_ae2_mu_fails_before_any_stage(mu):
     cfg = pipeline.PipelineConfig(sim=SMALL, method="ae2", ae_loss_mu=mu)
