@@ -25,11 +25,15 @@ row-major (d_out, d_in) weights W, then the d_out biases b; the weights
 file stores it as is. ``ACTIVATIONS`` maps each activation to (f(z),
 f'(z, a = f(z))), and a layer's file code is its name's position there
 (linear 0, tanh 1, softplus 2, relu 3). f' is None for linear: backprop
-skips the product with ones, which is exact.
+skips the product with ones, which is exact. The softplus derivative is
+SciPy's ``expit``, the module's one SciPy function: it is imported on the
+first softplus backprop, so a forward pass, a split with a trained model
+or a weights file never loads SciPy.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -37,14 +41,23 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .core import Decomposition, NodeGeometry
+
+
+@functools.cache
+def _expit():
+    """``scipy.special.expit``, imported on the first softplus backprop:
+    scipy.special takes longer to load than csisplit."""
+    from scipy.special import expit
+
+    return expit
+
 
 ACTIVATIONS = {
     "linear": (lambda z: z, None),
     "tanh": (np.tanh, lambda z, a: 1.0 - a * a),
-    "softplus": (lambda z: np.logaddexp(0.0, z), lambda z, a: expit(z)),
+    "softplus": (lambda z: np.logaddexp(0.0, z), lambda z, a: _expit()(z)),
     "relu": (lambda z: np.maximum(z, 0.0), lambda z, a: (z > 0.0).astype(np.float64)),
 }
 
@@ -205,7 +218,7 @@ class TrainConfig:
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
         if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("invalid optimizer parameters")
+            raise ValueError(f"epochs and batch_size must be at least 1, got {self.epochs} and {self.batch_size}")
         if self.loss == "e2" and not (math.isfinite(self.mu) and self.mu > 0.5):
             raise ValueError(f"mu must be finite and above 0.5 for the e2 loss, got {self.mu}")
 
@@ -310,36 +323,55 @@ def build_pair_dataset(view: np.ndarray, geom: NodeGeometry, k: int = 8) -> np.n
     sample per edge, width = 2 x per-node width. Column i * k + r pairs node
     i with its rank-r neighbor ``geom.neighbors(k)[i, r]``: node-major,
     neighbors nearest first."""
+    return _pair_columns(_node_view(view, geom), geom.neighbors(k), 0, geom.n)
+
+
+def _node_view(view: np.ndarray, geom: NodeGeometry) -> np.ndarray:
     view = np.asarray(view, dtype=np.float64)
     if view.ndim != 2 or view.shape[1] != geom.n:
         raise ValueError(f"view must have one column per node ({geom.n}), got shape {view.shape}")
-    table = geom.neighbors(k)
+    return view
+
+
+def _pair_columns(view: np.ndarray, table: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """The columns of :func:`build_pair_dataset` that pair nodes
+    start..stop-1, whose neighbors are rows start..stop-1 of ``table``."""
+    k = table.shape[1]
     half = view.shape[0]
-    data = np.empty((2 * half, table.size))
+    data = np.empty((2 * half, (stop - start) * k))
     # mode="clip": with out=, the default mode="raise" copies through a
     # hidden buffer; the indices are always in range
-    np.take(view, np.repeat(np.arange(geom.n), k), axis=1, out=data[:half], mode="clip")
-    np.take(view, table.ravel(), axis=1, out=data[half:], mode="clip")
+    np.take(view, np.repeat(np.arange(start, stop), k), axis=1, out=data[:half], mode="clip")
+    np.take(view, table[start:stop].ravel(), axis=1, out=data[half:], mode="clip")
     return data
 
 
-def decompose_ae_pairs(
-    model: TrainedModel, view: np.ndarray, geom: NodeGeometry, k: int = 8, data: np.ndarray | None = None
-) -> Decomposition:
+#: nodes per block of a pair model's split: 256 k columns, a multiple of 8
+#: (the width of a BLAS column tile) for every k
+PAIR_BLOCK_NODES = 256
+
+
+def decompose_ae_pairs(model: TrainedModel, view: np.ndarray, geom: NodeGeometry, k: int = 8) -> Decomposition:
     """Residuals for a pair-input model: each node's reconstruction is the
     average of the first-half outputs over its (node, neighbor) samples.
-    ``data``, when given, is ``build_pair_dataset(view, geom, k)``, already
-    built (for training), and is used instead of building it again; the
-    caller hands it over, since it is scaled in place."""
-    view = np.asarray(view, dtype=np.float64)
-    if data is None:
-        data = build_pair_dataset(view, geom, k)
-    data /= model.input_scale  # in place: no second pair-sized array
-    y, _ = forward(model.spec, model.params, data)
+    The samples are gathered, scaled and passed forward one block of
+    ``PAIR_BLOCK_NODES`` nodes at a time, so only one block's pair columns
+    are alive. With one block (n <= 256) the split is bit for bit one
+    forward pass over :func:`build_pair_dataset`; with more, it can differ
+    from that pass in the last bit, as BLAS may choose another kernel for
+    a block's matrix shape than for the whole set's."""
+    view = _node_view(view, geom)
+    table = geom.neighbors(k)
     half = view.shape[0]
     predictable = np.zeros_like(view)
-    for rank in range(k):  # rank by rank keeps the summation order of a per-pair loop
-        predictable += y[:half, rank::k]
+    for start in range(0, geom.n, PAIR_BLOCK_NODES):
+        stop = min(start + PAIR_BLOCK_NODES, geom.n)
+        data = _pair_columns(view, table, start, stop)
+        data /= model.input_scale  # in place: no second block-sized array
+        y, _ = forward(model.spec, model.params, data)
+        block = predictable[:, start:stop]
+        for rank in range(k):  # rank by rank keeps the summation order of a per-pair loop
+            block += y[:half, rank::k]
     predictable *= model.input_scale / k
     return Decomposition(predictable=predictable, unpredictable=view - predictable)
 

@@ -96,8 +96,9 @@ def median_bandwidth(sq_dists: np.ndarray) -> float:
     """sqrt(med / 2), med the median of the strict upper triangle of a
     symmetric matrix of squared distances, or of its positive entries when
     more than half are zero; NaN when none is positive (no bandwidth)."""
-    off = sq_dists[np.triu_indices(sq_dists.shape[0], k=1)]
-    med = float(np.median(off))
+    n = sq_dists.shape[0]
+    off = sq_dists[np.less.outer(np.arange(n), np.arange(n))]  # a boolean mask: no (n^2 / 2) index arrays
+    med = float(np.median(off, overwrite_input=True))  # reorders off, not its values
     if med == 0.0:
         pos = off[off > 0]
         if pos.size == 0:

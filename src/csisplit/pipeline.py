@@ -106,8 +106,10 @@ class PipelineConfig:
             raise ValueError(f"method must be one of {METHODS}")
         if self.method in ("kpca", "ae1", "ae2") and self.d_hat < 1:
             raise ValueError(f"d_hat must be at least 1 for method {self.method}, got {self.d_hat}")
-        if self.method in ("ae1", "ae2") and self.ae_mode not in AE_MODES:
-            raise ValueError(f"ae_mode must be one of {AE_MODES}, got {self.ae_mode!r}")
+        if self.method in ("ae1", "ae2"):
+            if self.ae_mode not in AE_MODES:
+                raise ValueError(f"ae_mode must be one of {AE_MODES}, got {self.ae_mode!r}")
+            train_config(self)  # TrainConfig checks the training settings
         if not self.metrics:
             raise ValueError(f"metrics must name at least one of {ALL_METRICS}")
         unknown = set(self.metrics) - set(ALL_METRICS)
@@ -120,8 +122,6 @@ class PipelineConfig:
                 raise ValueError(f"delta_b must be at least {MIN_REPLICATES} permutations")
             if not 0.0 < self.alpha < 1.0:
                 raise ValueError("alpha must lie in (0, 1)")
-        if self.method == "ae2" and not (math.isfinite(self.ae_loss_mu) and self.ae_loss_mu > 0.5):
-            raise ValueError(f"ae_loss_mu must be finite and above 0.5 for method ae2, got {self.ae_loss_mu}")
 
 
 #: largest geometry file read, in bytes: 64 MiB, over a million nodes in 3-D
@@ -244,20 +244,16 @@ def _decompose_kpca(cfg: PipelineConfig, views, geom) -> tuple[list[Decompositio
     return parts, details, {}
 
 
-def ae_split(
-    model: TrainedModel, view: np.ndarray, geom: NodeGeometry | None, k: int, data: np.ndarray | None = None
-) -> Decomposition:
+def ae_split(model: TrainedModel, view: np.ndarray, geom: NodeGeometry | None, k: int) -> Decomposition:
     """Split by a trained autoencoder: a per-node model when its input width
-    is the view's, a (node, neighbor) pair model when it is twice that.
-    ``data`` is the view's pair data when already built; the pair model
-    scales it in place."""
+    is the view's, a (node, neighbor) pair model when it is twice that."""
     if model.spec.input_dim == view.shape[0]:
         return decompose_ae(model, view)
     if model.spec.input_dim != 2 * view.shape[0]:
         raise ValueError(f"model expects input dim {model.spec.input_dim}, the real view has {view.shape[0]}")
     if geom is None:
         raise ValueError("a pair-input model needs the node geometry")
-    return decompose_ae_pairs(model, view, geom, k, data)
+    return decompose_ae_pairs(model, view, geom, k)
 
 
 def train_config(cfg: PipelineConfig) -> TrainConfig:
@@ -287,17 +283,20 @@ def _decompose_ae(cfg: PipelineConfig, views, geom) -> tuple[list[Decomposition]
     """``views`` = (uplink, downlink). Centralized, one model trained on the
     uplink's data splits both views; localized, each view trains its own
     model, the uplink's first, each with a seed spawned from ``cfg.seed``.
+    A view's training data lives only while its model trains: a pair
+    model's split gathers its pairs again, block by block.
     The diagnostics hold each direction's per-epoch training loss."""
+
+    def fit(view: np.ndarray, tc: TrainConfig) -> TrainedModel:
+        data = ae_training_data(cfg, view, geom)
+        return train(data, default_mlp_spec(data.shape[0], cfg.d_hat), tc)
+
     tc = train_config(cfg)
     if cfg.ae_mode == "centralized":
-        data = [ae_training_data(cfg, views[0], geom), None]
-        spec = default_mlp_spec(data[0].shape[0], cfg.d_hat)
-        models = [train(data[0], spec, tc)] * 2
+        models = [fit(views[0], tc)] * 2
     else:
-        data = [ae_training_data(cfg, view, geom) for view in views]
-        spec = default_mlp_spec(data[0].shape[0], cfg.d_hat)
         seeds = [int(seq.generate_state(1)[0]) for seq in np.random.SeedSequence(cfg.seed).spawn(2)]
-        models = [train(d, spec, dataclasses.replace(tc, seed=seed)) for d, seed in zip(data, seeds)]
+        models = [fit(view, dataclasses.replace(tc, seed=seed)) for view, seed in zip(views, seeds)]
     details = {
         "method": cfg.method,
         "d_hat": cfg.d_hat,
@@ -307,11 +306,7 @@ def _decompose_ae(cfg: PipelineConfig, views, geom) -> tuple[list[Decomposition]
         "final_loss_dl": models[1].final_loss,
     }
     diagnostics = {"loss_history_ul": models[0].history, "loss_history_dl": models[1].history}
-    # a pair model's split takes over its view's training data (None: not
-    # built yet), so each direction's is built at most once; popping it lets
-    # the uplink's go before the downlink's is used. A per-node model's split
-    # reads the view itself.
-    parts = [ae_split(model, view, geom, cfg.k_neighbors, data.pop(0)) for model, view in zip(models, views)]
+    parts = [ae_split(model, view, geom, cfg.k_neighbors) for model, view in zip(models, views)]
     return parts, details, diagnostics
 
 

@@ -21,6 +21,10 @@ circular Gaussian noise scaled per node to the configured SNR; the BPSK
 pilot divides out in the zero-forcing estimate, flipping the noise sign
 only. All draws come from per-purpose RNG streams spawned from the seed,
 so output is bit-reproducible.
+
+The module imports SciPy in one place: :func:`temporal_correlation` loads
+``scipy.special.j0`` when it derives rho, that is when ``temporal_rho`` is
+None.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import j0
 
 from .core import CsiMatrix, Direction, NodeGeometry, squared_distances
 
@@ -124,6 +127,7 @@ def temporal_correlation(cfg: SimConfig) -> float:
     """AR(1) coefficient matching the Jakes autocorrelation at one snapshot lag."""
     if cfg.temporal_rho is not None:
         return float(cfg.temporal_rho)
+    from scipy.special import j0  # imported on first use, as scipy.special takes longer to load than csisplit
     f_d = cfg.speed_mps * cfg.carrier_hz / SPEED_OF_LIGHT
     return float(j0(2.0 * math.pi * f_d * cfg.snapshot_interval_s))
 

@@ -48,14 +48,39 @@ def _files(dataset):
     ]  # fmt: skip
 
 
-def test_importing_the_cli_loads_neither_scipy_linalg_nor_scipy_stats():
-    # a fresh interpreter: this one has loaded both through the test modules
+def _fresh_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """``code`` run by a fresh interpreter: this one has loaded SciPy through the test modules."""
     src = str(Path(csisplit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    code = "import sys, csisplit.cli; print(sorted(m for m in ('scipy.linalg', 'scipy.stats') if m in sys.modules))"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=120)
+
+
+_SCIPY_LOADED = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+
+
+def test_importing_the_cli_loads_no_scipy_module():
+    proc = _fresh_python("import sys, csisplit.cli; " + _SCIPY_LOADED)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_sweep_and_skg_mp_on_files_load_no_scipy_module(dataset, tmp_path):
+    code = "\n".join(
+        [
+            "import sys",
+            "from csisplit import cli",
+            "ul, dl, geom, out = sys.argv[1:]",
+            "files = ['--input-ul', ul, '--input-dl', dl]",
+            "assert cli.main(['sweep', *files, '--geometry', geom, '--output-dir', out + '/sweep']) == 0",
+            "assert cli.main(['skg-mp', *files, '--output-dir', out + '/skg']) == 0",
+            _SCIPY_LOADED,
+        ]
+    )
+    paths = [str(dataset / name) for name in ("uplink.csi", "downlink.csi", "geometry.json")]
+    proc = _fresh_python(code, *paths, str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
+    assert (tmp_path / "sweep" / "sweep.json").is_file() and (tmp_path / "skg" / "skg_mp.json").is_file()
 
 
 def test_sweep_files_equal_the_direct_sweep(dataset, tmp_path):

@@ -66,12 +66,22 @@ def test_real_view_is_linear():
 
 
 def test_csi_matrix_rejects_nonfinite():
-    # 1.0 + 1j * inf has a nan real part; the last three are non-finite in the imaginary part only
+    # 1.0 + 1j * inf has a nan real part; complex(inf, 1.0) is non-finite in
+    # the real part only, the last three in the imaginary part only. The
+    # check reads the stored copy's parts as float64, whatever the input layout
     for entry in (
-        complex(np.nan, 0.0), 1.0 + 1j * np.inf, complex(1.0, np.inf), complex(1.0, -np.inf), complex(1.0, np.nan)
+        complex(np.nan, 0.0),
+        1.0 + 1j * np.inf,
+        complex(np.inf, 1.0),
+        complex(1.0, np.inf),
+        complex(1.0, -np.inf),
+        complex(1.0, np.nan),
     ):
-        with pytest.raises(ValueError, match="non-finite"):
-            CsiMatrix(np.array([[0.5, entry]]))
+        data = np.full((6, 10), 0.5 + 0.5j)
+        data[4, 7] = entry
+        for layout in (data, np.asfortranarray(data), np.repeat(data, 2, axis=1)[:, ::2]):
+            with pytest.raises(ValueError, match="non-finite"):
+                CsiMatrix(layout)
 
 
 def test_csi_matrix_is_immutable():

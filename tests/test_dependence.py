@@ -124,6 +124,34 @@ def test_median_bandwidth_falls_back_to_the_positive_distances():
     assert k[0, 4] == pytest.approx(math.exp(-2.0), rel=1e-15)
 
 
+def _triu_median_bandwidth(sq_dists):
+    """The median rule over the strict upper triangle gathered by index."""
+    off = sq_dists[np.triu_indices(sq_dists.shape[0], k=1)]
+    med = float(np.median(off))
+    if med == 0.0:
+        pos = off[off > 0]
+        if pos.size == 0:
+            return math.nan
+        med = float(np.median(pos))
+    return math.sqrt(med / 2.0)
+
+
+@pytest.mark.parametrize("case", ["random", "ties", "mostly zero", "all zero"])
+def test_median_bandwidth_equals_the_triu_indices_rule(case):
+    rng = np.random.default_rng(11)
+    x = {
+        "random": rng.standard_normal(40),
+        "ties": rng.integers(0, 4, 41).astype(np.float64),
+        "mostly zero": np.r_[np.zeros(30), rng.standard_normal(5)],
+        "all zero": np.zeros(12),
+    }[case]
+    d2 = np.subtract.outer(x, x) ** 2
+    d2[np.tril_indices(x.size, k=-1)] = -1.0  # the lower triangle must not be read
+    before = d2.copy()
+    np.testing.assert_equal(median_bandwidth(d2), _triu_median_bandwidth(d2))  # NaN equals NaN here
+    assert np.array_equal(d2, before)
+
+
 def test_median_bandwidth_is_nan_when_all_points_are_equal():
     assert math.isnan(median_bandwidth(np.zeros((5, 5))))
     k, sigma, degen = gaussian_gram_1d(np.full(5, 1.5))

@@ -125,8 +125,8 @@ def test_autoencoder_methods_equal_direct_train_and_decompose(dataset, method, m
     assert got.details["final_loss_dl"] == model_dl.final_loss
 
 
-@pytest.mark.parametrize("mode", ["centralized", "localized"])
-def test_ae2_builds_each_directions_pair_data_once(dataset, monkeypatch, mode):
+@pytest.mark.parametrize("mode, trained", [("centralized", 1), ("localized", 2)])
+def test_ae2_builds_pair_data_for_training_only(dataset, monkeypatch, mode, trained):
     ul, dl, geom = dataset
     built = []
 
@@ -137,11 +137,33 @@ def test_ae2_builds_each_directions_pair_data_once(dataset, monkeypatch, mode):
     monkeypatch.setattr(autoencoder, "build_pair_dataset", counting_build)
     monkeypatch.setattr(pipeline, "build_pair_dataset", counting_build)
     pipeline.apply_method(_cfg("ae2", ae_mode=mode), ul, dl, geom)
-    # centralized: the uplink's for training, the downlink's for its split;
-    # localized: both for training, and the splits reuse them
-    assert len(built) == 2
-    assert np.array_equal(built[0], to_real_view(ul))
-    assert np.array_equal(built[1], to_real_view(dl))
+    # one build per trained model, the uplink's first; the splits gather
+    # their pairs block by block
+    assert len(built) == trained
+    for view, csi in zip(built, (ul, dl)):
+        assert np.array_equal(view, to_real_view(csi))
+
+
+@pytest.mark.parametrize("grid, k", [((16, 16), 3), ((16, 16), 8), ((19, 17), 3), ((19, 17), 8)])
+def test_ae2_split_equals_one_forward_over_all_pairs(grid, k):
+    out = simulate(SimConfig(grid_shape=grid, m=6))
+    view, geom = to_real_view(out.uplink), out.geometry
+    spec = default_mlp_spec(2 * view.shape[0], 2)
+    model = autoencoder.TrainedModel(
+        spec=spec, params=autoencoder.init_params(spec, np.random.default_rng(5)), input_scale=0.37
+    )
+    got = decompose_ae_pairs(model, view, geom, k)
+
+    y, _ = autoencoder.forward(spec, model.params, build_pair_dataset(view, geom, k) / model.input_scale)
+    want = np.zeros_like(view)
+    for rank in range(k):
+        want += y[: view.shape[0], rank::k]
+    want *= model.input_scale / k
+    assert np.array_equal(got.unpredictable, view - got.predictable)
+    if geom.n <= autoencoder.PAIR_BLOCK_NODES:  # one block: the one-shot pass itself
+        assert np.array_equal(got.predictable, want)
+    else:  # 256 + 67 nodes: each block's matrix products may round as BLAS's kernel for their shape does
+        np.testing.assert_allclose(got.predictable, want, rtol=0, atol=1e-14 * np.abs(want).max())
 
 
 def test_compare_rows_equal_the_pipeline_metrics():

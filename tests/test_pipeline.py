@@ -46,10 +46,30 @@ def test_bad_ae_mode_fails_before_any_stage(method):
 @pytest.mark.parametrize("mu", [0.5, 0.0, float("nan")])
 def test_bad_ae2_mu_fails_before_any_stage(mu):
     cfg = pipeline.PipelineConfig(sim=SMALL, method="ae2", ae_loss_mu=mu)
-    with pytest.raises(ValueError, match="ae_loss_mu"):
+    with pytest.raises(ValueError, match="mu must be finite and above 0.5 for the e2 loss"):
         pipeline.run_pipeline(cfg)
     # ae1 trains on the reconstruction loss alone, which does not use mu
     dataclasses.replace(cfg, method="ae1").validate()
+
+
+@pytest.mark.parametrize("method", ["ae1", "ae2"])
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("ae_learning_rate", float("nan"), "learning_rate must be finite and positive"),
+        ("ae_epochs", 0, "epochs and batch_size must be at least 1"),
+        ("ae_batch_size", 0, "epochs and batch_size must be at least 1"),
+    ],
+)
+def test_bad_ae_training_settings_fail_before_the_dataset_loads(monkeypatch, method, field, value, message):
+    loaded = []
+    monkeypatch.setattr(pipeline, "load_dataset", lambda cfg: loaded.append(cfg))
+    cfg = pipeline.PipelineConfig(sim=SMALL, method=method, **{field: value})
+    with pytest.raises(ValueError, match=message):
+        pipeline.run_pipeline(cfg)
+    assert loaded == []
+    # the methods that train no autoencoder do not read the settings
+    dataclasses.replace(cfg, method="pca").validate()
 
 
 @pytest.mark.parametrize("method", ["kpca", "ae1", "ae2"])
