@@ -14,7 +14,9 @@ flat key = value file whose entries are parsed as --key=value after the
 command line, so they override it and take the flag's type, choices and
 errors; keys are the subcommand's long option names, with dashes or
 underscores. Every option shared by several subcommands is declared once,
-with one default and one help.
+with one default and one help. decompose, ae-train, sweep, compare and
+pipeline build a ``PipelineConfig``, which checks itself when built, before
+any file is read; sweep checks --b and --alpha only if --delta-pairs > 0.
 
 Importing this module loads no SciPy module. Each SciPy import sits in
 the function that calls it: kpca's fit and split, the Jakes-derived
@@ -247,7 +249,8 @@ def cmd_fit_dist(args) -> None:
 def cmd_sweep(args) -> None:
     if args.step < 1:
         raise ValueError(f"--step must be at least 1, got {args.step}")
-    ul, dl, geom = pl.load_dataset(_pipeline_config(args, source="files"))
+    metrics = ("cc", "mp", "delta_bar") if args.delta_pairs > 0 else ("cc", "mp")
+    ul, dl, geom = pl.load_dataset(_pipeline_config(args, source="files", metrics=metrics))
     ul_view, dl_view = to_real_view(ul), to_real_view(dl)
     d2_grid = range(args.d2_min, args.d2_max + 1, args.step)
     # the sweep reads components 1 to the largest d2 and no further
@@ -335,7 +338,7 @@ _FLAGS = {
 _KPCA_FLAGS = ("gamma", "sigma", "kernel-variant")
 _AE_FLAGS = ("mu", "ae-epochs", "ae-batch-size", "ae-learning-rate", "ae-mode")
 _METHOD_FLAGS = ("d-hat", "d1", "d2", *_KPCA_FLAGS, *_AE_FLAGS)
-_METRIC_FLAGS = ("metrics", "k", "bins", "delta-pairs", "b", "alpha")
+_SCORE_FLAGS = ("k", "delta-pairs", "b", "alpha")
 
 
 def _add_flags(p: argparse.ArgumentParser, *names: str, required: tuple[str, ...] = ()) -> None:
@@ -406,14 +409,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep, delta_pairs=0)
 
     p = sub.add_parser("compare", parents=[common], help="method comparison table on one dataset")
-    _add_flags(p, *files, *_METHOD_FLAGS, *_METRIC_FLAGS, required=files)
+    _add_flags(p, *files, *_METHOD_FLAGS, *_SCORE_FLAGS, required=files)
     p.add_argument("--methods", default=",".join(pl.METHODS))
     p.set_defaults(func=cmd_compare, source="files", method="none")
 
     p = sub.add_parser("pipeline", parents=[common], help="dataset -> method -> metrics report")
     p.add_argument("--source", choices=("simulate", "files"), default="simulate")
     p.add_argument("--method", choices=pl.METHODS, default=_DEFAULTS.method, help="decomposition method")
-    _add_flags(p, *files, *_METHOD_FLAGS, *_METRIC_FLAGS)
+    _add_flags(p, *files, *_METHOD_FLAGS, "metrics", "bins", *_SCORE_FLAGS)
     _add_sim_flags(p)
     p.set_defaults(func=cmd_pipeline)
 

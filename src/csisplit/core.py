@@ -231,13 +231,9 @@ def write_csi_file(csi: CsiMatrix, path) -> None:
     """
     snr = math.nan if csi.snr_db is None else float(csi.snr_db)
     header = _HEADER.pack(CSI_MAGIC, csi.m, csi.n, int(csi.direction), snr)
-    flat = csi.data.flatten(order="F")
-    payload = np.empty(2 * flat.size, dtype="<f8")
-    payload[0::2] = flat.real
-    payload[1::2] = flat.imag
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(payload.tobytes())
+        fh.write(np.asarray(csi.data, dtype="<c16").tobytes(order="F"))
 
 
 def read_csi_file(path) -> CsiMatrix:
@@ -265,6 +261,5 @@ def read_csi_file(path) -> CsiMatrix:
         raw = fh.read(16 * m * n)
     if len(raw) < 16 * m * n:  # the file shrank after fstat
         raise CsiFileError(f"truncated payload: {_HEADER.size + len(raw)} bytes, need {expected}")
-    payload = np.frombuffer(raw, dtype="<f8")
-    data = (payload[0::2] + 1j * payload[1::2]).reshape((m, n), order="F")
+    data = np.frombuffer(raw, dtype="<c16").reshape((m, n), order="F")
     return CsiMatrix(data, direction=Direction(direction), snr_db=None if math.isnan(snr) else snr)

@@ -70,6 +70,11 @@ def _stage(name: str):
 
 @dataclass(frozen=True)
 class PipelineConfig:
+    """One run's dataset, method and metric settings, checked when built
+    (``dataclasses.replace`` too). Some checks hold only where a setting is
+    read: d_hat >= 1 for kpca, ae1 and ae2; the autoencoder settings for ae1
+    and ae2; the delta_bar settings; one seed for a simulated source."""
+
     source: str = "simulate"  # "simulate" or "files"
     ul_path: str | None = None
     dl_path: str | None = None
@@ -95,7 +100,7 @@ class PipelineConfig:
     alpha: float = 0.05
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.source not in ("simulate", "files"):
             raise ValueError("source must be 'simulate' or 'files'")
         if self.source == "simulate" and self.seed != self.sim.seed:
@@ -324,8 +329,6 @@ METHODS = tuple(DECOMPOSERS)
 
 def apply_method(cfg: PipelineConfig, ul: CsiMatrix, dl: CsiMatrix, geom: NodeGeometry) -> MethodOutput:
     with _stage("decompose"):
-        if cfg.method not in DECOMPOSERS:
-            raise ValueError(f"unknown method {cfg.method!r}")
         parts, details, diagnostics = DECOMPOSERS[cfg.method](cfg, [to_real_view(ul), to_real_view(dl)], geom)
         (predictable, unpred_ul), (_, unpred_dl) = parts
         return MethodOutput(
@@ -377,7 +380,6 @@ def compute_metrics(cfg: PipelineConfig, out: MethodOutput, geom: NodeGeometry) 
 def run_pipeline(cfg: PipelineConfig, output_dir=None) -> dict:
     """simulate/ingest -> decompose -> metrics; returns (and optionally
     writes) the self-describing report."""
-    cfg.validate()
     ul, dl, geom = load_dataset(cfg)
     out = apply_method(cfg, ul, dl, geom)
     metrics, diagnostics = compute_metrics(cfg, out, geom)
@@ -408,8 +410,6 @@ def compare_methods(cfgs: list[PipelineConfig], output_dir=None) -> dict:
     if any(getattr(cfg, f) != getattr(base, f) for cfg in cfgs[1:] for f in dataset_fields):
         raise PipelineError("compare", ValueError("dataset mismatch across configs"))
     scored = [dataclasses.replace(cfg, metrics=("cc", "delta_bar", "mp")) for cfg in cfgs]
-    for cfg in scored:
-        cfg.validate()
     ul, dl, geom = load_dataset(base)
     none = dataclasses.replace(scored[0], method="none")
     original, _ = compute_metrics(none, apply_method(none, ul, dl, geom), geom)
@@ -453,12 +453,13 @@ def tvd_curve(
     view = to_real_view(ul)
     if d_hat_max > view.shape[0]:
         raise ValueError(f"d_hat_max {d_hat_max} exceeds the {view.shape[0]} rows of the real view")
-    basis = fit_pca(view, top=d_hat_max) if d_hat_max > 0 else None
+    if d_hat_max > 0:
+        basis = fit_pca(view, top=d_hat_max)
+        u = basis.eigenvectors[:d_hat_max]
+        scores = u @ (view - basis.mean[:, None])  # each rank's products are those of pca.decompose
     records = []
     for d in range(d_hat_max + 1):
-        predictable = view  # rank 0: the raw measurements
-        if d > 0:
-            predictable = decompose(view, basis, DecompConfig(d_hat=d, d1=1, d2=d_hat_max)).predictable
+        predictable = u[:d].T @ scores[:d] if d > 0 else view  # rank 0: the raw measurements
         rep = avg_neighbor_tvd(np.abs(view_to_complex(predictable)), geom, k=k, bins=bins)
         records.append({"d_hat": d, "avg_tvd": rep.avg_tvd})
     return records

@@ -20,7 +20,7 @@ Both directions observe the same h_n[t] (reciprocity) through independent
 circular Gaussian noise scaled per node to the configured SNR; the BPSK
 pilot divides out in the zero-forcing estimate, flipping the noise sign
 only. All draws come from per-purpose RNG streams spawned from the seed,
-so output is bit-reproducible.
+so output is bit-reproducible. A SimConfig checks itself when built.
 
 The module imports SciPy in one place: :func:`temporal_correlation` loads
 ``scipy.special.j0`` when it derives rho, that is when ``temporal_rho`` is
@@ -62,7 +62,7 @@ class SimConfig:
     seed: int = 0
     temporal_rho: float | None = None  # overrides the Jakes-derived AR(1) coefficient
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.m < 2:
             raise ValueError("need at least 2 snapshots")
         if self.grid_shape[0] * self.grid_shape[1] < 2 or self.grid_spacing_m <= 0:
@@ -134,7 +134,6 @@ def temporal_correlation(cfg: SimConfig) -> float:
 
 def simulate(cfg: SimConfig) -> SimOutput:
     """Generate reciprocal uplink/downlink CSI observations at the node grid."""
-    cfg.validate()
     positions = grid_positions(cfg)
     n = positions.shape[0]
     m = cfg.m

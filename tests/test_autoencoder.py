@@ -192,7 +192,14 @@ def test_localized_ae2_trains_each_side_as_the_per_layer_loop(small_view, monkey
 
     monkeypatch.setattr(pipeline, "train", recording_train)
     cfg = pipeline.PipelineConfig(
-        method="ae2", ae_mode="localized", d_hat=2, k_neighbors=2, ae_batch_size=16, ae_epochs=2, seed=11
+        sim=SimConfig(seed=11),
+        method="ae2",
+        ae_mode="localized",
+        d_hat=2,
+        k_neighbors=2,
+        ae_batch_size=16,
+        ae_epochs=2,
+        seed=11,
     )
     pipeline.DECOMPOSERS["ae2"](cfg, [view, dl_view], geom)
     # the uplink's model first, each side with its own seed spawned from the pipeline's

@@ -16,6 +16,7 @@ from csisplit.autoencoder import decompose_ae, read_weights, train
 from csisplit.core import CsiMatrix, read_csi_file, to_real_view, write_csi_file
 from csisplit.distfit import ALL_FAMILIES, PHASE_FAMILIES, fit_families
 from csisplit.pca import fit_pca, sweep
+from csisplit.simulate import SimConfig
 
 SUBCOMMANDS = (
     "simulate",
@@ -280,7 +281,7 @@ def test_pipeline_ae1_rejects_d_hat_zero(tmp_path, capsys):
 def test_decompose_kpca_rejects_d_hat_zero(dataset, tmp_path, capsys):
     argv = ["decompose", "--method", "kpca", "--d-hat", "0", "--input", str(dataset / "uplink.csi")]
     assert cli.main([*argv, "--output-dir", str(tmp_path)]) == 1
-    assert "d_hat must lie in" in capsys.readouterr().err
+    assert "d_hat must be at least 1 for method kpca, got 0" in capsys.readouterr().err
     assert not (tmp_path / "predictable.csi").exists()
 
 
@@ -456,13 +457,52 @@ def test_ae_train_weights_equal_the_pipelines_centralized_uplink_model(dataset, 
 
     monkeypatch.setattr(pipeline, "train", recording_train)
     settings = dict(ae_epochs=2, ae_batch_size=8, ae_learning_rate=3e-3, ae_loss_mu=2.0, k_neighbors=3)
-    cfg = pipeline.PipelineConfig(method=method, d_hat=2, seed=4, **settings)
+    cfg = pipeline.PipelineConfig(sim=SimConfig(seed=4), method=method, d_hat=2, seed=4, **settings)
     views = [to_real_view(read_csi_file(dataset / f"{side}.csi")) for side in ("uplink", "downlink")]
     pipeline.DECOMPOSERS[method](cfg, views, pipeline.read_geometry(dataset / "geometry.json"))
     (model,) = models
     assert written.spec == model.spec
     assert written.input_scale == model.input_scale
     assert np.array_equal(written.params, model.params)
+
+
+def test_ae_train_d_hat_zero_exits_1_naming_d_hat(dataset, tmp_path, capsys):
+    argv = ["ae-train", "--d-hat", "0", "--ae-epochs", "1", "--input", str(dataset / "uplink.csi")]
+    assert cli.main([*argv, "--output-dir", str(tmp_path)]) == 1
+    assert "d_hat must be at least 1 for method ae1, got 0" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("option", [["--metrics", "tvd"], ["--bins", "7"]])
+def test_compare_takes_no_metrics_or_bins_option(dataset, tmp_path, capsys, option):
+    # compare always scores cc, delta_bar and mp, and no fingerprint histogram
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["compare", *_files(dataset), "--methods", "none", *option, "--output-dir", str(tmp_path)])
+    assert excinfo.value.code == 2
+    assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_sweep_with_too_few_permutations_exits_1_before_reading_a_file(tmp_path, capsys, monkeypatch):
+    # m=128: M=256 observations, where the shift null runs and would not read --b
+    data = tmp_path / "data"
+    assert cli.main(["simulate", "--grid-rows", "3", "--grid-cols", "3", "--m", "128", "--output-dir", str(data)]) == 0
+    files = ["--input-ul", str(data / "uplink.csi"), "--input-dl", str(data / "downlink.csi")]
+    reads = []
+    read = pipeline.read_csi_file
+    monkeypatch.setattr(pipeline, "read_csi_file", lambda path: reads.append(path) or read(path))
+    argv = ["sweep", *files, "--geometry", str(data / "geometry.json"), "--d1-max", "1", "--d2-max", "2"]
+    assert cli.main([*argv, "--delta-pairs", "2", "--b", "50", "--output-dir", str(tmp_path / "out")]) == 1
+    assert "delta_b must be at least 100 permutations" in capsys.readouterr().err
+    assert reads == [] and not (tmp_path / "out" / "sweep.json").exists()
+
+
+def test_pipeline_on_files_rejects_a_bad_simulator_option(dataset, tmp_path, capsys):
+    # the files source simulates nothing, but every config it builds is checked
+    argv = ["pipeline", "--source", "files", *_files(dataset), "--m", "1", "--output-dir", str(tmp_path)]
+    assert cli.main(argv) == 1
+    assert "need at least 2 snapshots" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_ae_train_e2_without_geometry_exits_1(dataset, tmp_path, capsys):

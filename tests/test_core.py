@@ -1,4 +1,5 @@
 import io
+import struct
 
 import numpy as np
 import pytest
@@ -302,6 +303,18 @@ def test_file_round_trip_large(tmp_path):
     back = read_csi_file(path)
     assert np.array_equal(back.data, csi.data)
     assert back.direction == csi.direction and back.snr_db == 20.0
+
+
+def test_file_round_trip_keeps_signed_zeros_in_both_parts(tmp_path):
+    data = np.array([[complex(-0.0, 0.0), complex(0.0, -0.0)], [complex(-0.0, -0.0), complex(1.5, -0.0)]])
+    path = tmp_path / "zeros.csi"
+    write_csi_file(CsiMatrix(data), path)
+    # the payload is column-major, each entry its f64 real then its f64 imaginary part
+    parts = [p for z in data.ravel(order="F") for p in (z.real, z.imag)]
+    assert path.read_bytes()[-64:] == struct.pack("<8d", *parts)
+    back = read_csi_file(path).data
+    assert np.array_equal(np.signbit(back.real), np.signbit(data.real))
+    assert np.array_equal(np.signbit(back.imag), np.signbit(data.imag))
 
 
 @settings(max_examples=25, deadline=None)

@@ -20,36 +20,31 @@ SMALL = SimConfig(grid_shape=(3, 3), m=32)
     [("delta_pairs", 0), ("delta_b", 99), ("alpha", 0.0), ("alpha", 1.0), ("alpha", 1.5)],
 )
 def test_bad_delta_bar_settings_fail_before_any_stage(field, value):
-    cfg = pipeline.PipelineConfig(sim=SMALL, **{field: value})
     with pytest.raises(ValueError, match=field):
-        pipeline.run_pipeline(cfg)
+        pipeline.PipelineConfig(sim=SMALL, **{field: value})
     # the settings are unused, and not checked, without the delta_bar metric
-    dataclasses.replace(cfg, metrics=("tvd", "cc", "mp")).validate()
+    pipeline.PipelineConfig(sim=SMALL, metrics=("tvd", "cc", "mp"), **{field: value})
 
 
-def test_empty_metric_set_fails_before_any_stage(tmp_path):
-    cfg = pipeline.PipelineConfig(sim=SMALL, metrics=())
+def test_empty_metric_set_fails_before_any_stage():
     with pytest.raises(ValueError, match="metrics"):
-        pipeline.run_pipeline(cfg, output_dir=tmp_path)
-    assert not list(tmp_path.iterdir())
+        pipeline.PipelineConfig(sim=SMALL, metrics=())
 
 
 @pytest.mark.parametrize("method", ["ae1", "ae2"])
 def test_bad_ae_mode_fails_before_any_stage(method):
-    cfg = pipeline.PipelineConfig(sim=SMALL, method=method, ae_mode="federated")
     with pytest.raises(ValueError, match="ae_mode"):
-        pipeline.run_pipeline(cfg)
+        pipeline.PipelineConfig(sim=SMALL, method=method, ae_mode="federated")
     # the methods that train no autoencoder do not read the mode
-    dataclasses.replace(cfg, method="pca").validate()
+    pipeline.PipelineConfig(sim=SMALL, method="pca", ae_mode="federated")
 
 
 @pytest.mark.parametrize("mu", [0.5, 0.0, float("nan")])
 def test_bad_ae2_mu_fails_before_any_stage(mu):
-    cfg = pipeline.PipelineConfig(sim=SMALL, method="ae2", ae_loss_mu=mu)
     with pytest.raises(ValueError, match="mu must be finite and above 0.5 for the e2 loss"):
-        pipeline.run_pipeline(cfg)
+        pipeline.PipelineConfig(sim=SMALL, method="ae2", ae_loss_mu=mu)
     # ae1 trains on the reconstruction loss alone, which does not use mu
-    dataclasses.replace(cfg, method="ae1").validate()
+    pipeline.PipelineConfig(sim=SMALL, method="ae1", ae_loss_mu=mu)
 
 
 @pytest.mark.parametrize("method", ["ae1", "ae2"])
@@ -61,24 +56,27 @@ def test_bad_ae2_mu_fails_before_any_stage(mu):
         ("ae_batch_size", 0, "epochs and batch_size must be at least 1"),
     ],
 )
-def test_bad_ae_training_settings_fail_before_the_dataset_loads(monkeypatch, method, field, value, message):
-    loaded = []
-    monkeypatch.setattr(pipeline, "load_dataset", lambda cfg: loaded.append(cfg))
-    cfg = pipeline.PipelineConfig(sim=SMALL, method=method, **{field: value})
+def test_bad_ae_training_settings_fail_before_the_dataset_loads(method, field, value, message):
     with pytest.raises(ValueError, match=message):
-        pipeline.run_pipeline(cfg)
-    assert loaded == []
+        pipeline.PipelineConfig(sim=SMALL, method=method, **{field: value})
     # the methods that train no autoencoder do not read the settings
-    dataclasses.replace(cfg, method="pca").validate()
+    pipeline.PipelineConfig(sim=SMALL, method="pca", **{field: value})
 
 
 @pytest.mark.parametrize("method", ["kpca", "ae1", "ae2"])
 def test_d_hat_zero_fails_before_any_stage_for_fitted_ranks(method):
-    cfg = pipeline.PipelineConfig(sim=SMALL, method=method, d_hat=0)
     with pytest.raises(ValueError, match="d_hat must be at least 1"):
-        pipeline.run_pipeline(cfg)
+        pipeline.PipelineConfig(sim=SMALL, method=method, d_hat=0)
     # PCA allows rank 0: an all-zero predictable part
-    dataclasses.replace(cfg, method="pca").validate()
+    pipeline.PipelineConfig(sim=SMALL, method="pca", d_hat=0)
+
+
+def test_configs_check_themselves_when_built_and_when_replaced():
+    assert not hasattr(pipeline.PipelineConfig, "validate") and not hasattr(SimConfig, "validate")
+    with pytest.raises(ValueError, match="delta_b must be at least 100 permutations"):
+        dataclasses.replace(pipeline.PipelineConfig(sim=SMALL), delta_b=99)
+    with pytest.raises(ValueError, match="need at least 2 snapshots"):
+        dataclasses.replace(SMALL, m=1)
 
 
 @pytest.mark.parametrize("m, null, b", [(32, "permutation", 100), (128, "shift", 193)])
@@ -97,11 +95,11 @@ def test_cli_dhsic_payload_carries_the_p_value(tmp_path, m, null, b):
 
 
 def test_simulated_run_rejects_a_seed_that_differs_from_the_simulators():
-    cfg = pipeline.PipelineConfig(sim=SMALL, seed=1)
     with pytest.raises(ValueError, match="seed=1 disagrees with sim.seed=0"):
-        pipeline.run_pipeline(cfg)
+        pipeline.PipelineConfig(sim=SMALL, seed=1)
     # a run on files simulates nothing, so sim.seed is not read
-    dataclasses.replace(cfg, source="files", ul_path="ul.csi", dl_path="dl.csi", geometry_path="g.json").validate()
+    files = dict(source="files", ul_path="ul.csi", dl_path="dl.csi", geometry_path="g.json")
+    pipeline.PipelineConfig(sim=SMALL, seed=1, **files)
 
 
 @pytest.mark.parametrize(
