@@ -306,6 +306,69 @@ def avg_neighbor_cc(view: np.ndarray, geom: NodeGeometry, k: int | None = None) 
     return float(np.mean(vals))
 
 
+def cc_from_moments(dots, squares, sums, table: np.ndarray, length: int) -> np.ndarray:
+    """Mean Pearson CC over the (node, neighbor) pairs of ``table``, one per
+    band, from each band's column inner products with the neighbors'
+    (bands, n, k) and its column squared norms and sums (bands, n)."""
+    var = squares - sums * sums / length
+    if np.any(var <= 0.0):
+        raise ValueError("zero-variance sequence")
+    cov = dots - sums[:, :, None] * sums[:, table] / length
+    norm = np.sqrt(var)
+    return (cov / (norm[:, :, None] * norm[:, table])).reshape(len(cov), -1).mean(axis=1)
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[i] . b[i] for each row i: numpy's matmul takes each 1 x L by L x 1
+    product with the dot that ``np.dot`` of two vectors calls."""
+    return (a[:, None, :] @ b[:, :, None]).ravel()
+
+
+def neighbor_cc(view: np.ndarray, geom: NodeGeometry, k: int) -> float:
+    """Signed mean of the Pearson CC between node columns of ``view`` over
+    all (node, k-nearest-neighbor) pairs, in one pass over the nodes.
+
+    :func:`avg_neighbor_cc`, one :func:`pearson_cc` call per pair, is its
+    per-pair reference. The view is copied once node-major, rows x_i of
+    L = 2m coordinates, and each row is centred as the loop centres it,
+    x_i - sum(x_i) / L. For each rank r < k the rows x_j of the r-th
+    neighbors, j = neighbors(k)[i, r], are gathered into one (n, L) buffer,
+    and the row-wise dot products fill dots[i, r] = x_i . x_j. The (n, k, L)
+    array of every neighbor's row is never built: it would be 13 MB at the
+    20x20, m=256 defaults. Then
+
+        CC_ij = x_i . x_j / (|x_i| |x_j|),
+
+    which is :func:`cc_from_moments` with zero sums, averaged over the n k
+    pairs. Each dot is the BLAS dot that ``pearson_cc``'s ``np.dot`` calls,
+    so the mean equals the loop's bit for bit, and the tests hold it to
+    that. A row-wise ``einsum`` adds in another order: it moved the 4x4,
+    m=32 none split's ``avg_cc`` by one ulp.
+
+    It centres first because the raw-moment form that ``pca.sweep`` feeds
+    :func:`cc_from_moments`, x_i . x_j - s_i s_j / L over uncentred rows,
+    cancels when the columns share an offset: on a standard-normal 32 x 36
+    view (``default_rng(0)``, a 6 x 6 grid, k=4), a common offset of 1e3
+    put it 1.3e-11 from the loop and an offset of 1e6 4.2e-5 away, while
+    the centred form read the loop's value at every offset.
+    """
+    table = geom.neighbors(k)
+    rows = np.array(np.asarray(view, dtype=np.float64).T, order="C")
+    n, length = rows.shape
+    if n != geom.n:
+        raise ValueError(f"view has {n} node columns, geometry {geom.n} nodes")
+    rows -= (rows.sum(axis=1) / length)[:, None]
+    gathered = np.empty_like(rows)
+    dots = np.empty((n, k))
+    for r in range(k):
+        # mode="clip": with out=, the default mode="raise" copies through a
+        # hidden (n, L) buffer; the table's indices are always in range
+        np.take(rows, table[:, r], axis=0, out=gathered, mode="clip")
+        dots[:, r] = _row_dots(rows, gathered)
+    squares = _row_dots(rows, rows)
+    return float(cc_from_moments(dots[None], squares[None], np.zeros((1, n)), table, length)[0])
+
+
 def select_delta_pairs(geom: NodeGeometry, pairs: int) -> list[tuple[int, int]]:
     """Deterministic evenly-spaced (node, nearest-neighbor) pairs for the
     averaged dependence metric."""

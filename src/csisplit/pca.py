@@ -24,9 +24,10 @@ import numpy as np
 
 from .core import Decomposition, NodeGeometry
 # avg_neighbor_cc is not called here any more, but the module keeps its
-# binding: the bench harness's self-test checks that its tracer re-binds
-# every module's copy of the name, this one included
-from .dependence import avg_neighbor_cc, avg_neighbor_delta_bar  # noqa: F401
+# binding: bench/tests/test_bench.py's
+# test_tracer_replaces_every_binding_and_restores_them checks that the
+# tracer re-binds every module's copy of the name, this one included
+from .dependence import avg_neighbor_cc, avg_neighbor_delta_bar, cc_from_moments  # noqa: F401
 from .skg import avg_mp
 
 
@@ -148,18 +149,6 @@ class SweepCell:
     delta_bar: float | None = None
 
 
-def _neighbor_cc(dots, squares, sums, table: np.ndarray, length: int) -> np.ndarray:
-    """Mean Pearson CC over the (node, neighbor) pairs of ``table``, one per
-    band, from each band's column inner products with the neighbors'
-    (bands, n, k) and its column squared norms and sums (bands, n)."""
-    var = squares - sums * sums / length
-    if np.any(var <= 0.0):
-        raise ValueError("zero-variance sequence")
-    cov = dots - sums[:, :, None] * sums[:, table] / length
-    norm = np.sqrt(var)
-    return (cov / (norm[:, :, None] * norm[:, table])).reshape(len(cov), -1).mean(axis=1)
-
-
 def sweep(
     ul_view: np.ndarray,
     dl_view: np.ndarray,
@@ -176,8 +165,8 @@ def sweep(
     """Metric grid over unpredictable bands (d1, d2), d1 <= d2 only.
 
     Per cell: average neighbor Pearson CC of the uplink band (as
-    ``avg_neighbor_cc`` defines it), average uplink/downlink mismatch
-    probability, and (when delta_pairs > 0) the averaged normalized
+    :func:`dependence.neighbor_cc` defines it), average uplink/downlink
+    mismatch probability, and (when delta_pairs > 0) the averaged normalized
     dependence. Cells are ordered by (d1, d2). Every band must lie within
     the basis's components [1, len(basis.eigenvectors)], or a ValueError
     names the widest one.
@@ -189,12 +178,13 @@ def sweep(
         x_i . x_j = sum_c w_ci w_cj,    s_i = sum(x_i) = sum_c (u_c . 1) w_ci,
 
     and with L = 2m coordinates its Pearson CC with x_j is
-    (x_i . x_j - s_i s_j / L) / sqrt(var_i var_j), var_i = |x_i|^2 - s_i^2 / L.
-    For each d1 the per-component terms are summed cumulatively from
-    component d1 on, and cell (d1, d2) reads row d2 - d1. Differencing prefix
-    sums taken from component 1 would subtract the large leading-eigenvalue
-    terms from each other and lose the band's digits to cancellation. Only
-    the mismatch probability and the dependence level build the band.
+    (x_i . x_j - s_i s_j / L) / sqrt(var_i var_j), var_i = |x_i|^2 - s_i^2 / L,
+    which :func:`dependence.cc_from_moments` computes and averages. For each
+    d1 the per-component terms are summed cumulatively from component d1 on,
+    and cell (d1, d2) reads row d2 - d1. Differencing prefix sums taken from
+    component 1 would subtract the large leading-eigenvalue terms from each
+    other and lose the band's digits to cancellation. Only the mismatch
+    probability and the dependence level build the band.
     """
     d1s = sorted(set(int(v) for v in d1_grid))
     d2s = sorted(set(int(v) for v in d2_grid))
@@ -213,7 +203,7 @@ def sweep(
     for a in (a for a in d1s if a <= top):
         ends = [b for b in d2s if b >= a]
         rows = [b - a for b in ends]
-        ccs = _neighbor_cc(*(np.cumsum(t[a - 1 :], axis=0)[rows] for t in terms), table, u.shape[1])
+        ccs = cc_from_moments(*(np.cumsum(t[a - 1 :], axis=0)[rows] for t in terms), table, u.shape[1])
         for b, cc in zip(ends, ccs):
             # built node-major, so avg_mp's per-node rows are contiguous
             band_ul = (w_ul[a - 1 : b].T @ u[a - 1 : b]).T

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,10 +12,12 @@ from csisplit.dependence import (
     _prepare_grams,
     avg_neighbor_cc,
     avg_neighbor_delta_bar,
+    cc_from_moments,
     dhsic_statistic,
     dhsic_test,
     gaussian_gram_1d,
     median_bandwidth,
+    neighbor_cc,
     pearson_cc,
     permutation_statistics,
     select_delta_pairs,
@@ -311,8 +314,70 @@ def test_avg_neighbor_cc_and_pair_selection():
     view = np.column_stack([base, base, -base, -base])
     # nearest neighbors 1, 0, 1 (tie with 3 -> 1) and 2: CCs +1, +1, -1, +1, a signed mean of 0.5
     assert avg_neighbor_cc(view, geom, k=1) == pytest.approx(0.5, abs=1e-15)
+    assert neighbor_cc(view, geom, 1) == pytest.approx(0.5, abs=1e-15)
     pairs = select_delta_pairs(geom, pairs=2)
     assert pairs == [(0, 1), (3, 2)]
+
+
+def _grid(rows, cols, k=8):
+    xs, ys = np.meshgrid(np.arange(float(cols)), np.arange(float(rows)))
+    return NodeGeometry(np.column_stack([xs.ravel(), ys.ravel()]), k=k)
+
+
+@pytest.mark.parametrize("method", sorted(pipeline.DECOMPOSERS))
+def test_neighbor_cc_matches_the_per_pair_loop_on_every_method(method):
+    cfg = pipeline.PipelineConfig(sim=SimConfig(grid_shape=(4, 4), m=32), method=method, ae_epochs=2)
+    ul, dl, geom = pipeline.load_dataset(cfg)
+    view = pipeline.apply_method(cfg, ul, dl, geom).unpred_ul
+    assert neighbor_cc(view, geom, cfg.k_neighbors) == avg_neighbor_cc(view, geom, cfg.k_neighbors)
+
+
+def test_neighbor_cc_matches_the_per_pair_loop_at_the_pca_default():
+    cfg = pipeline.PipelineConfig(method="pca")  # 20x20 nodes, m=256
+    ul, dl, geom = pipeline.load_dataset(cfg)
+    view = pipeline.apply_method(cfg, ul, dl, geom).unpred_ul
+    assert neighbor_cc(view, geom, cfg.k_neighbors) == avg_neighbor_cc(view, geom, cfg.k_neighbors)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e3, 1e6])
+def test_neighbor_cc_centres_before_it_sums(offset):
+    geom, k = _grid(6, 6), 4
+    view = np.random.default_rng(0).standard_normal((32, 36)) + offset
+    want = avg_neighbor_cc(view, geom, k)
+    assert neighbor_cc(view, geom, k) == want
+    # the raw moments of the uncentred columns lose the offset's digits
+    cols, table = view.T, geom.neighbors(k)
+    dots = np.einsum("il,ikl->ik", cols, cols[table])
+    raw = cc_from_moments(dots[None], (cols * cols).sum(axis=1)[None], cols.sum(axis=1)[None], table, 32)[0]
+    if offset >= 1e3:
+        assert abs(raw - want) > 1e-12
+
+
+def test_neighbor_cc_errors_are_the_loops():
+    geom = _grid(2, 3)
+    view = np.random.default_rng(3).standard_normal((10, 6))
+    view[:, 4] = 2.5
+    for cc in (avg_neighbor_cc, neighbor_cc):
+        with pytest.raises(ValueError, match="^zero-variance sequence$"):
+            cc(view, geom, 2)
+        with pytest.raises(ValueError, match="insufficient nodes: k=6 with only 6 nodes"):
+            cc(view, geom, 6)
+    with pytest.raises(ValueError, match="view has 5 node columns, geometry 6 nodes"):
+        neighbor_cc(view[:, :5], geom, 2)
+
+
+def test_neighbor_cc_gathers_one_rank_at_a_time():
+    geom = _grid(40, 40)
+    geom.neighbors(8)  # the cached table is not the CC's memory
+    view = np.random.default_rng(4).standard_normal((128, 1600))  # m=64
+    tracemalloc.start()
+    try:
+        neighbor_cc(view, geom, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the node-major copy and one gather buffer; all eight gathers at once would be 8x
+    assert peak < 3 * view.nbytes
 
 
 # ---------------------------------------------------------------------------

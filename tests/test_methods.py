@@ -199,6 +199,13 @@ def test_compare_splits_method_none_once(monkeypatch):
         assert row["mp"] == GOLDEN[method]["avg_mp"]
 
 
+def test_compare_report_records_the_config_it_scored(tmp_path):
+    report = pipeline.compare_methods([_cfg("none"), _cfg("pca")], output_dir=tmp_path)
+    assert list(report["config"]["metrics"]) == ["cc", "delta_bar", "mp"]
+    written = json.loads((tmp_path / "compare.json").read_text(encoding="utf-8"))
+    assert written["config"]["metrics"] == ["cc", "delta_bar", "mp"]
+
+
 def _run_cli(tmp_path, argv):
     assert cli.main(argv + ["--output-dir", str(tmp_path)]) == 0
     details = json.loads((tmp_path / "decompose.json").read_text(encoding="utf-8"))
