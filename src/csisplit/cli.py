@@ -19,12 +19,12 @@ pipeline build a ``PipelineConfig``, which checks itself when built, before
 any file is read; sweep checks --b and --alpha only if --delta-pairs > 0.
 
 Importing this module loads no SciPy module. Each SciPy import sits in
-the function that calls it: kpca's fit and split, the Jakes-derived
-temporal correlation of ``simulate``, the softplus derivative of
-autoencoder training, and ``distfit`` for fit-dist. A command loads SciPy
-only when it reaches one of them; on files, sweep, skg-mp, tvd-curve,
-dhsic, ae-decompose, decompose --method pca, and pipeline and compare
-with methods none and pca never do.
+the function that calls it: kpca's fit and split, the softplus derivative
+of autoencoder training, and ``distfit`` for fit-dist. A command loads
+SciPy only when it reaches one of them; simulate, sweep, skg-mp,
+tvd-curve, dhsic, ae-decompose, decompose --method pca, compare with
+methods none and pca, and pipeline with those methods on files or a
+simulated source never do.
 """
 
 from __future__ import annotations

@@ -22,9 +22,9 @@ pilot divides out in the zero-forcing estimate, flipping the noise sign
 only. All draws come from per-purpose RNG streams spawned from the seed,
 so output is bit-reproducible. A SimConfig checks itself when built.
 
-The module imports SciPy in one place: :func:`temporal_correlation` loads
-``scipy.special.j0`` when it derives rho, that is when ``temporal_rho`` is
-None.
+The module loads no SciPy. J0 is :func:`j0`, a port of Cephes ``j0.c``
+(S. L. Moshier), the routine behind ``scipy.special.j0``, in the same
+operations; ``tests/test_simulate.py`` checks that it gives SciPy's bits.
 """
 
 from __future__ import annotations
@@ -76,6 +76,16 @@ class SimConfig:
         for name in ("phase_corr_m", "diffuse_corr_m"):
             if not getattr(self, name) > 0:  # NaN too
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        # the Doppler inputs: an infinite or NaN one would run the whole
+        # simulation and fail late on non-finite CSI
+        if not (math.isfinite(self.speed_mps) and self.speed_mps >= 0):
+            raise ValueError(f"speed_mps must be finite and >= 0, got {self.speed_mps}")
+        for name in ("carrier_hz", "snapshot_interval_s"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+        if not math.isfinite(self.los_doppler_frac):
+            raise ValueError(f"los_doppler_frac must be finite, got {self.los_doppler_frac}")
         if math.isnan(self.snr_db):
             raise ValueError("snr_db must be a number (or +inf to disable noise)")
         if self.temporal_rho is not None and not -1.0 <= self.temporal_rho <= 1.0:
@@ -123,13 +133,76 @@ def _correlated_fields(positions: np.ndarray, fields: list[tuple[float, np.ndarr
     return out
 
 
+# Cephes j0.c (S. L. Moshier), the routine behind scipy.special.j0
+_J0_DR1 = 5.78318596294678452118e0
+_J0_DR2 = 3.04712623436620863991e1
+_J0_RP = (-4.79443220978201773821e9, 1.95617491946556577543e12, -2.49248344360967716204e14, 9.70862251047306323952e15)
+_J0_RQ = (
+    4.99563147152651017219e2, 1.73785401676374683123e5, 4.84409658339962045305e7, 1.11855537045356834862e10,
+    2.11277520115489217587e12, 3.10518229857422583814e14, 3.18121955943204943306e16, 1.71086294081043136091e18,
+)
+_J0_PP = (
+    7.96936729297347051624e-4, 8.28352392107440799803e-2, 1.23953371646414299388e0, 5.44725003058768775090e0,
+    8.74716500199817011941e0, 5.30324038235394892183e0, 9.99999999999999997821e-1,
+)
+_J0_PQ = (
+    9.24408810558863637013e-4, 8.56288474354474431428e-2, 1.25352743901058953537e0, 5.47097740330417105182e0,
+    8.76190883237069594232e0, 5.30605288235394617618e0, 1.00000000000000000218e0,
+)
+_J0_QP = (
+    -1.13663838898469149931e-2, -1.28252718670509318512e0, -1.95539544257735972385e1, -9.32060152123768231369e1,
+    -1.77681167980488050595e2, -1.47077505154951170175e2, -5.14105326766599330220e1, -6.05014350600728481186e0,
+)
+_J0_QQ = (
+    6.43178256118178023184e1, 8.56430025976980587198e2, 3.88240183605401609683e3, 7.24046774195652478189e3,
+    5.93072701187316984827e3, 2.06209331660327847417e3, 2.42005740240291393179e2,
+)
+_J0_SQ2OPI = 7.9788456080286535587989e-1
+_J0_PIO4 = 7.85398163397448309616e-1
+
+
+def _polevl(x: float, coef: tuple[float, ...]) -> float:
+    """coef[0] x^N + ... + coef[N], by Horner's rule."""
+    a = coef[0]
+    for c in coef[1:]:
+        a = a * x + c
+    return a
+
+
+def _p1evl(x: float, coef: tuple[float, ...]) -> float:
+    """x^N + coef[0] x^(N-1) + ... + coef[N-1]: leading coefficient 1."""
+    return _polevl(x, (1.0, *coef))
+
+
+def j0(x: float) -> float:
+    """Bessel function of the first kind of order zero: Cephes ``j0`` in the
+    same operations, so it gives scipy.special.j0's bits without loading
+    SciPy. A rational approximation on |x| <= 5, Hankel's asymptotic form
+    beyond."""
+    x = abs(x)
+    if x <= 5.0:
+        z = x * x
+        if x < 1.0e-5:
+            return 1.0 - z / 4.0
+        p = (z - _J0_DR1) * (z - _J0_DR2)
+        return p * _polevl(z, _J0_RP) / _p1evl(z, _J0_RQ)
+    if x == math.inf:
+        return math.nan  # as SciPy; math.cos(inf) would raise
+    w = 5.0 / x
+    q = 25.0 / (x * x)
+    p = _polevl(q, _J0_PP) / _polevl(q, _J0_PQ)
+    q = _polevl(q, _J0_QP) / _p1evl(q, _J0_QQ)
+    xn = x - _J0_PIO4
+    p = p * math.cos(xn) - w * q * math.sin(xn)
+    return p * _J0_SQ2OPI / math.sqrt(x)
+
+
 def temporal_correlation(cfg: SimConfig) -> float:
     """AR(1) coefficient matching the Jakes autocorrelation at one snapshot lag."""
     if cfg.temporal_rho is not None:
         return float(cfg.temporal_rho)
-    from scipy.special import j0  # imported on first use, as scipy.special takes longer to load than csisplit
     f_d = cfg.speed_mps * cfg.carrier_hz / SPEED_OF_LIGHT
-    return float(j0(2.0 * math.pi * f_d * cfg.snapshot_interval_s))
+    return j0(2.0 * math.pi * f_d * cfg.snapshot_interval_s)
 
 
 def simulate(cfg: SimConfig) -> SimOutput:

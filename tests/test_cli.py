@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -82,6 +83,55 @@ def test_sweep_and_skg_mp_on_files_load_no_scipy_module(dataset, tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == "[]"
     assert (tmp_path / "sweep" / "sweep.json").is_file() and (tmp_path / "skg" / "skg_mp.json").is_file()
+
+
+_SMALL_SIM = ["--grid-rows", "4", "--grid-cols", "4", "--m", "16"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", *_SMALL_SIM],
+        ["pipeline", "--method", "pca", *_SMALL_SIM, "--metrics", "tvd,cc,delta_bar,mp", "--delta-pairs", "2"],
+        ["pipeline", "--method", "none", *_SMALL_SIM, "--metrics", "tvd,cc,delta_bar,mp", "--delta-pairs", "2"],
+    ],
+    ids=["simulate", "pipeline-pca", "pipeline-none"],
+)
+def test_simulating_commands_load_no_scipy_module(tmp_path, argv):
+    code = "\n".join(
+        [
+            "import sys",
+            "from csisplit import cli",
+            "assert cli.main(sys.argv[1:]) == 0",
+            _SCIPY_LOADED,
+        ]
+    )
+    proc = _fresh_python(code, *argv, "--output-dir", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
+    assert any(tmp_path.iterdir())
+
+
+# sha256 of the files that `simulate --grid-rows 4 --grid-cols 4 --m 16` writes
+GOLDEN_SIMULATE_FILES = {
+    "uplink.csi": "71f74971c56227d097de08c5527f35ca928f56635c9d5793f278e1f21475807a",
+    "downlink.csi": "99d34db857e98eabc9c57c115bdcc4434367ab1c2dc6c0c6dc9c3a6c47d744ee",
+    "truth.csi": "ba93664e4592d4e19fc6ab49395dac12bc82b1f3db8815ad5f7478baac03876a",
+    "geometry.json": "b9d42087180c4421da9f50d8102241853617730fbe209893c166f89ada3133ce",
+}
+
+
+def test_simulate_files_match_golden(dataset):
+    digests = {name: hashlib.sha256((dataset / name).read_bytes()).hexdigest() for name in GOLDEN_SIMULATE_FILES}
+    assert digests == GOLDEN_SIMULATE_FILES
+    assert sorted(p.name for p in dataset.iterdir()) == sorted(GOLDEN_SIMULATE_FILES)
+
+
+def test_simulate_with_an_infinite_speed_exits_1_naming_the_field(tmp_path, capsys):
+    argv = ["simulate", *_SMALL_SIM, "--speed-mps", "inf", "--output-dir", str(tmp_path / "out")]
+    assert cli.main(argv) == 1
+    assert "speed_mps must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_sweep_files_equal_the_direct_sweep(dataset, tmp_path):

@@ -1,5 +1,6 @@
 """The simulator against what it claims: fixed bytes for a fixed seed, the
-configured temporal correlation of the diffuse part and the configured SNR."""
+configured temporal correlation of the diffuse part, SciPy's J0 and the
+configured SNR."""
 
 import hashlib
 import math
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import csisplit
-from csisplit.simulate import SimConfig, simulate, temporal_correlation
+from csisplit.simulate import SPEED_OF_LIGHT, SimConfig, j0, simulate, temporal_correlation
 
 # sha256 of the uplink, downlink, truth and large-scale CSI and the node
 # positions, in that order. The grids are small enough that BLAS runs the
@@ -109,3 +110,60 @@ def test_uplink_downlink_difference_power_matches_the_snr(snr_db):
 def test_correlation_length_that_is_not_positive_is_rejected(field, value):
     with pytest.raises(ValueError, match=f"{field} must be positive"):
         simulate(SimConfig(grid_shape=(3, 3), m=8, **{field: value}))
+
+
+def test_j0_equals_scipys_bit_for_bit():
+    # pins the port against the installed SciPy build: its j0 is the same
+    # Cephes routine compiled for this platform, and a build whose compiler
+    # contracts a * x + c into a fused multiply-add may differ in the last bit
+    from scipy import special
+
+    rng = np.random.default_rng(31)
+    default_x = 2.0 * math.pi * (0.5 * 2.68e9 / SPEED_OF_LIGHT) * 0.025
+    edges = [0.0, -0.0, 1e-5, math.nextafter(1e-5, 0.0), 5.0, math.nextafter(5.0, 6.0), math.nextafter(5.0, 4.0)]
+    x = np.concatenate(
+        [
+            rng.uniform(0.0, 5.0, 100_000),  # the rational branch
+            rng.uniform(5.0, 200.0, 100_000),  # the asymptotic branch
+            10.0 ** rng.uniform(-8.0, 4.0, 20_000),
+            -rng.uniform(0.0, 50.0, 1_000),
+            edges,
+            [-3.0, -7.5, default_x],
+        ]
+    )
+    got = np.array([j0(v) for v in x.tolist()])
+    assert np.array_equal(got, special.j0(x))
+    assert temporal_correlation(SimConfig()) == j0(default_x) == special.j0(default_x) == 0.8805064251687986
+    for v in (math.nan, math.inf, -math.inf):
+        assert math.isnan(j0(v)) and math.isnan(special.j0(v))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("speed_mps", math.inf),
+        ("speed_mps", math.nan),
+        ("speed_mps", -0.5),
+        ("carrier_hz", math.inf),
+        ("carrier_hz", math.nan),
+        ("carrier_hz", 0.0),
+        ("carrier_hz", -1.0),
+        ("snapshot_interval_s", math.inf),
+        ("snapshot_interval_s", math.nan),
+        ("snapshot_interval_s", 0.0),
+        ("snapshot_interval_s", -0.025),
+        ("los_doppler_frac", math.nan),
+        ("los_doppler_frac", math.inf),
+        ("los_doppler_frac", -math.inf),
+    ],
+)
+def test_doppler_input_that_is_not_finite_or_in_range_is_rejected(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        SimConfig(grid_shape=(3, 3), m=8, **{field: value})
+
+
+def test_zero_speed_and_negative_los_doppler_fraction_are_accepted():
+    # a static channel (rho = J0(0) = 1) and a specular ray drifting backwards
+    cfg = SimConfig(grid_shape=(3, 3), m=8, speed_mps=0.0, los_doppler_frac=-0.1)
+    assert temporal_correlation(cfg) == 1.0
+    assert np.isfinite(simulate(cfg).uplink.data).all()
