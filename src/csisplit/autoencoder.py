@@ -318,7 +318,7 @@ def decompose_ae(model: TrainedModel, view: np.ndarray) -> Decomposition:
     return Decomposition(predictable=predictable, unpredictable=view - predictable)
 
 
-def build_pair_dataset(view: np.ndarray, geom: NodeGeometry, k: int = 8) -> np.ndarray:
+def build_pair_dataset(view: np.ndarray, geom: NodeGeometry, k: int) -> np.ndarray:
     """Stack (node, neighbor) column pairs for the dot-product model: one
     sample per edge, width = 2 x per-node width. Column i * k + r pairs node
     i with its rank-r neighbor ``geom.neighbors(k)[i, r]``: node-major,
@@ -351,7 +351,7 @@ def _pair_columns(view: np.ndarray, table: np.ndarray, start: int, stop: int) ->
 PAIR_BLOCK_NODES = 256
 
 
-def decompose_ae_pairs(model: TrainedModel, view: np.ndarray, geom: NodeGeometry, k: int = 8) -> Decomposition:
+def decompose_ae_pairs(model: TrainedModel, view: np.ndarray, geom: NodeGeometry, k: int) -> Decomposition:
     """Residuals for a pair-input model: each node's reconstruction is the
     average of the first-half outputs over its (node, neighbor) samples.
     The samples are gathered, scaled and passed forward one block of

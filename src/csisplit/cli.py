@@ -250,7 +250,8 @@ def cmd_sweep(args) -> None:
     if args.step < 1:
         raise ValueError(f"--step must be at least 1, got {args.step}")
     metrics = ("cc", "mp", "delta_bar") if args.delta_pairs > 0 else ("cc", "mp")
-    ul, dl, geom = pl.load_dataset(_pipeline_config(args, source="files", metrics=metrics))
+    cfg = _pipeline_config(args, source="files", metrics=metrics)
+    ul, dl, geom = pl.load_dataset(cfg)
     ul_view, dl_view = to_real_view(ul), to_real_view(dl)
     d2_grid = range(args.d2_min, args.d2_max + 1, args.step)
     # the sweep reads components 1 to the largest d2 and no further
@@ -262,14 +263,14 @@ def cmd_sweep(args) -> None:
         d1_grid=range(args.d1_min, args.d1_max + 1, args.step),
         d2_grid=d2_grid,
         geom=geom,
-        k=args.k,
-        delta_pairs=args.delta_pairs,
-        delta_b=args.b,
-        delta_alpha=args.alpha,
-        seed=args.seed,
+        k=cfg.k_neighbors,
+        delta_pairs=cfg.delta_pairs,
+        delta_b=cfg.delta_b,
+        delta_alpha=cfg.alpha,
+        seed=cfg.seed,
     )
     records = [dataclasses.asdict(c) for c in cells]
-    pl.write_report({"seed": args.seed, "cells": records}, _out(args, "sweep.json"))
+    pl.write_report({"seed": cfg.seed, "cells": records}, _out(args, "sweep.json"))
     pl.write_rows_csv(
         [{k: ("" if v is None else v) for k, v in r.items()} for r in records], _out(args, "sweep.csv")
     )
@@ -278,8 +279,7 @@ def cmd_sweep(args) -> None:
 
 def cmd_compare(args) -> None:
     methods = [tok.strip() for tok in args.methods.split(",") if tok.strip()]
-    cfgs = [_pipeline_config(args, method=m) for m in methods]
-    report = pl.compare_methods(cfgs, output_dir=args.output_dir)
+    report = pl.compare_methods(_pipeline_config(args), methods, output_dir=args.output_dir)
     print(json.dumps(pl._jsonify(report["rows"]), sort_keys=True, indent=2))
 
 

@@ -38,7 +38,7 @@ class Direction(enum.IntEnum):
 
 class CsiFileError(ValueError):
     """Malformed CSI file: bad magic, truncated, zero or oversized dimensions,
-    bad direction byte or trailing bytes."""
+    bad direction byte, trailing bytes or non-finite entries."""
 
 
 def _as_readonly(arr: np.ndarray) -> np.ndarray:
@@ -136,7 +136,8 @@ def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class NodeGeometry:
-    """Node positions in R^2 or R^3 (meters) plus the neighbor rule defaults.
+    """Node positions in R^2 or R^3 (meters). Only the geometry file reads
+    ``k``: each neighbor query takes its count from the caller.
 
     Neighbor queries use Euclidean distance with ties broken by ascending
     node index, so results are reproducible across platforms. Every neighbor
@@ -262,4 +263,7 @@ def read_csi_file(path) -> CsiMatrix:
     if len(raw) < 16 * m * n:  # the file shrank after fstat
         raise CsiFileError(f"truncated payload: {_HEADER.size + len(raw)} bytes, need {expected}")
     data = np.frombuffer(raw, dtype="<c16").reshape((m, n), order="F")
-    return CsiMatrix(data, direction=Direction(direction), snr_db=None if math.isnan(snr) else snr)
+    try:
+        return CsiMatrix(data, direction=Direction(direction), snr_db=None if math.isnan(snr) else snr)
+    except ValueError as exc:  # the payload holds a non-finite entry
+        raise CsiFileError(str(exc)) from exc

@@ -297,11 +297,11 @@ def pearson_cc(a, b) -> float:
     return float(np.dot(a, b)) / (norm_a * norm_b)
 
 
-def avg_neighbor_cc(view: np.ndarray, geom: NodeGeometry, k: int | None = None) -> float:
+def avg_neighbor_cc(view: np.ndarray, geom: NodeGeometry, k: int) -> float:
     """Signed mean of the Pearson CC between node columns of ``view`` over
     all (node, k-nearest-neighbor) pairs."""
     columns = np.ascontiguousarray(np.asarray(view, dtype=np.float64).T)
-    table = geom.neighbors(geom.k if k is None else k)
+    table = geom.neighbors(k)
     vals = [pearson_cc(columns[i], columns[j]) for i, row in enumerate(table.tolist()) for j in row]
     return float(np.mean(vals))
 

@@ -80,10 +80,10 @@ def pairwise_tvd(samples_a, samples_b, bins: int = DEFAULT_BINS) -> float:
 def avg_neighbor_tvd(
     fingerprints: np.ndarray,
     geom: NodeGeometry,
-    k: int | None = None,
+    k: int,
     bins: int = DEFAULT_BINS,
 ) -> FingerprintReport:
-    """Mean TVD over all (node, nearest-neighbor) pairs.
+    """Mean TVD over all (node, k-nearest-neighbor) pairs.
 
     ``fingerprints`` holds one amplitude sample set per node: shape
     (samples, n). Each pair gets its own shared 'bins'-bin grid over the
@@ -97,15 +97,14 @@ def avg_neighbor_tvd(
         raise ValueError(f"fingerprints must have one column per node ({geom.n}), got shape {fp.shape}")
     if not np.all(np.isfinite(fp)):
         raise ValueError("fingerprints contain non-finite values")
-    kk = geom.k if k is None else k
-    other = geom.neighbors(kk).ravel()
+    other = geom.neighbors(k).ravel()
     n, samples = geom.n, fp.shape[0]
-    node = np.repeat(np.arange(n), kk)
+    node = np.repeat(np.arange(n), k)
     keys, directed = np.unique(np.minimum(node, other) * n + np.maximum(node, other), return_inverse=True)
     left, right = keys // n, keys % n
     lo_node, hi_node = fp.min(axis=0), fp.max(axis=0)
     unique_tvd = np.empty(keys.size)
-    chunk = n // 2  # n >= 2, or neighbors(kk) has raised
+    chunk = n // 2  # n >= 2, or neighbors(k) has raised
     for start in range(0, keys.size, chunk):
         a, b = left[start : start + chunk], right[start : start + chunk]
         edges = _pair_edges(np.minimum(lo_node[a], lo_node[b]), np.maximum(hi_node[a], hi_node[b]), bins)

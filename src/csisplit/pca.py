@@ -156,7 +156,7 @@ def sweep(
     d1_grid,
     d2_grid,
     geom: NodeGeometry,
-    k: int | None = None,
+    k: int,
     delta_pairs: int = 0,
     delta_b: int = 1000,
     delta_alpha: float = 0.05,
@@ -164,12 +164,12 @@ def sweep(
 ) -> list[SweepCell]:
     """Metric grid over unpredictable bands (d1, d2), d1 <= d2 only.
 
-    Per cell: average neighbor Pearson CC of the uplink band (as
-    :func:`dependence.neighbor_cc` defines it), average uplink/downlink
-    mismatch probability, and (when delta_pairs > 0) the averaged normalized
-    dependence. Cells are ordered by (d1, d2). Every band must lie within
-    the basis's components [1, len(basis.eigenvectors)], or a ValueError
-    names the widest one.
+    Per cell: average Pearson CC of the uplink band over each node's ``k``
+    nearest neighbors (as :func:`dependence.neighbor_cc` defines it),
+    average uplink/downlink mismatch probability, and (when delta_pairs > 0)
+    the averaged normalized dependence. Cells are ordered by (d1, d2). Every
+    band must lie within the basis's components [1, len(basis.eigenvectors)],
+    or a ValueError names the widest one.
 
     The CC comes in closed form from the PCA scores w = U (view - mean),
     without building the band. The eigenvector rows u_c are orthonormal, so
@@ -195,7 +195,7 @@ def sweep(
     u = basis.eigenvectors[:top]
     w_ul = u @ (np.asarray(ul_view, dtype=np.float64) - basis.mean[:, None])
     w_dl = u @ (np.asarray(dl_view, dtype=np.float64) - basis.mean[:, None])
-    table = geom.neighbors(geom.k if k is None else k)
+    table = geom.neighbors(k)
     # per component c: the terms of the band columns' neighbor inner
     # products, squared norms and sums
     terms = (w_ul[:, :, None] * w_ul[:, table], w_ul * w_ul, u.sum(axis=1)[:, None] * w_ul)

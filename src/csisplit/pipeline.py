@@ -138,8 +138,8 @@ MAX_GEOMETRY_BYTES = 1 << 26
 
 
 class GeometryError(ValueError):
-    """Malformed geometry file: oversized, not UTF-8 JSON, or no valid
-    geometry."""
+    """Malformed geometry file: oversized, not UTF-8 JSON, nested too deeply
+    to decode, or no valid geometry."""
 
 
 def read_capped(path, limit: int, error: type[ValueError]) -> bytes:
@@ -184,7 +184,7 @@ def read_geometry(path) -> NodeGeometry:
     raw = read_capped(path, MAX_GEOMETRY_BYTES, GeometryError)
     try:
         obj = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise GeometryError(f"{path}: not a UTF-8 JSON geometry file: {exc}") from exc
     return geometry_from_dict(obj)
 
@@ -401,30 +401,23 @@ def run_pipeline(cfg: PipelineConfig, output_dir=None) -> dict:
     return report
 
 
-def compare_methods(cfgs: list[PipelineConfig], output_dir=None) -> dict:
-    """Same dataset, several methods; one row per method with original and
-    residual dependence/correlation plus the mismatch probability. The
-    residual scores are the method's pipeline metrics, the original ones
-    those of method none, whatever metrics the configs name. A row whose
-    config equals the none config (every field) reuses those scores. The
-    report records the first config as scored, metrics ("cc", "delta_bar",
-    "mp")."""
-    if not cfgs:
-        raise ValueError("need at least one config")
-    base = cfgs[0]
-    dataset_fields = ("source", "sim", "ul_path", "dl_path", "geometry_path")
-    if any(getattr(cfg, f) != getattr(base, f) for cfg in cfgs[1:] for f in dataset_fields):
-        raise PipelineError("compare", ValueError("dataset mismatch across configs"))
-    scored = [dataclasses.replace(cfg, metrics=("cc", "delta_bar", "mp")) for cfg in cfgs]
-    ul, dl, geom = load_dataset(base)
-    none = dataclasses.replace(scored[0], method="none")
+def compare_methods(cfg: PipelineConfig, methods, output_dir=None) -> dict:
+    """One row per method, each scored as the pipeline scores ``cfg`` with
+    that method and metrics ("cc", "delta_bar", "mp"): the residual CC,
+    dependence and mismatch probability, and the original CC and dependence
+    of method none, which a none row reuses. Every method's config is
+    checked before the dataset is read; the report records the first one."""
+    if not methods:
+        raise ValueError("need at least one method")
+    none, *scored = (dataclasses.replace(cfg, method=m, metrics=("cc", "delta_bar", "mp")) for m in ("none", *methods))
+    ul, dl, geom = load_dataset(cfg)
     original, _ = compute_metrics(none, apply_method(none, ul, dl, geom), geom)
     rows = []
-    for cfg in scored:
-        residual = original if cfg == none else compute_metrics(cfg, apply_method(cfg, ul, dl, geom), geom)[0]
+    for c in scored:
+        residual = original if c.method == "none" else compute_metrics(c, apply_method(c, ul, dl, geom), geom)[0]
         rows.append(
             {
-                "method": cfg.method,
+                "method": c.method,
                 "original_cc": original["avg_cc"],
                 "residual_cc": residual["avg_cc"],
                 "original_delta_bar": original["avg_delta_bar"],
@@ -436,7 +429,7 @@ def compare_methods(cfgs: list[PipelineConfig], output_dir=None) -> dict:
         "tool": "csisplit",
         "version": __version__,
         "config": dataclasses.asdict(scored[0]),
-        "methods": [c.method for c in cfgs],
+        "methods": [c.method for c in scored],
         "rows": rows,
     }
     if output_dir is not None:
@@ -445,15 +438,10 @@ def compare_methods(cfgs: list[PipelineConfig], output_dir=None) -> dict:
     return report
 
 
-def tvd_curve(
-    ul: CsiMatrix,
-    geom: NodeGeometry,
-    d_hat_max: int,
-    k: int | None = None,
-    bins: int = DEFAULT_BINS,
-) -> list[dict]:
+def tvd_curve(ul: CsiMatrix, geom: NodeGeometry, d_hat_max: int, k: int, bins: int = DEFAULT_BINS) -> list[dict]:
     """Average neighbor TVD of the top-rank fingerprint for each rank
-    0..d_hat_max; rank 0 scores the raw measurements."""
+    0..d_hat_max; rank 0 scores the raw measurements, rank d the
+    predictable part of :func:`pca.decompose` at d_hat = d."""
     if d_hat_max < 0:
         raise ValueError(f"d_hat_max must be at least 0, got {d_hat_max}")
     view = to_real_view(ul)
@@ -461,12 +449,10 @@ def tvd_curve(
         raise ValueError(f"d_hat_max {d_hat_max} exceeds the {view.shape[0]} rows of the real view")
     if d_hat_max > 0:
         basis = fit_pca(view, top=d_hat_max)
-        u = basis.eigenvectors[:d_hat_max]
-        scores = u @ (view - basis.mean[:, None])  # each rank's products are those of pca.decompose
     records = []
     for d in range(d_hat_max + 1):
-        predictable = u[:d].T @ scores[:d] if d > 0 else view  # rank 0: the raw measurements
-        rep = avg_neighbor_tvd(np.abs(view_to_complex(predictable)), geom, k=k, bins=bins)
+        predictable = decompose(view, basis, DecompConfig(d_hat=d, d1=1, d2=d_hat_max)).predictable if d > 0 else view
+        rep = avg_neighbor_tvd(np.abs(view_to_complex(predictable)), geom, k, bins=bins)
         records.append({"d_hat": d, "avg_tvd": rep.avg_tvd})
     return records
 

@@ -86,6 +86,15 @@ class SimConfig:
                 raise ValueError(f"{name} must be finite and positive, got {value}")
         if not math.isfinite(self.los_doppler_frac):
             raise ValueError(f"los_doppler_frac must be finite, got {self.los_doppler_frac}")
+        # and their products, in simulate's order: J0's argument 2 pi f_d tau
+        # and the specular drift's last phase, los_doppler_frac (m - 1) times it
+        f_d = self.speed_mps * self.carrier_hz / SPEED_OF_LIGHT
+        last = 2.0 * math.pi * self.los_doppler_frac * f_d * self.snapshot_interval_s * (self.m - 1)
+        if not (math.isfinite(2.0 * math.pi * f_d * self.snapshot_interval_s) and math.isfinite(last)):
+            raise ValueError(
+                f"the Doppler phase overflows: speed_mps={self.speed_mps}, carrier_hz={self.carrier_hz}, "
+                f"snapshot_interval_s={self.snapshot_interval_s}, los_doppler_frac={self.los_doppler_frac}, m={self.m}"
+            )
         if math.isnan(self.snr_db):
             raise ValueError("snr_db must be a number (or +inf to disable noise)")
         if self.temporal_rho is not None and not -1.0 <= self.temporal_rho <= 1.0:

@@ -375,6 +375,16 @@ def test_trailing_bytes_rejected(tmp_path):
         read_csi_file(path)
 
 
+def test_non_finite_payload_raises_a_csi_file_error(tmp_path):
+    path = tmp_path / "nan.csi"
+    write_csi_file(CsiMatrix(np.ones((2, 2), dtype=complex)), path)
+    raw = bytearray(path.read_bytes())
+    raw[-8:] = np.float64(np.nan).tobytes()  # the last entry's imaginary part
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CsiFileError, match="non-finite"):
+        read_csi_file(path)
+
+
 @pytest.mark.parametrize(
     "shape, edit, message",
     [

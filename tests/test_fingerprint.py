@@ -249,7 +249,7 @@ def test_avg_neighbor_tvd_equals_per_pair_loop_at_the_default_size():
     # 20x20 with k=8: about half the directed pairs share an unordered pair
     out = simulate(SimConfig(seed=2))
     fp = np.abs(out.uplink.data)
-    report = avg_neighbor_tvd(fp, out.geometry)
+    report = avg_neighbor_tvd(fp, out.geometry, k=8)
     assert np.array_equal(report.pair_tvd, _per_pair_tvd(fp, out.geometry, 8, 32))
 
 

@@ -168,12 +168,11 @@ def test_ae2_split_equals_one_forward_over_all_pairs(grid, k):
 
 def test_compare_rows_equal_the_pipeline_metrics():
     methods = pipeline.METHODS[::-1]  # none last, so the original columns cannot come from the first row
-    cfgs = [_cfg(method) for method in methods]
-    rows = pipeline.compare_methods(cfgs)["rows"]
+    rows = pipeline.compare_methods(_cfg("none"), methods)["rows"]
     assert [row["method"] for row in rows] == list(methods)
     original = pipeline.run_pipeline(_cfg("none"))["metrics"]
-    for cfg, row in zip(cfgs, rows):
-        metrics = pipeline.run_pipeline(cfg)["metrics"]
+    for method, row in zip(methods, rows):
+        metrics = pipeline.run_pipeline(_cfg(method))["metrics"]
         assert row["residual_cc"] == metrics["avg_cc"]
         assert row["residual_delta_bar"] == metrics["avg_delta_bar"]
         assert row["mp"] == metrics["avg_mp"]
@@ -189,7 +188,7 @@ def test_compare_splits_method_none_once(monkeypatch):
         return apply_method(cfg, *args)
 
     monkeypatch.setattr(pipeline, "apply_method", counting_apply)
-    rows = pipeline.compare_methods([_cfg("none"), _cfg("pca")])["rows"]
+    rows = pipeline.compare_methods(_cfg("none"), ["none", "pca"])["rows"]
     assert applied == ["none", "pca"]
     for row, method in zip(rows, ("none", "pca")):
         assert row["original_cc"] == GOLDEN["none"]["avg_cc"]
@@ -200,10 +199,40 @@ def test_compare_splits_method_none_once(monkeypatch):
 
 
 def test_compare_report_records_the_config_it_scored(tmp_path):
-    report = pipeline.compare_methods([_cfg("none"), _cfg("pca")], output_dir=tmp_path)
+    report = pipeline.compare_methods(_cfg("none"), ["none", "pca"], output_dir=tmp_path)
     assert list(report["config"]["metrics"]) == ["cc", "delta_bar", "mp"]
     written = json.loads((tmp_path / "compare.json").read_text(encoding="utf-8"))
     assert written["config"]["metrics"] == ["cc", "delta_bar", "mp"]
+
+
+def test_compare_checks_every_method_before_it_reads_the_dataset(monkeypatch):
+    def fail_load(cfg):
+        raise AssertionError("load_dataset was called")
+
+    monkeypatch.setattr(pipeline, "load_dataset", fail_load)
+    with pytest.raises(ValueError, match="d_hat"):
+        pipeline.compare_methods(_cfg("none", d_hat=0), ["none", "kpca"])
+
+
+def test_compare_of_none_alone_scores_the_original_data():
+    (row,) = pipeline.compare_methods(_cfg("pca"), ["none"])["rows"]
+    assert row["method"] == "none"
+    assert row["residual_cc"] == row["original_cc"] == GOLDEN["none"]["avg_cc"]
+    assert row["residual_delta_bar"] == row["original_delta_bar"] == GOLDEN["none"]["avg_delta_bar"]
+    assert row["mp"] == GOLDEN["none"]["avg_mp"]
+
+
+def test_compare_scores_every_row_with_the_config_k():
+    report = pipeline.compare_methods(_cfg("none", k_neighbors=3), ["none", "pca"])
+    assert report["config"]["k_neighbors"] == 3
+    none, pca = report["rows"]
+    assert none["residual_cc"] == pipeline.run_pipeline(_cfg("none", k_neighbors=3))["metrics"]["avg_cc"]
+    assert pca["residual_cc"] == pipeline.run_pipeline(_cfg("pca", k_neighbors=3))["metrics"]["avg_cc"]
+
+
+def test_compare_needs_a_method():
+    with pytest.raises(ValueError, match="need at least one method"):
+        pipeline.compare_methods(_cfg("none"), [])
 
 
 def _run_cli(tmp_path, argv):

@@ -213,9 +213,9 @@ def test_sweep_empty_grid_error():
     rng = np.random.default_rng(12)
     view = rng.standard_normal((4, 6))
     with pytest.raises(ValueError):
-        sweep(view, view, fit_pca(view), [], [2], _toy_geometry(6))
+        sweep(view, view, fit_pca(view), [], [2], _toy_geometry(6), k=1)
     with pytest.raises(ValueError, match="no band with d1 <= d2"):
-        sweep(view, view, fit_pca(view), [3], [2], _toy_geometry(6))
+        sweep(view, view, fit_pca(view), [3], [2], _toy_geometry(6), k=1)
 
 
 @pytest.mark.parametrize(
@@ -238,11 +238,10 @@ def test_sweep_cells_equal_the_per_pair_loop_on_the_band(grid, step):
         assert cell.avg_mp == avg_mp(band_ul, band_dl).avg_mp, (cell.d1, cell.d2)
 
 
-def test_sweep_k_defaults_to_the_geometry_k():
+def test_sweep_scores_the_k_it_is_given():
     out = simulate(SimConfig(grid_shape=(4, 4), m=8))
     ul = to_real_view(out.uplink)
     basis = fit_pca(ul)
-    assert sweep(ul, ul, basis, [2], [9], out.geometry) == sweep(ul, ul, basis, [2], [9], out.geometry, k=out.geometry.k)
     band_ul = decompose(ul, basis, DecompConfig(d_hat=0, d1=2, d2=9)).unpredictable
     cell = sweep(ul, ul, basis, [2], [9], out.geometry, k=3)[0]
     assert cell.avg_cc == pytest.approx(avg_neighbor_cc(band_ul, out.geometry, 3), abs=1e-12)
@@ -254,10 +253,10 @@ def test_sweep_rejects_bands_outside_the_basis():
     basis = fit_pca(ul)
     assert basis.dim == 8
     with pytest.raises(ValueError, match=r"band \(1, 30\) invalid for dimension 8"):
-        sweep(ul, dl, basis, [1], [8, 30], out.geometry)
+        sweep(ul, dl, basis, [1], [8, 30], out.geometry, k=8)
     with pytest.raises(ValueError, match=r"band \(0, 8\) invalid for dimension 8"):
-        sweep(ul, dl, basis, [0, 1], [8], out.geometry)
-    assert [(c.d1, c.d2) for c in sweep(ul, dl, basis, [1, 9], [8], out.geometry)] == [(1, 8)]
+        sweep(ul, dl, basis, [0, 1], [8], out.geometry, k=8)
+    assert [(c.d1, c.d2) for c in sweep(ul, dl, basis, [1, 9], [8], out.geometry, k=8)] == [(1, 8)]
 
 
 def test_sweep_zero_variance_band_column_raises_like_pearson_cc():
@@ -283,7 +282,7 @@ def test_sweep_keeps_its_digits_under_a_dominant_leading_component():
     geom = NodeGeometry(positions=np.column_stack([np.arange(30.0), np.zeros(30)]), k=2)
     basis = fit_pca(view)
     assert basis.eigenvalues[0] > 1e15 * basis.eigenvalues[1]
-    for cell in sweep(view, view, basis, [1, 2, 3, 5], [4, 9, 16], geom):
+    for cell in sweep(view, view, basis, [1, 2, 3, 5], [4, 9, 16], geom, k=2):
         band = decompose(view, basis, DecompConfig(d_hat=0, d1=cell.d1, d2=cell.d2)).unpredictable
         assert abs(cell.avg_cc - avg_neighbor_cc(band, geom, 2)) <= 1e-12, (cell.d1, cell.d2)
 
@@ -311,7 +310,7 @@ def test_dual_and_primal_sweeps_give_the_same_mismatch():
     for seed in range(4):
         out = simulate(SimConfig(grid_shape=(8, 8), seed=seed))
         ul, dl = to_real_view(out.uplink), to_real_view(out.downlink)
-        grid = (range(1, 22, 2), range(2, 31, 2), out.geometry)
+        grid = (range(1, 22, 2), range(2, 31, 2), out.geometry, 8)
         dual, full = sweep(ul, dl, fit_pca(ul, top=30), *grid), sweep(ul, dl, fit_pca(ul), *grid)
         assert [c.avg_mp for c in dual] == [c.avg_mp for c in full], seed
         assert max(abs(a.avg_cc - b.avg_cc) for a, b in zip(dual, full)) <= 1e-12, seed

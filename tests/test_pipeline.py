@@ -127,8 +127,13 @@ def test_bad_geometry_file_raises_a_geometry_error_naming_the_key(tmp_path, text
 
 @pytest.mark.parametrize(
     "raw",
-    [b'{"positions": [[0, 0], [1, 0]], "k": "\xff"}', b'{"positions": [[0, 0], [1, 0]'],
-    ids=["not-utf8", "malformed-json"],
+    [
+        b'{"positions": [[0, 0], [1, 0]], "k": "\xff"}',
+        b'{"positions": [[0, 0], [1, 0]',
+        # valid JSON of 200 kB, far below the size cap, nested deeper than the decoder recurses
+        b'{"positions": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+    ],
+    ids=["not-utf8", "malformed-json", "nested-too-deeply"],
 )
 def test_geometry_file_that_is_not_utf8_json_raises_a_geometry_error_naming_it(tmp_path, raw):
     path = tmp_path / "geometry.json"
@@ -170,9 +175,6 @@ def test_each_stage_raises_its_own_pipeline_error(tmp_path):
     )
     # 8 neighbors is the most a 3x3 grid has
     assert _stage_of(lambda: pipeline.run_pipeline(pipeline.PipelineConfig(sim=SMALL, k_neighbors=9))) == "metrics"
-    other = dataclasses.replace(SMALL, m=16)
-    cfgs = [pipeline.PipelineConfig(sim=SMALL), pipeline.PipelineConfig(sim=other, method="pca")]
-    assert _stage_of(lambda: pipeline.compare_methods(cfgs)) == "compare"
 
 
 def test_cli_stage_error_names_the_stage_and_exits_1(tmp_path, capsys):

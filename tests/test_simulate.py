@@ -162,6 +162,29 @@ def test_doppler_input_that_is_not_finite_or_in_range_is_rejected(field, value):
         SimConfig(grid_shape=(3, 3), m=8, **{field: value})
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(speed_mps=1e300, carrier_hz=1e300),  # f_d itself overflows
+        dict(speed_mps=1e10, carrier_hz=1e10, snapshot_interval_s=1e300),
+        dict(los_doppler_frac=1e308),
+        dict(los_doppler_frac=-1e308),
+        dict(los_doppler_frac=1e307, speed_mps=0.05, m=1000),  # finite up to t = 256 of 999
+    ],
+)
+def test_doppler_phase_that_overflows_is_rejected(overrides):
+    with pytest.raises(ValueError, match="overflows") as excinfo:
+        SimConfig(**{"grid_shape": (3, 3), "m": 8, **overrides})
+    for name, value in overrides.items():
+        assert f"{name}={value}" in str(excinfo.value)
+
+
+def test_a_large_finite_drift_phase_is_accepted():
+    # the last case above at m=8: every phase of the drift is finite
+    cfg = SimConfig(grid_shape=(3, 3), m=8, los_doppler_frac=1e307, speed_mps=0.05)
+    assert np.isfinite(simulate(cfg).uplink.data).all()
+
+
 def test_zero_speed_and_negative_los_doppler_fraction_are_accepted():
     # a static channel (rho = J0(0) = 1) and a specular ray drifting backwards
     cfg = SimConfig(grid_shape=(3, 3), m=8, speed_mps=0.0, los_doppler_frac=-0.1)
