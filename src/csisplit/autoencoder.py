@@ -12,8 +12,8 @@ and ``TrainConfig`` rejects any other mu for the e2 loss.
 ``TrainConfig`` holds only what :func:`train` reads: the loss, mu, the
 Adam step size, the batch size, the epochs and the seed. What a model
 trains on, and whether one model serves both link directions, is the
-caller's choice; ``pipeline.train_config`` and
-``pipeline.ae_training_data`` make it from the pipeline's options.
+caller's choice; ``pipeline.train_config`` and ``pipeline.fit_ae`` make
+it from the pipeline's options.
 
 The dot-product model consumes pair samples: each training column is a
 node's real-view vector concatenated with one neighbor's, one sample per

@@ -4,19 +4,19 @@ Subcommands: simulate, decompose, ae-train, ae-decompose, dhsic,
 tvd-curve, skg-mp, fit-dist, sweep, compare, pipeline. ``decompose
 --method {pca,kpca}`` splits one CSI file, once, with the pipeline's
 decomposer for the method and writes predictable.csi, unpredictable.csi
-and decompose.json (the method's details). ae-train trains one
-autoencoder on one CSI file as the pipeline's centralized ae1 (``--loss
-e1``) or ae2 (``--loss e2``, which needs --geometry) trains its uplink
-model, through ``pipeline.train_config`` and ``pipeline.ae_training_data``,
-and writes its weights; ae-decompose applies them with the pipeline's
-``ae_split``. Global flags --seed, --output-dir and --config: a
-flat key = value file whose entries are parsed as --key=value after the
-command line, so they override it and take the flag's type, choices and
-errors; keys are the subcommand's long option names, with dashes or
-underscores. Every option shared by several subcommands is declared once,
-with one default and one help. decompose, ae-train, sweep, compare and
-pipeline build a ``PipelineConfig``, which checks itself when built, before
-any file is read; sweep checks --b and --alpha only if --delta-pairs > 0.
+and decompose.json (the method's details). ae-train trains one autoencoder
+on one CSI file as the pipeline's centralized ae1 (``--loss e1``) or ae2
+(``--loss e2``, which needs --geometry) trains its uplink model, with
+``pipeline.fit_ae``, and writes its weights; ae-decompose applies them
+with the pipeline's ``ae_split``. Global flags --seed, --output-dir and
+--config: a flat key = value file whose entries are parsed as --key=value
+after the command line, so they override it and take the flag's type,
+choices and errors; keys are the subcommand's long option names, with
+dashes or underscores. Every option shared by several subcommands is
+declared once, with one default and one help. decompose, ae-train, sweep,
+compare and pipeline build a ``PipelineConfig``, which checks itself when
+built, before any file is read; sweep checks --b and --alpha only if
+--delta-pairs > 0.
 
 Importing this module loads no SciPy module. Each SciPy import sits in
 the function that calls it: kpca's fit and split, the softplus derivative
@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, pipeline as pl
-from .autoencoder import default_mlp_spec, read_weights, train, write_weights
+from .autoencoder import read_weights, write_weights
 from .core import Decomposition, from_real_view, read_csi_file, to_real_view, write_csi_file
 from .dependence import dhsic_test
 from .kpca import KERNEL_VARIANTS
@@ -129,7 +129,7 @@ def _pipeline_config(args, **overrides) -> pl.PipelineConfig:
         if hasattr(args, option):
             values[f.name] = getattr(args, option)
     if "metrics" in values:
-        values["metrics"] = tuple(values["metrics"].split(",")) if values["metrics"] else pl.ALL_METRICS
+        values["metrics"] = tuple(values["metrics"].split(",")) if values["metrics"] else ()
     values["sim"] = _sim_config(args) if hasattr(args, "m") else SimConfig(seed=args.seed)
     return pl.PipelineConfig(**{**values, **overrides})
 
@@ -172,10 +172,8 @@ def cmd_ae_train(args) -> None:
     view = to_real_view(read_csi_file(args.input))
     # the e1 loss trains on node columns alone and does not read a given geometry
     geom = pl.read_geometry(args.geometry) if args.geometry and args.loss == "e2" else None
-    dataset = pl.ae_training_data(cfg, view, geom)
-    tc = pl.train_config(cfg)
     log_path = _out(args, "ae_train_log.jsonl", args.log)
-    model = train(dataset, default_mlp_spec(dataset.shape[0], cfg.d_hat), tc, log_path=log_path)
+    model = pl.fit_ae(cfg, view, geom, pl.train_config(cfg), log_path=log_path)
     weights_path = _out(args, "ae.weights", args.weights_out)
     write_weights(model, weights_path)
     print(json.dumps({"weights": str(weights_path), "final_loss": model.final_loss, "log": str(log_path)}))

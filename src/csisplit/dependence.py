@@ -60,9 +60,9 @@ column 0 is the product of the row-sum spectra. Zeroing them leaves
 the double-centred (1/M^2) tr(H K H L_s). Not summing three O(1) terms to
 an O(1e-3) statistic keeps every shift within 1e-15 relative of a
 long-double evaluation (M = 256 and 512); the three-term form was off by
-up to 9e-14 there and ``dhsic_statistic`` by up to 4e-13. The observed
-statistic is the s = 0 value of the same transform, so exact ties still
-count as ties.
+up to 9e-14 there and the permutation null's statistic by up to 4e-13.
+The observed statistic is the s = 0 value of the same transform, so exact
+ties still count as ties.
 """
 
 from __future__ import annotations
@@ -181,19 +181,13 @@ def _identity(grams: list[np.ndarray]) -> list[np.ndarray]:
     return [np.arange(grams[0].shape[0])] * (len(grams) - 1)
 
 
-def dhsic_statistic(variables) -> float:
-    """Estimator of the d-variable HSIC from scalar observation sequences."""
-    grams, _ = _prepare_grams(variables)
-    return _PermutedStatistic(grams)(_identity(grams))
-
-
 def permutation_statistics(variables, b: int, seed, statistic=None) -> np.ndarray:
     """B statistics of the permutation null.
 
     Variable 0 stays in place. One ``np.random.default_rng(seed)`` draws,
     for replicate 0, 1, ..., B-1 in turn, one ``rng.permutation(M)`` for each
     of variables 1..d-1 in variable order. With those permutations p_1..p_{d-1},
-    replicate r is ``dhsic_statistic([x_0, x_1[p_1], ..., x_{d-1}[p_{d-1}]])``.
+    replicate r is the statistic of [x_0, x_1[p_1], ..., x_{d-1}[p_{d-1}]].
     ``statistic`` is the statistic of the variables' Grams when the caller has
     built it already (``dhsic_test`` does), so the Grams are built once.
     """

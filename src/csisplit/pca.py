@@ -55,14 +55,23 @@ class PcaBasis:
 
 @dataclass(frozen=True)
 class DecompConfig:
+    """A pca split's ranks, checked when built; :meth:`validate` checks the
+    bounds that need the basis."""
+
     d_hat: int  # predictable rank (0 = none)
     d1: int  # unpredictable band start, 1-based
     d2: int  # unpredictable band end, inclusive
 
+    def __post_init__(self):
+        if self.d_hat < 0:
+            raise ValueError(f"d_hat must be at least 0, got {self.d_hat}")
+        if not 1 <= self.d1 <= self.d2:
+            raise ValueError(f"band (d1, d2) = ({self.d1}, {self.d2}) invalid: need 1 <= d1 <= d2")
+
     def validate(self, dim: int) -> None:
-        if not 0 <= self.d_hat <= dim:
+        if self.d_hat > dim:
             raise ValueError(f"d_hat={self.d_hat} out of range [0, {dim}]")
-        if not 1 <= self.d1 <= self.d2 <= dim:
+        if self.d2 > dim:
             raise ValueError(f"band ({self.d1}, {self.d2}) invalid for dimension {dim}")
 
 

@@ -76,8 +76,10 @@ def _stage(name: str):
 class PipelineConfig:
     """One run's dataset, method and metric settings, checked when built
     (``dataclasses.replace`` too). Some checks hold only where a setting is
-    read: d_hat >= 1 for kpca, ae1 and ae2; the autoencoder settings for ae1
-    and ae2; the delta_bar settings; one seed for a simulated source."""
+    read: d_hat >= 1 for kpca, ae1 and ae2; pca's band; the autoencoder
+    settings for ae1 and ae2; k_neighbors >= 1 for tvd, cc and ae2; bins >= 1
+    for tvd; the delta_bar settings; one seed for a simulated source.
+    :func:`load_dataset` checks k_neighbors against the node count."""
 
     source: str = "simulate"  # "simulate" or "files"
     ul_path: str | None = None
@@ -115,6 +117,8 @@ class PipelineConfig:
             raise ValueError(f"method must be one of {METHODS}")
         if self.method in ("kpca", "ae1", "ae2") and self.d_hat < 1:
             raise ValueError(f"d_hat must be at least 1 for method {self.method}, got {self.d_hat}")
+        if self.method == "pca":
+            DecompConfig(self.d_hat, self.d1, self.d2)  # DecompConfig checks the ranks
         if self.method in ("ae1", "ae2"):
             if self.ae_mode not in AE_MODES:
                 raise ValueError(f"ae_mode must be one of {AE_MODES}, got {self.ae_mode!r}")
@@ -124,6 +128,10 @@ class PipelineConfig:
         unknown = set(self.metrics) - set(ALL_METRICS)
         if unknown:
             raise ValueError(f"unknown metrics {sorted(unknown)}")
+        if self.reads_neighbors and self.k_neighbors < 1:
+            raise ValueError(f"k_neighbors must be at least 1, got {self.k_neighbors}")
+        if "tvd" in self.metrics and self.bins < 1:
+            raise ValueError(f"bins must be at least 1, got {self.bins}")
         if "delta_bar" in self.metrics:
             if self.delta_pairs < 1:
                 raise ValueError("delta_pairs must be at least 1")
@@ -131,6 +139,11 @@ class PipelineConfig:
                 raise ValueError(f"delta_b must be at least {MIN_REPLICATES} permutations")
             if not 0.0 < self.alpha < 1.0:
                 raise ValueError("alpha must lie in (0, 1)")
+
+    @property
+    def reads_neighbors(self) -> bool:
+        """Whether the run reads k_neighbors: the tvd and cc metrics and ae2's pairs do."""
+        return "tvd" in self.metrics or "cc" in self.metrics or self.method == "ae2"
 
 
 #: largest geometry file read, in bytes: 64 MiB, over a million nodes in 3-D
@@ -216,15 +229,20 @@ class MethodOutput:
 
 
 def load_dataset(cfg: PipelineConfig) -> tuple[CsiMatrix, CsiMatrix, NodeGeometry]:
+    """The run's uplink, downlink and geometry; a neighbor count the nodes
+    cannot serve fails here, before any method trains."""
     with _stage("dataset"):
         if cfg.source == "simulate":
             out = simulate(cfg.sim)
-            return out.uplink, out.downlink, out.geometry
-        ul = read_csi_file(cfg.ul_path)
-        dl = read_csi_file(cfg.dl_path)
-        geom = read_geometry(cfg.geometry_path)
-        if ul.data.shape != dl.data.shape or ul.n != geom.n:
-            raise ValueError("uplink/downlink/geometry dimensions disagree")
+            ul, dl, geom = out.uplink, out.downlink, out.geometry
+        else:
+            ul = read_csi_file(cfg.ul_path)
+            dl = read_csi_file(cfg.dl_path)
+            geom = read_geometry(cfg.geometry_path)
+            if ul.data.shape != dl.data.shape or ul.n != geom.n:
+                raise ValueError("uplink/downlink/geometry dimensions disagree")
+        if cfg.reads_neighbors and cfg.k_neighbors >= geom.n:
+            raise ValueError(f"k_neighbors={cfg.k_neighbors} needs more than the {geom.n} nodes")
         return ul, dl, geom
 
 
@@ -278,34 +296,34 @@ def train_config(cfg: PipelineConfig) -> TrainConfig:
     )
 
 
-def ae_training_data(cfg: PipelineConfig, view: np.ndarray, geom: NodeGeometry | None) -> np.ndarray:
-    """An autoencoder method's training samples of one real view: its node
-    columns for ae1, its (node, neighbor) pairs for ae2."""
+def fit_ae(
+    cfg: PipelineConfig, view: np.ndarray, geom: NodeGeometry | None, tc: TrainConfig, log_path=None
+) -> TrainedModel:
+    """The autoencoder of ``cfg``'s method, of the default architecture,
+    trained with ``tc`` on one real view: on its node columns for ae1, on
+    its (node, neighbor) pairs for ae2. The pairs live only while the model
+    trains."""
     if cfg.method == "ae1":
-        return view
-    if geom is None:
+        data = view
+    elif geom is None:
         raise ValueError("a pair-input model needs the node geometry")
-    return build_pair_dataset(view, geom, cfg.k_neighbors)
+    else:
+        data = build_pair_dataset(view, geom, cfg.k_neighbors)
+    return train(data, default_mlp_spec(data.shape[0], cfg.d_hat), tc, log_path=log_path)
 
 
 def _decompose_ae(cfg: PipelineConfig, views, geom) -> tuple[list[Decomposition], dict, dict]:
     """``views`` = (uplink, downlink). Centralized, one model trained on the
     uplink's data splits both views; localized, each view trains its own
     model, the uplink's first, each with a seed spawned from ``cfg.seed``.
-    A view's training data lives only while its model trains: a pair
-    model's split gathers its pairs again, block by block.
+    A pair model's split gathers its pairs again, block by block.
     The diagnostics hold each direction's per-epoch training loss."""
-
-    def fit(view: np.ndarray, tc: TrainConfig) -> TrainedModel:
-        data = ae_training_data(cfg, view, geom)
-        return train(data, default_mlp_spec(data.shape[0], cfg.d_hat), tc)
-
     tc = train_config(cfg)
     if cfg.ae_mode == "centralized":
-        models = [fit(views[0], tc)] * 2
+        models = [fit_ae(cfg, views[0], geom, tc)] * 2
     else:
         seeds = [int(seq.generate_state(1)[0]) for seq in np.random.SeedSequence(cfg.seed).spawn(2)]
-        models = [fit(view, dataclasses.replace(tc, seed=seed)) for view, seed in zip(views, seeds)]
+        models = [fit_ae(cfg, view, geom, dataclasses.replace(tc, seed=seed)) for view, seed in zip(views, seeds)]
     details = {
         "method": cfg.method,
         "d_hat": cfg.d_hat,
@@ -409,6 +427,9 @@ def compare_methods(cfg: PipelineConfig, methods, output_dir=None) -> dict:
     checked before the dataset is read; the report records the first one."""
     if not methods:
         raise ValueError("need at least one method")
+    repeated = [m for i, m in enumerate(methods) if m in methods[:i]]
+    if repeated:
+        raise ValueError(f"methods repeat {repeated[0]!r}")
     none, *scored = (dataclasses.replace(cfg, method=m, metrics=("cc", "delta_bar", "mp")) for m in ("none", *methods))
     ul, dl, geom = load_dataset(cfg)
     original, _ = compute_metrics(none, apply_method(none, ul, dl, geom), geom)

@@ -16,6 +16,11 @@ Composite fading model per node n at grid position x_n:
   spectrum, f_d = speed * carrier / c) and short-range spatial
   correlation exp(-d / diffuse_corr_m) across nodes.
 
+Three module constants fix the geometry, and no SimConfig field sets
+them: the grid starts at GRID_ORIGIN = (100, -10) m in the plane z = 0,
+the base station stands at BS_POSITION = (0, 0, 10) m, and the path loss
+is normalized at REFERENCE_DISTANCE_M = 100 m from it.
+
 Both directions observe the same h_n[t] (reciprocity) through independent
 circular Gaussian noise scaled per node to the configured SNR; the BPSK
 pilot divides out in the zero-forcing estimate, flipping the noise sign
@@ -37,21 +42,21 @@ import numpy as np
 from .core import CsiMatrix, Direction, NodeGeometry, squared_distances
 
 SPEED_OF_LIGHT = 299792458.0
+GRID_ORIGIN = (100.0, -10.0)
+BS_POSITION = (0.0, 0.0, 10.0)
+REFERENCE_DISTANCE_M = 100.0
 
 
 @dataclass(frozen=True)
 class SimConfig:
     grid_shape: tuple[int, int] = (20, 20)
     grid_spacing_m: float = 1.0
-    grid_origin: tuple[float, float] = (100.0, -10.0)
-    bs_position: tuple[float, float, float] = (0.0, 0.0, 10.0)
     m: int = 256
     carrier_hz: float = 2.68e9
     speed_mps: float = 0.5
     snapshot_interval_s: float = 0.025
     rician_k: float = 4.0
     path_loss_exponent: float = 3.5
-    reference_distance_m: float = 100.0
     shadowing_sigma_db: float = 6.0
     shadowing_corr_m: float = 5.0
     phase_sigma_rad: float = 0.5
@@ -112,8 +117,8 @@ class SimOutput:
 
 def grid_positions(cfg: SimConfig) -> np.ndarray:
     rows, cols = cfg.grid_shape
-    xs = cfg.grid_origin[0] + cfg.grid_spacing_m * np.arange(cols)
-    ys = cfg.grid_origin[1] + cfg.grid_spacing_m * np.arange(rows)
+    xs = GRID_ORIGIN[0] + cfg.grid_spacing_m * np.arange(cols)
+    ys = GRID_ORIGIN[1] + cfg.grid_spacing_m * np.arange(rows)
     gx, gy = np.meshgrid(xs, ys)
     return np.column_stack([gx.ravel(), gy.ravel()])
 
@@ -250,10 +255,10 @@ def simulate(cfg: SimConfig) -> SimOutput:
 
     # large-scale amplitude: path loss normalized at the reference distance,
     # times spatially correlated log-normal shadowing
-    bs = np.asarray(cfg.bs_position, dtype=np.float64)
+    bs = np.asarray(BS_POSITION, dtype=np.float64)
     nodes3 = np.column_stack([positions, np.zeros(n)])
     dist_bs = np.sqrt(squared_distances(nodes3, bs[None, :]))[:, 0]
-    pl_amp = (cfg.reference_distance_m / dist_bs) ** (cfg.path_loss_exponent / 2.0)
+    pl_amp = (REFERENCE_DISTANCE_M / dist_bs) ** (cfg.path_loss_exponent / 2.0)
     shadow_db = cfg.shadowing_sigma_db * shadow_field
     amp = pl_amp * 10.0 ** (shadow_db / 20.0)
 

@@ -328,6 +328,44 @@ def test_pipeline_ae1_rejects_d_hat_zero(tmp_path, capsys):
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize(
+    "options, field",
+    [
+        (["--metrics", "tvd", "--bins", "0"], "bins"),
+        (["--k", "0"], "k_neighbors"),
+        (["--method", "pca", "--d1", "5", "--d2", "3"], "band (d1, d2) = (5, 3)"),
+        (["--metrics", ""], "metrics must name at least one of"),
+    ],
+)
+def test_pipeline_bad_scoring_option_exits_1_naming_the_field(tmp_path, capsys, options, field):
+    argv = ["pipeline", "--grid-rows", "3", "--grid-cols", "3", "--m", "8", *options]
+    assert cli.main([*argv, "--output-dir", str(tmp_path)]) == 1
+    assert field in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_pipeline_k_beyond_the_nodes_exits_1_in_the_dataset_stage(dataset, tmp_path, capsys):
+    argv = ["pipeline", "--source", "files", *_files(dataset), "--method", "ae1", "--ae-epochs", "1", "--k", "16"]
+    assert cli.main([*argv, "--output-dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: stage 'dataset': k_neighbors=16 needs more than the 16 nodes")
+    assert not list(tmp_path.iterdir())
+
+
+def test_compare_k_zero_exits_1_naming_the_field_before_reading_a_file(tmp_path, capsys):
+    files = ["--input-ul", str(tmp_path / "ul.csi"), "--input-dl", str(tmp_path / "dl.csi")]
+    argv = ["compare", *files, "--geometry", str(tmp_path / "geometry.json"), "--k", "0"]
+    assert cli.main([*argv, "--output-dir", str(tmp_path / "out")]) == 1
+    assert "k_neighbors must be at least 1, got 0" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_compare_repeated_method_exits_1(dataset, tmp_path, capsys):
+    argv = ["compare", *_files(dataset), "--methods", "pca,pca", "--output-dir", str(tmp_path)]
+    assert cli.main(argv) == 1
+    assert "methods repeat 'pca'" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_decompose_kpca_rejects_d_hat_zero(dataset, tmp_path, capsys):
     argv = ["decompose", "--method", "kpca", "--d-hat", "0", "--input", str(dataset / "uplink.csi")]
     assert cli.main([*argv, "--output-dir", str(tmp_path)]) == 1

@@ -8,12 +8,13 @@ from scipy.signal import lfilter
 from csisplit import pipeline
 from csisplit.core import NodeGeometry
 from csisplit.dependence import (
+    _PermutedStatistic,
     _cv_index,
+    _identity,
     _prepare_grams,
     avg_neighbor_cc,
     avg_neighbor_delta_bar,
     cc_from_moments,
-    dhsic_statistic,
     dhsic_test,
     gaussian_gram_1d,
     median_bandwidth,
@@ -24,6 +25,13 @@ from csisplit.dependence import (
     shift_statistics,
 )
 from csisplit.simulate import SimConfig
+
+
+def dhsic_statistic(variables) -> float:
+    """The dHSIC estimate of scalar observation sequences, as the permutation
+    null evaluates it at the identity permutation."""
+    grams, _ = _prepare_grams(variables)
+    return _PermutedStatistic(grams)(_identity(grams))
 
 
 def oracle_statistic(variables):

@@ -235,6 +235,16 @@ def test_compare_needs_a_method():
         pipeline.compare_methods(_cfg("none"), [])
 
 
+@pytest.mark.parametrize("methods, repeat", [(["pca", "pca"], "pca"), (["none", "kpca", "none"], "none")])
+def test_compare_rejects_a_repeated_method_before_it_reads_the_dataset(monkeypatch, methods, repeat):
+    def fail_load(cfg):
+        raise AssertionError("load_dataset was called")
+
+    monkeypatch.setattr(pipeline, "load_dataset", fail_load)
+    with pytest.raises(ValueError, match=f"methods repeat '{repeat}'"):
+        pipeline.compare_methods(_cfg("none"), methods)
+
+
 def _run_cli(tmp_path, argv):
     assert cli.main(argv + ["--output-dir", str(tmp_path)]) == 0
     details = json.loads((tmp_path / "decompose.json").read_text(encoding="utf-8"))

@@ -254,7 +254,7 @@ def test_sweep_rejects_bands_outside_the_basis():
     assert basis.dim == 8
     with pytest.raises(ValueError, match=r"band \(1, 30\) invalid for dimension 8"):
         sweep(ul, dl, basis, [1], [8, 30], out.geometry, k=8)
-    with pytest.raises(ValueError, match=r"band \(0, 8\) invalid for dimension 8"):
+    with pytest.raises(ValueError, match=r"band \(d1, d2\) = \(0, 8\) invalid: need 1 <= d1 <= d2"):
         sweep(ul, dl, basis, [0, 1], [8], out.geometry, k=8)
     assert [(c.d1, c.d2) for c in sweep(ul, dl, basis, [1, 9], [8], out.geometry, k=8)] == [(1, 8)]
 

@@ -8,7 +8,7 @@ import pytest
 
 from csisplit import cli, pipeline
 from csisplit.autoencoder import decompose_ae_pairs, read_weights
-from csisplit.core import read_csi_file, to_real_view, write_csi_file
+from csisplit.core import CsiMatrix, read_csi_file, to_real_view, write_csi_file
 from csisplit.dependence import dhsic_test, select_delta_pairs
 from csisplit.simulate import SimConfig, simulate
 
@@ -24,6 +24,63 @@ def test_bad_delta_bar_settings_fail_before_any_stage(field, value):
         pipeline.PipelineConfig(sim=SMALL, **{field: value})
     # the settings are unused, and not checked, without the delta_bar metric
     pipeline.PipelineConfig(sim=SMALL, metrics=("tvd", "cc", "mp"), **{field: value})
+
+
+def _forbid(monkeypatch, name):
+    def forbidden(*args, **kwargs):
+        raise AssertionError(f"pipeline.{name} was called")
+
+    monkeypatch.setattr(pipeline, name, forbidden)
+
+
+@pytest.mark.parametrize(
+    "settings, field",
+    [
+        (dict(k_neighbors=0), "k_neighbors"),
+        (dict(k_neighbors=-1, metrics=("cc",)), "k_neighbors"),
+        (dict(k_neighbors=0, method="ae2", metrics=("mp",)), "k_neighbors"),
+        (dict(bins=0, metrics=("tvd",)), "bins"),
+        (dict(d1=5, d2=3), "d1, d2"),
+        (dict(d1=0), "d1, d2"),
+        (dict(d_hat=-1), "d_hat"),
+    ],
+)
+def test_bad_scoring_settings_fail_when_the_config_is_built(monkeypatch, settings, field):
+    _forbid(monkeypatch, "load_dataset")
+    with pytest.raises(ValueError, match=field):
+        pipeline.run_pipeline(pipeline.PipelineConfig(sim=SMALL, **settings))
+
+
+@pytest.mark.parametrize(
+    "settings",
+    [
+        dict(k_neighbors=0, metrics=("mp", "delta_bar")),
+        dict(k_neighbors=0, method="ae1", metrics=("mp",)),
+        dict(bins=0, metrics=("cc", "mp")),
+        dict(d1=5, d2=3, method="none"),
+    ],
+)
+def test_scoring_settings_are_not_checked_where_unread(settings):
+    pipeline.PipelineConfig(sim=SMALL, **settings)
+
+
+@pytest.mark.parametrize(
+    "settings", [dict(method="ae1"), dict(method="ae2", metrics=("mp",))], ids=["ae1-tvd-cc", "ae2-pairs"]
+)
+def test_k_beyond_the_nodes_fails_in_the_dataset_stage_before_training(monkeypatch, tmp_path, settings):
+    _forbid(monkeypatch, "train")
+    out = pipeline.write_sim_output(simulate(SMALL), tmp_path)
+    files = dict(source="files", ul_path=out["uplink"], dl_path=out["downlink"], geometry_path=out["geometry"])
+    for source in (dict(sim=SMALL), files):
+        cfg = pipeline.PipelineConfig(**source, k_neighbors=9, ae_epochs=1, **settings)
+        with pytest.raises(pipeline.PipelineError, match="k_neighbors=9 needs more than the 9 nodes") as excinfo:
+            pipeline.run_pipeline(cfg)
+        assert excinfo.value.stage == "dataset"
+
+
+def test_k_beyond_the_nodes_is_not_checked_where_unread():
+    cfg = pipeline.PipelineConfig(sim=SMALL, method="none", metrics=("mp",), k_neighbors=9)
+    assert set(pipeline.run_pipeline(cfg)["metrics"]) == {"avg_mp"}
 
 
 def test_empty_metric_set_fails_before_any_stage():
@@ -173,8 +230,15 @@ def test_each_stage_raises_its_own_pipeline_error(tmp_path):
     assert _stage_of(lambda: pipeline.run_pipeline(pipeline.PipelineConfig(sim=SMALL, method="kpca", d_hat=9))) == (
         "decompose"
     )
-    # 8 neighbors is the most a 3x3 grid has
-    assert _stage_of(lambda: pipeline.run_pipeline(pipeline.PipelineConfig(sim=SMALL, k_neighbors=9))) == "metrics"
+    # 8 neighbors is the most a 3x3 grid has, which is known once its geometry is
+    assert _stage_of(lambda: pipeline.run_pipeline(pipeline.PipelineConfig(sim=SMALL, k_neighbors=9))) == "dataset"
+    # a node whose uplink is all zeros has no neighbor CC
+    ul = read_csi_file(out["uplink"])
+    flat = ul.data.copy()
+    flat[:, 0] = 0.0
+    write_csi_file(CsiMatrix(flat, ul.direction, ul.snr_db), tmp_path / "flat.csi")
+    cfg = pipeline.PipelineConfig(**{**files, "ul_path": str(tmp_path / "flat.csi")}, method="none", metrics=("cc",))
+    assert _stage_of(lambda: pipeline.run_pipeline(cfg)) == "metrics"
 
 
 def test_cli_stage_error_names_the_stage_and_exits_1(tmp_path, capsys):

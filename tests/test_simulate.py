@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import csisplit
+from csisplit import simulate as simulate_module
 from csisplit.simulate import SPEED_OF_LIGHT, SimConfig, j0, simulate, temporal_correlation
 
 # sha256 of the uplink, downlink, truth and large-scale CSI and the node
@@ -110,6 +111,13 @@ def test_uplink_downlink_difference_power_matches_the_snr(snr_db):
 def test_correlation_length_that_is_not_positive_is_rejected(field, value):
     with pytest.raises(ValueError, match=f"{field} must be positive"):
         simulate(SimConfig(grid_shape=(3, 3), m=8, **{field: value}))
+
+
+@pytest.mark.parametrize("field", ["grid_origin", "bs_position", "reference_distance_m"])
+def test_the_fixed_geometry_is_no_config_field(field):
+    # module constants: a config cannot move the base station onto a node
+    with pytest.raises(TypeError, match=field):
+        SimConfig(**{field: getattr(simulate_module, field.upper())})
 
 
 def test_j0_equals_scipys_bit_for_bit():
