@@ -13,7 +13,13 @@ with the pipeline's ``ae_split``. Global flags --seed, --output-dir and
 after the command line, so they override it and take the flag's type,
 choices and errors; keys are the subcommand's long option names, with
 dashes or underscores. Every option shared by several subcommands is
-declared once, with one default and one help. decompose, ae-train, sweep,
+declared once, with one default and one help. Each option that sets a
+config field is stored under that field's name (--k as k_neighbors,
+--input-ul as ul_path, --spacing as grid_spacing_m), and the simulator's
+options are the ``SimConfig`` fields but grid_shape (--grid-rows,
+--grid-cols) and seed (--seed). The list options --metrics, --methods and
+--nodes take comma-separated entries, stripped; an empty or repeated entry
+is an error that names the flag. decompose, ae-train, sweep,
 compare and pipeline build a ``PipelineConfig``, which checks itself when
 built, before any file is read; sweep checks --b and --alpha only if
 --delta-pairs > 0.
@@ -84,52 +90,43 @@ def _out(args, name: str, given=None) -> Path:
     return path
 
 
-#: SimConfig fields that are options of the same name
-_SIM_OPTIONS = (
-    "m",
-    "snr_db",
-    "rician_k",
-    "path_loss_exponent",
-    "shadowing_sigma_db",
-    "shadowing_corr_m",
-    "phase_sigma_rad",
-    "phase_corr_m",
-    "speed_mps",
-    "carrier_hz",
-    "snapshot_interval_s",
-    "los_doppler_frac",
-    "diffuse_corr_m",
-)
-#: PipelineConfig fields whose option has another name
-_PIPELINE_OPTIONS = {
-    "ul_path": "input_ul",
-    "dl_path": "input_dl",
-    "geometry_path": "geometry",
-    "ae_loss_mu": "mu",
-    "k_neighbors": "k",
-    "delta_b": "b",
-}
+#: the simulator's options: every SimConfig field but grid_shape (--grid-rows
+#: and --grid-cols) and seed (the global --seed)
+_SIM_FIELDS = tuple(f.name for f in dataclasses.fields(SimConfig) if f.name not in ("grid_shape", "seed"))
+_SIM_DEFAULTS = SimConfig()
+_SIM_HELP = {"grid_spacing_m": "grid spacing [m]", "m": "snapshots per node"}
+
+
+def _list_option(value: str, flag: str, parse=str) -> list:
+    """The comma-separated entries of a list option, stripped and each read
+    by ``parse``; an empty value has none. An empty or repeated entry is an
+    error that names ``flag``."""
+    entries = []
+    for token in [t.strip() for t in value.split(",")] if value.strip() else []:
+        if not token:
+            raise ValueError(f"{flag} has an empty entry: {value!r}")
+        entry = parse(token)
+        if entry in entries:
+            raise ValueError(f"{flag} repeat {entry!r}")
+        entries.append(entry)
+    return entries
 
 
 def _sim_config(args) -> SimConfig:
     return SimConfig(
         grid_shape=(args.grid_rows, args.grid_cols),
-        grid_spacing_m=args.spacing,
         seed=args.seed,
-        **{name: getattr(args, name) for name in _SIM_OPTIONS},
+        **{name: getattr(args, name) for name in _SIM_FIELDS},
     )
 
 
 def _pipeline_config(args, **overrides) -> pl.PipelineConfig:
-    """The PipelineConfig of the options the subcommand declares; fields
-    without an option keep their defaults."""
-    values = {}
-    for f in dataclasses.fields(pl.PipelineConfig):
-        option = _PIPELINE_OPTIONS.get(f.name, f.name)
-        if hasattr(args, option):
-            values[f.name] = getattr(args, option)
+    """The PipelineConfig of the options the subcommand declares, each
+    stored under its field's name; fields without an option keep their
+    defaults."""
+    values = {f.name: getattr(args, f.name) for f in dataclasses.fields(pl.PipelineConfig) if hasattr(args, f.name)}
     if "metrics" in values:
-        values["metrics"] = tuple(values["metrics"].split(",")) if values["metrics"] else ()
+        values["metrics"] = tuple(_list_option(values["metrics"], "--metrics"))
     values["sim"] = _sim_config(args) if hasattr(args, "m") else SimConfig(seed=args.seed)
     return pl.PipelineConfig(**{**values, **overrides})
 
@@ -171,9 +168,9 @@ def cmd_ae_train(args) -> None:
     cfg = _pipeline_config(args, method="ae1" if args.loss == "e1" else "ae2")
     view = to_real_view(read_csi_file(args.input))
     # the e1 loss trains on node columns alone and does not read a given geometry
-    geom = pl.read_geometry(args.geometry) if args.geometry and args.loss == "e2" else None
+    geom = pl.read_geometry(args.geometry_path) if args.geometry_path and args.loss == "e2" else None
     log_path = _out(args, "ae_train_log.jsonl", args.log)
-    model = pl.fit_ae(cfg, view, geom, pl.train_config(cfg), log_path=log_path)
+    model = pl.fit_ae(cfg, view, geom, log_path=log_path)
     weights_path = _out(args, "ae.weights", args.weights_out)
     write_weights(model, weights_path)
     print(json.dumps({"weights": str(weights_path), "final_loss": model.final_loss, "log": str(log_path)}))
@@ -181,28 +178,28 @@ def cmd_ae_train(args) -> None:
 
 def cmd_ae_decompose(args) -> None:
     csi = read_csi_file(args.input)
-    geom = pl.read_geometry(args.geometry) if args.geometry else None
-    split = pl.ae_split(read_weights(args.weights), to_real_view(csi), geom, args.k)
+    geom = pl.read_geometry(args.geometry_path) if args.geometry_path else None
+    split = pl.ae_split(read_weights(args.weights), to_real_view(csi), geom, args.k_neighbors)
     print(json.dumps(_write_split(args, csi, split), sort_keys=True, indent=2))
+
+
+def _node_index(token: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"--nodes entry {token!r} is not an integer index") from None
 
 
 def cmd_dhsic(args) -> None:
     csi = read_csi_file(args.input)
     view = to_real_view(csi)
-    nodes = []
-    for tok in args.nodes.split(","):
-        try:
-            nodes.append(int(tok))
-        except ValueError:
-            raise ValueError(f"--nodes entry {tok!r} is not an integer index") from None
+    nodes = _list_option(args.nodes, "--nodes", _node_index)
     if len(nodes) < 2:
         raise ValueError("--nodes needs at least two comma-separated indices")
-    for pos, node in enumerate(nodes):
+    for node in nodes:
         if not 0 <= node < view.shape[1]:
             raise ValueError(f"--nodes index {node} is outside [0, {view.shape[1]})")
-        if node in nodes[:pos]:
-            raise ValueError(f"--nodes repeats index {node}")
-    report = dhsic_test([view[:, i] for i in nodes], alpha=args.alpha, b=args.b, seed=args.seed)
+    report = dhsic_test([view[:, i] for i in nodes], alpha=args.alpha, b=args.delta_b, seed=args.seed)
     payload = {**dataclasses.asdict(report), "nodes": nodes, "seed": args.seed}
     pl.write_report(payload, _out(args, "dhsic.json"))
     print(json.dumps(pl._jsonify(payload), sort_keys=True, indent=2))
@@ -210,15 +207,15 @@ def cmd_dhsic(args) -> None:
 
 def cmd_tvd_curve(args) -> None:
     csi = read_csi_file(args.input)
-    geom = pl.read_geometry(args.geometry)
-    records = pl.tvd_curve(csi, geom, d_hat_max=args.d_hat_max, k=args.k, bins=args.bins)
+    geom = pl.read_geometry(args.geometry_path)
+    records = pl.tvd_curve(csi, geom, d_hat_max=args.d_hat_max, k=args.k_neighbors, bins=args.bins)
     pl.write_report({"curve": records, "seed": args.seed}, _out(args, "tvd_curve.json"))
     print(json.dumps(records, sort_keys=True, indent=2))
 
 
 def cmd_skg_mp(args) -> None:
-    ul = read_csi_file(args.input_ul)
-    dl = read_csi_file(args.input_dl)
+    ul = read_csi_file(args.ul_path)
+    dl = read_csi_file(args.dl_path)
     report = avg_mp(to_real_view(ul), to_real_view(dl))
     payload = {"per_node_mp": report.per_node_mp.tolist(), "avg_mp": report.avg_mp}
     pl.write_report(payload, _out(args, "skg_mp.json"))
@@ -276,7 +273,7 @@ def cmd_sweep(args) -> None:
 
 
 def cmd_compare(args) -> None:
-    methods = [tok.strip() for tok in args.methods.split(",") if tok.strip()]
+    methods = _list_option(args.methods, "--methods")
     report = pl.compare_methods(_pipeline_config(args), methods, output_dir=args.output_dir)
     print(json.dumps(pl._jsonify(report["rows"]), sort_keys=True, indent=2))
 
@@ -293,14 +290,12 @@ def cmd_pipeline(args) -> None:
 
 
 def _add_sim_flags(p: argparse.ArgumentParser) -> None:
-    defaults = SimConfig()
-    p.add_argument("--grid-rows", type=int, default=defaults.grid_shape[0])
-    p.add_argument("--grid-cols", type=int, default=defaults.grid_shape[1])
-    p.add_argument("--spacing", type=float, default=defaults.grid_spacing_m, help="grid spacing [m]")
-    for name in _SIM_OPTIONS:
-        value = getattr(defaults, name)
-        help_text = "snapshots per node" if name == "m" else None
-        p.add_argument(f"--{name.replace('_', '-')}", type=type(value), default=value, help=help_text)
+    p.add_argument("--grid-rows", type=int, default=_SIM_DEFAULTS.grid_shape[0])
+    p.add_argument("--grid-cols", type=int, default=_SIM_DEFAULTS.grid_shape[1])
+    for name in _SIM_FIELDS:
+        value = getattr(_SIM_DEFAULTS, name)
+        flag = "--spacing" if name == "grid_spacing_m" else f"--{name.replace('_', '-')}"
+        p.add_argument(flag, dest=name, type=type(value), default=value, help=_SIM_HELP.get(name))
 
 
 _DEFAULTS = pl.PipelineConfig()
@@ -308,28 +303,36 @@ _DEFAULTS = pl.PipelineConfig()
 #: the options that several subcommands take, each with its one default and help
 _FLAGS = {
     "input": dict(required=True, help="CSI file"),
-    "input-ul": dict(default=None, help="uplink CSI file"),
-    "input-dl": dict(default=None, help="downlink CSI file"),
-    "geometry": dict(default=None, help="node geometry JSON"),
+    "input-ul": dict(dest="ul_path", default=None, help="uplink CSI file"),
+    "input-dl": dict(dest="dl_path", default=None, help="downlink CSI file"),
+    "geometry": dict(dest="geometry_path", default=None, help="node geometry JSON"),
     "d-hat": dict(type=int, default=_DEFAULTS.d_hat, help="predictable rank"),
     "d1": dict(type=int, default=_DEFAULTS.d1, help="PCA unpredictable band start (1-based)"),
     "d2": dict(type=int, default=_DEFAULTS.d2, help="PCA unpredictable band end (inclusive)"),
     "gamma": dict(type=float, default=_DEFAULTS.gamma, help="kernel ridge regularizer (default 1e-3 trace(K_Y)/N)"),
     "sigma": dict(type=float, default=_DEFAULTS.sigma, help="kernel bandwidth override (default: median rule)"),
     "kernel-variant": dict(choices=KERNEL_VARIANTS, default=_DEFAULTS.kernel_variant),
-    "mu": dict(type=float, default=_DEFAULTS.ae_loss_mu, help="reconstruction weight in the e2 composite loss"),
+    "mu": dict(
+        dest="ae_loss_mu",
+        type=float,
+        default=_DEFAULTS.ae_loss_mu,
+        help="reconstruction weight in the e2 composite loss",
+    ),
     "ae-epochs": dict(type=int, default=_DEFAULTS.ae_epochs),
     "ae-batch-size": dict(type=int, default=_DEFAULTS.ae_batch_size),
     "ae-learning-rate": dict(type=float, default=_DEFAULTS.ae_learning_rate),
     "ae-mode": dict(choices=pl.AE_MODES, default=_DEFAULTS.ae_mode),
     "metrics": dict(default=",".join(_DEFAULTS.metrics), help="comma-separated metric subset"),
-    "k": dict(type=int, default=_DEFAULTS.k_neighbors, help="neighbors per node"),
+    "k": dict(dest="k_neighbors", type=int, default=_DEFAULTS.k_neighbors, help="neighbors per node"),
     "bins": dict(type=int, default=_DEFAULTS.bins, help="fingerprint histogram bins"),
     "delta-pairs": dict(
         type=int, default=_DEFAULTS.delta_pairs, help="node pairs in the dependence average (sweep: 0 skips it)"
     ),
     "b": dict(
-        type=int, default=_DEFAULTS.delta_b, help="permutations, where the permutation null runs (M < 131 or d >= 3)"
+        dest="delta_b",
+        type=int,
+        default=_DEFAULTS.delta_b,
+        help="permutations, where the permutation null runs (M < 131 or d >= 3)",
     ),
     "alpha": dict(type=float, default=_DEFAULTS.alpha, help="test significance level"),
 }

@@ -128,6 +128,9 @@ class PipelineConfig:
         unknown = set(self.metrics) - set(ALL_METRICS)
         if unknown:
             raise ValueError(f"unknown metrics {sorted(unknown)}")
+        repeated = [m for i, m in enumerate(self.metrics) if m in self.metrics[:i]]
+        if repeated:
+            raise ValueError(f"metrics repeat {repeated[0]!r}")
         if self.reads_neighbors and self.k_neighbors < 1:
             raise ValueError(f"k_neighbors must be at least 1, got {self.k_neighbors}")
         if "tvd" in self.metrics and self.bins < 1:
@@ -169,12 +172,20 @@ def read_capped(path, limit: int, error: type[ValueError]) -> bytes:
     return raw
 
 
-def geometry_to_dict(geom: NodeGeometry) -> dict:
-    return {"positions": geom.positions.tolist(), "k": geom.k}
+def write_geometry(geom: NodeGeometry, path) -> None:
+    obj = {"positions": geom.positions.tolist(), "k": geom.k}
+    Path(path).write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
-def geometry_from_dict(obj: dict) -> NodeGeometry:
-    """Inverse of :func:`geometry_to_dict`; a GeometryError names the bad key."""
+def read_geometry(path) -> NodeGeometry:
+    """The geometry of a JSON file of at most ``MAX_GEOMETRY_BYTES``; a bad
+    file raises a GeometryError, one that is not UTF-8 JSON naming it, one
+    without a valid 'positions' key naming the key."""
+    raw = read_capped(path, MAX_GEOMETRY_BYTES, GeometryError)
+    try:
+        obj = json.loads(raw.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise GeometryError(f"{path}: not a UTF-8 JSON geometry file: {exc}") from exc
     if not isinstance(obj, dict) or "positions" not in obj:
         raise GeometryError("geometry must be a JSON object with a 'positions' key")
     try:
@@ -185,21 +196,6 @@ def geometry_from_dict(obj: dict) -> NodeGeometry:
         return NodeGeometry(positions=positions, k=obj.get("k", 8))
     except ValueError as exc:
         raise GeometryError(str(exc)) from exc
-
-
-def write_geometry(geom: NodeGeometry, path) -> None:
-    Path(path).write_text(json.dumps(geometry_to_dict(geom), sort_keys=True, indent=2) + "\n", encoding="utf-8")
-
-
-def read_geometry(path) -> NodeGeometry:
-    """The geometry of a JSON file of at most ``MAX_GEOMETRY_BYTES``; a bad
-    file raises a GeometryError, one that is not UTF-8 JSON naming it."""
-    raw = read_capped(path, MAX_GEOMETRY_BYTES, GeometryError)
-    try:
-        obj = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-        raise GeometryError(f"{path}: not a UTF-8 JSON geometry file: {exc}") from exc
-    return geometry_from_dict(obj)
 
 
 def write_sim_output(out: SimOutput, directory) -> dict[str, str]:
@@ -283,33 +279,32 @@ def ae_split(model: TrainedModel, view: np.ndarray, geom: NodeGeometry | None, k
     return decompose_ae_pairs(model, view, geom, k)
 
 
-def train_config(cfg: PipelineConfig) -> TrainConfig:
-    """The training settings of an autoencoder method's options: ae1 trains
-    on the reconstruction loss e1, ae2 on the neighbor-residual loss e2."""
+def train_config(cfg: PipelineConfig, seed: int | None = None) -> TrainConfig:
+    """The training settings of an autoencoder method's options, with
+    ``seed`` or else ``cfg.seed``: ae1 trains on the reconstruction loss e1,
+    ae2 on the neighbor-residual loss e2."""
     return TrainConfig(
         loss="e1" if cfg.method == "ae1" else "e2",
         learning_rate=cfg.ae_learning_rate,
         batch_size=cfg.ae_batch_size,
         epochs=cfg.ae_epochs,
-        seed=cfg.seed,
+        seed=cfg.seed if seed is None else seed,
         mu=cfg.ae_loss_mu,
     )
 
 
-def fit_ae(
-    cfg: PipelineConfig, view: np.ndarray, geom: NodeGeometry | None, tc: TrainConfig, log_path=None
-) -> TrainedModel:
+def fit_ae(cfg: PipelineConfig, view: np.ndarray, geom: NodeGeometry | None, seed=None, log_path=None) -> TrainedModel:
     """The autoencoder of ``cfg``'s method, of the default architecture,
-    trained with ``tc`` on one real view: on its node columns for ae1, on
-    its (node, neighbor) pairs for ae2. The pairs live only while the model
-    trains."""
+    trained with ``cfg``'s settings and ``seed`` (default ``cfg.seed``) on
+    one real view: on its node columns for ae1, on its (node, neighbor)
+    pairs for ae2. The pairs live only while the model trains."""
     if cfg.method == "ae1":
         data = view
     elif geom is None:
         raise ValueError("a pair-input model needs the node geometry")
     else:
         data = build_pair_dataset(view, geom, cfg.k_neighbors)
-    return train(data, default_mlp_spec(data.shape[0], cfg.d_hat), tc, log_path=log_path)
+    return train(data, default_mlp_spec(data.shape[0], cfg.d_hat), train_config(cfg, seed), log_path=log_path)
 
 
 def _decompose_ae(cfg: PipelineConfig, views, geom) -> tuple[list[Decomposition], dict, dict]:
@@ -318,12 +313,11 @@ def _decompose_ae(cfg: PipelineConfig, views, geom) -> tuple[list[Decomposition]
     model, the uplink's first, each with a seed spawned from ``cfg.seed``.
     A pair model's split gathers its pairs again, block by block.
     The diagnostics hold each direction's per-epoch training loss."""
-    tc = train_config(cfg)
     if cfg.ae_mode == "centralized":
-        models = [fit_ae(cfg, views[0], geom, tc)] * 2
+        models = [fit_ae(cfg, views[0], geom)] * 2
     else:
         seeds = [int(seq.generate_state(1)[0]) for seq in np.random.SeedSequence(cfg.seed).spawn(2)]
-        models = [fit_ae(cfg, view, geom, dataclasses.replace(tc, seed=seed)) for view, seed in zip(views, seeds)]
+        models = [fit_ae(cfg, view, geom, seed) for view, seed in zip(views, seeds)]
     details = {
         "method": cfg.method,
         "d_hat": cfg.d_hat,

@@ -65,7 +65,6 @@ class SimConfig:
     diffuse_corr_m: float = 1.0
     snr_db: float = 20.0
     seed: int = 0
-    temporal_rho: float | None = None  # overrides the Jakes-derived AR(1) coefficient
 
     def __post_init__(self):
         if self.m < 2:
@@ -102,8 +101,6 @@ class SimConfig:
             )
         if math.isnan(self.snr_db):
             raise ValueError("snr_db must be a number (or +inf to disable noise)")
-        if self.temporal_rho is not None and not -1.0 <= self.temporal_rho <= 1.0:
-            raise ValueError("temporal_rho must lie in [-1, 1]")
 
 
 @dataclass(frozen=True)
@@ -213,8 +210,6 @@ def j0(x: float) -> float:
 
 def temporal_correlation(cfg: SimConfig) -> float:
     """AR(1) coefficient matching the Jakes autocorrelation at one snapshot lag."""
-    if cfg.temporal_rho is not None:
-        return float(cfg.temporal_rho)
     f_d = cfg.speed_mps * cfg.carrier_hz / SPEED_OF_LIGHT
     return j0(2.0 * math.pi * f_d * cfg.snapshot_interval_s)
 

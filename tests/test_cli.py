@@ -335,6 +335,7 @@ def test_pipeline_ae1_rejects_d_hat_zero(tmp_path, capsys):
         (["--k", "0"], "k_neighbors"),
         (["--method", "pca", "--d1", "5", "--d2", "3"], "band (d1, d2) = (5, 3)"),
         (["--metrics", ""], "metrics must name at least one of"),
+        (["--metrics", "tvd,tvd"], "--metrics repeat 'tvd'"),
     ],
 )
 def test_pipeline_bad_scoring_option_exits_1_naming_the_field(tmp_path, capsys, options, field):
@@ -342,6 +343,42 @@ def test_pipeline_bad_scoring_option_exits_1_naming_the_field(tmp_path, capsys, 
     assert cli.main([*argv, "--output-dir", str(tmp_path)]) == 1
     assert field in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+def test_pipeline_metrics_entries_are_stripped(tmp_path):
+    argv = ["pipeline", "--method", "none", "--grid-rows", "3", "--grid-cols", "3", "--m", "8"]
+    assert cli.main([*argv, "--metrics", "tvd, cc", "--output-dir", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+    assert report["config"]["metrics"] == ["tvd", "cc"]
+
+
+@pytest.mark.parametrize("command", ["simulate", "pipeline"])
+def test_simulator_options_are_stored_under_their_config_fields(command):
+    args = cli.build_parser().parse_args([command])
+    fields = [f.name for f in dataclasses.fields(SimConfig) if f.name not in ("grid_shape", "seed")]
+    assert {name: getattr(args, name) for name in fields} == {name: getattr(SimConfig(), name) for name in fields}
+    assert cli._sim_config(args) == SimConfig()
+
+
+def test_pipeline_options_are_stored_under_their_config_fields():
+    parser = cli.build_parser()
+    args = parser.parse_args(["pipeline"])
+    assert {f.name for f in dataclasses.fields(pipeline.PipelineConfig)} - set(vars(args)) == {"sim"}
+    assert cli._pipeline_config(args) == pipeline.PipelineConfig()
+    # the options whose flag is not the field's name
+    files = ["--input-ul", "u.csi", "--input-dl", "d.csi", "--geometry", "g.json"]
+    renamed = ["--mu", "2", "--k", "3", "--b", "200", "--spacing", "2"]
+    args = parser.parse_args(["pipeline", "--source", "files", *files, *renamed])
+    assert cli._pipeline_config(args) == pipeline.PipelineConfig(
+        source="files",
+        ul_path="u.csi",
+        dl_path="d.csi",
+        geometry_path="g.json",
+        ae_loss_mu=2.0,
+        k_neighbors=3,
+        delta_b=200,
+        sim=SimConfig(grid_spacing_m=2.0),
+    )
 
 
 def test_pipeline_k_beyond_the_nodes_exits_1_in_the_dataset_stage(dataset, tmp_path, capsys):
@@ -357,6 +394,16 @@ def test_compare_k_zero_exits_1_naming_the_field_before_reading_a_file(tmp_path,
     assert cli.main([*argv, "--output-dir", str(tmp_path / "out")]) == 1
     assert "k_neighbors must be at least 1, got 0" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+def test_compare_methods_entries_are_stripped_and_an_empty_one_exits_1(dataset, tmp_path, capsys):
+    argv = ["compare", *_files(dataset), "--methods", " pca,,none", "--output-dir", str(tmp_path / "bad")]
+    assert cli.main(argv) == 1
+    assert "--methods has an empty entry: ' pca,,none'" in capsys.readouterr().err
+    assert not (tmp_path / "bad").exists()
+    argv = ["compare", *_files(dataset), "--methods", " none , pca", "--delta-pairs", "2", "--b", "100"]
+    assert cli.main([*argv, "--output-dir", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "compare.json").read_text(encoding="utf-8"))["methods"] == ["none", "pca"]
 
 
 def test_compare_repeated_method_exits_1(dataset, tmp_path, capsys):
@@ -484,9 +531,10 @@ def test_tvd_curve_report_matches_golden(dataset, tmp_path, capsys):
     [
         ("0,-1", "--nodes index -1 is outside [0, 16)"),
         ("0,99", "--nodes index 99 is outside [0, 16)"),
-        ("0,1,0", "--nodes repeats index 0"),
+        ("0,1,0", "--nodes repeat 0"),
         ("0,a", "--nodes entry 'a' is not an integer index"),
-        ("0,,1", "--nodes entry '' is not an integer index"),
+        ("0,,1", "--nodes has an empty entry: '0,,1'"),
+        ("0, 00", "--nodes repeat 0"),
     ],
 )
 def test_dhsic_rejects_a_node_outside_the_set_or_repeated(dataset, tmp_path, capsys, nodes, message):
@@ -494,6 +542,12 @@ def test_dhsic_rejects_a_node_outside_the_set_or_repeated(dataset, tmp_path, cap
     assert cli.main([*argv, "--output-dir", str(tmp_path)]) == 1
     assert message in capsys.readouterr().err
     assert not (tmp_path / "dhsic.json").exists()
+
+
+def test_dhsic_nodes_entries_are_stripped(dataset, tmp_path):
+    argv = ["dhsic", "--input", str(dataset / "uplink.csi"), "--nodes", " 0, 1 ", "--b", "100"]
+    assert cli.main([*argv, "--output-dir", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "dhsic.json").read_text(encoding="utf-8"))["nodes"] == [0, 1]
 
 
 def test_tvd_curve_rejects_a_negative_d_hat_max(dataset, tmp_path, capsys):

@@ -88,6 +88,11 @@ def test_empty_metric_set_fails_before_any_stage():
         pipeline.PipelineConfig(sim=SMALL, metrics=())
 
 
+def test_repeated_metric_fails_before_any_stage():
+    with pytest.raises(ValueError, match="metrics repeat 'tvd'"):
+        pipeline.PipelineConfig(sim=SMALL, metrics=("tvd", "cc", "tvd"))
+
+
 @pytest.mark.parametrize("method", ["ae1", "ae2"])
 def test_bad_ae_mode_fails_before_any_stage(method):
     with pytest.raises(ValueError, match="ae_mode"):

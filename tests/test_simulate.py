@@ -1,6 +1,6 @@
 """The simulator against what it claims: fixed bytes for a fixed seed, the
-configured temporal correlation of the diffuse part, SciPy's J0 and the
-configured SNR."""
+configured temporal correlation of the diffuse part and Rician K, SciPy's J0
+and the configured SNR."""
 
 import hashlib
 import math
@@ -80,9 +80,11 @@ def test_default_size_bytes_repeat_across_processes_at_one_blas_thread():
     assert len(digests[0]) == 64 and digests[0] == digests[1]
 
 
-@pytest.mark.parametrize("kwargs", [{}, {"temporal_rho": 0.5}, {"temporal_rho": 0.0}, {"temporal_rho": 0.97}])
-def test_diffuse_lag_one_autocorrelation_is_the_configured_one(kwargs):
-    cfg = SimConfig(**kwargs)
+# rho = J0(2 pi v f_c / c tau) at the default carrier and interval: about
+# 0.88 at the default 0.5 m/s, and 0.97, 0.5 and 0 at the other speeds
+@pytest.mark.parametrize("speed_mps", [0.5, 0.2477, 1.084, 1.7136])
+def test_diffuse_lag_one_autocorrelation_is_the_configured_one(speed_mps):
+    cfg = SimConfig(speed_mps=speed_mps)
     out = simulate(cfg)
     # truth minus the specular part is the diffuse part, A_n sqrt(1/(K+1)) v_n
     diffuse = out.truth.data - out.large_scale.data
@@ -91,6 +93,31 @@ def test_diffuse_lag_one_autocorrelation_is_the_configured_one(kwargs):
     # 102,400 samples; measured errors were below 0.005 at every rho here
     assert lag1.real == pytest.approx(temporal_correlation(cfg), abs=0.02)
     assert abs(lag1.imag) < 0.02
+
+
+def test_the_temporal_correlation_is_set_only_through_the_doppler_inputs():
+    # the AR(1) coefficient is the Jakes one of speed, carrier and interval
+    with pytest.raises(TypeError, match="temporal_rho"):
+        SimConfig(temporal_rho=0.5)
+
+
+def test_envelope_has_the_configured_rician_k():
+    from csisplit.distfit import fit_mle
+
+    cfg = SimConfig()
+    out = simulate(cfg)
+    # |truth| / A_n = |sqrt(K/(K+1)) e^(j phase) + sqrt(1/(K+1)) v| is Rician
+    # with nu^2 / (2 sigma^2) = K; |large_scale| = A_n sqrt(K/(K+1))
+    amp = np.abs(out.large_scale.data) / math.sqrt(cfg.rician_k / (cfg.rician_k + 1.0))
+    nu, sigma = fit_mle(np.abs(out.truth.data) / amp, "rician").params
+    # The bound was fixed from theory before the fit was run. The Fisher
+    # information of (nu, sigma) at K=4 gives var(K^) = 59.2 / n for n
+    # independent samples. The 102,400 samples are correlated: the lag-1
+    # rho = 0.88 divides n by (1 + rho) / (1 - rho) = 15.9, and the diffuse
+    # mixing's exp(-d / 1 m) summed over the 20x20 grid divides it by 5.8 more.
+    # That leaves n = 1,117 and a standard error of at most 0.23; the bound is
+    # about four of them.
+    assert nu**2 / (2.0 * sigma**2) == pytest.approx(cfg.rician_k, abs=0.9)
 
 
 @pytest.mark.parametrize("snr_db", [5.0, 20.0, 35.0])
