@@ -21,14 +21,12 @@ node's real-view vector concatenated with one neighbor's, one sample per
 width.
 
 A model's parameters are one flat float64 vector, layer by layer the
-row-major (d_out, d_in) weights W, then the d_out biases b; the weights
-file stores it as is. ``ACTIVATIONS`` maps each activation to (f(z),
-f'(z, a = f(z))), and a layer's file code is its name's position there
-(linear 0, tanh 1, softplus 2, relu 3). f' is None for linear: backprop
-skips the product with ones, which is exact. The softplus derivative is
-SciPy's ``expit``, the module's one SciPy function: it is imported on the
-first softplus backprop, so a forward pass, a split with a trained model
-or a weights file never loads SciPy.
+row-major (d_out, d_in) weights W, then the d_out biases b.
+``ACTIVATIONS`` maps each activation to (f(z), f'(z, a = f(z))). f' is
+None for linear: backprop skips the product with ones, which is exact. The
+softplus derivative is SciPy's ``expit``, the module's one SciPy function:
+it is imported on the first softplus backprop, so a forward pass or a split
+with a trained model never loads SciPy.
 """
 
 from __future__ import annotations
@@ -36,8 +34,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import os
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,13 +56,6 @@ ACTIVATIONS = {
     "softplus": (lambda z: np.logaddexp(0.0, z), lambda z, a: _expit()(z)),
     "relu": (lambda z: np.maximum(z, 0.0), lambda z, a: (z > 0.0).astype(np.float64)),
 }
-
-WEIGHTS_MAGIC = b"AEW1"
-
-
-class WeightsFileError(ValueError):
-    """Malformed autoencoder weights file."""
-
 
 @dataclass(frozen=True)
 class MlpSpec:
@@ -374,68 +363,3 @@ def decompose_ae_pairs(model: TrainedModel, view: np.ndarray, geom: NodeGeometry
             block += y[:half, rank::k]
     predictable *= model.input_scale / k
     return Decomposition(predictable=predictable, unpredictable=view - predictable)
-
-
-# ---------------------------------------------------------------------------
-# weight persistence
-# ---------------------------------------------------------------------------
-
-
-def write_weights(model: TrainedModel, path) -> None:
-    """Versioned binary weights: magic | u32 version | architecture echo |
-    f64 input scale | the flat parameter vector as f64, little-endian."""
-    spec = model.spec
-    with open(path, "wb") as fh:
-        fh.write(WEIGHTS_MAGIC)
-        fh.write(struct.pack("<II", 1, len(spec.layer_dims)))
-        fh.write(struct.pack(f"<{len(spec.layer_dims)}I", *spec.layer_dims))
-        fh.write(bytes(list(ACTIVATIONS).index(a) for a in spec.activations))
-        fh.write(struct.pack("<d", model.input_scale))
-        fh.write(np.asarray(model.params).astype("<f8").tobytes())
-
-
-def read_weights(path) -> TrainedModel:
-    """Read the format of :func:`write_weights`. Every count and code is
-    checked against the file's size before anything is read or allocated
-    from it, so a file with trailing bytes is refused without reading them;
-    any malformed file, non-finite parameters included, raises
-    :class:`WeightsFileError`."""
-    names = list(ACTIVATIONS)
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-
-        def read(n: int) -> bytes:
-            raw = fh.read(n)
-            if len(raw) != n:  # the file shrank after fstat
-                raise WeightsFileError(f"{path} ended {n - len(raw)} bytes early")
-            return raw
-
-        if size < 12:
-            raise WeightsFileError(f"truncated header: {size} bytes, need at least 12")
-        raw = read(12)
-        if raw[:4] != WEIGHTS_MAGIC:
-            raise WeightsFileError(f"bad weights magic in {path}")
-        version, n_dims = struct.unpack_from("<II", raw, 4)
-        if version != 1:
-            raise WeightsFileError(f"unsupported weights version {version}")
-        header = 12 + 4 * n_dims + (n_dims - 1) + 8
-        if n_dims < 2 or header > size:
-            raise WeightsFileError(f"{n_dims} layer dims do not fit a {size}-byte file")
-        raw = read(header - 12)
-        dims = struct.unpack_from(f"<{n_dims}I", raw)
-        codes = raw[4 * n_dims : -8]
-        if any(c >= len(names) for c in codes):
-            raise WeightsFileError(f"unknown activation code among {sorted(set(codes))}")
-        (scale,) = struct.unpack_from("<d", raw, len(raw) - 8)
-        if not (math.isfinite(scale) and scale > 0):
-            raise WeightsFileError(f"input scale {scale} is not positive and finite")
-        try:
-            spec = MlpSpec(layer_dims=dims, activations=tuple(names[c] for c in codes))
-        except ValueError as exc:
-            raise WeightsFileError(f"invalid architecture: {exc}") from exc
-        if header + 8 * spec.n_params != size:
-            raise WeightsFileError(f"payload needs {header + 8 * spec.n_params} bytes in all, file has {size}")
-        params = np.frombuffer(read(8 * spec.n_params), dtype="<f8").astype(np.float64)
-    if not np.all(np.isfinite(params)):
-        raise WeightsFileError(f"{np.count_nonzero(~np.isfinite(params))} parameters are not finite")
-    return TrainedModel(spec=spec, params=params, input_scale=scale, history=[])

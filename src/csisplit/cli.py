@@ -1,36 +1,33 @@
 """Command-line interface.
 
-Subcommands: simulate, decompose, ae-train, ae-decompose, dhsic,
-tvd-curve, skg-mp, fit-dist, sweep, compare, pipeline. ``decompose
---method {pca,kpca}`` splits one CSI file, once, with the pipeline's
-decomposer for the method and writes predictable.csi, unpredictable.csi
-and decompose.json (the method's details). ae-train trains one autoencoder
-on one CSI file as the pipeline's centralized ae1 (``--loss e1``) or ae2
-(``--loss e2``, which needs --geometry) trains its uplink model, with
-``pipeline.fit_ae``, and writes its weights; ae-decompose applies them
-with the pipeline's ``ae_split``. Global flags --seed, --output-dir and
---config: a flat key = value file whose entries are parsed as --key=value
-after the command line, so they override it and take the flag's type,
-choices and errors; keys are the subcommand's long option names, with
-dashes or underscores. Every option shared by several subcommands is
-declared once, with one default and one help. Each option that sets a
-config field is stored under that field's name (--k as k_neighbors,
---input-ul as ul_path, --spacing as grid_spacing_m), and the simulator's
-options are the ``SimConfig`` fields but grid_shape (--grid-rows,
---grid-cols) and seed (--seed). The list options --metrics, --methods and
---nodes take comma-separated entries, stripped; an empty or repeated entry
-is an error that names the flag. decompose, ae-train, sweep,
-compare and pipeline build a ``PipelineConfig``, which checks itself when
-built, before any file is read; sweep checks --b and --alpha only if
---delta-pairs > 0.
+Subcommands: simulate, fit, split, dhsic, tvd-curve, skg-mp, fit-dist,
+sweep, compare, pipeline. ``fit --method {pca,kpca,ae1,ae2}`` fits one
+method on one CSI file as the pipeline fits the uplink (``pipeline.fit``;
+ae2 needs --geometry) and writes model.bin, fit.json (its details) and an
+autoencoder's training log. ``split --model`` splits a CSI file into
+predictable.csi and unpredictable.csi at the settings the model was fitted
+with. Global flags --seed, --output-dir and --config: a flat key = value
+file whose entries are parsed as --key=value after the command line, so
+they override it and take the flag's type, choices and errors; keys are
+the subcommand's long option names, with dashes or underscores. Every
+option shared by several subcommands is declared once, with one default
+and one help. Each option that sets a config field is stored under that
+field's name (--k as k_neighbors, --input-ul as ul_path, --spacing as
+grid_spacing_m), and the simulator's options are the ``SimConfig`` fields
+but grid_shape (--grid-rows, --grid-cols) and seed (--seed). The list
+options --metrics, --methods and --nodes take comma-separated entries,
+stripped; an empty or repeated entry is an error that names the flag. fit,
+sweep, compare and pipeline build a ``PipelineConfig``, which checks
+itself when built, before any file is read; sweep checks --b and --alpha
+only if --delta-pairs > 0.
 
 Importing this module loads no SciPy module. Each SciPy import sits in
 the function that calls it: kpca's fit and split, the softplus derivative
 of autoencoder training, and ``distfit`` for fit-dist. A command loads
 SciPy only when it reaches one of them; simulate, sweep, skg-mp,
-tvd-curve, dhsic, ae-decompose, decompose --method pca, compare with
-methods none and pca, and pipeline with those methods on files or a
-simulated source never do.
+tvd-curve, dhsic, fit --method pca, split with any model but kpca's,
+compare with methods none and pca, and pipeline with those methods on
+files or a simulated source never do.
 """
 
 from __future__ import annotations
@@ -44,8 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, pipeline as pl
-from .autoencoder import read_weights, write_weights
-from .core import Decomposition, from_real_view, read_csi_file, to_real_view, write_csi_file
+from .core import from_real_view, read_csi_file, to_real_view, write_csi_file
 from .dependence import dhsic_test
 from .kpca import KERNEL_VARIANTS
 from .pca import fit_pca, sweep
@@ -142,45 +138,28 @@ def cmd_simulate(args) -> None:
     print(json.dumps(paths, sort_keys=True, indent=2))
 
 
-def _write_split(args, csi, split: Decomposition, predictable_path=None, unpredictable_path=None) -> dict[str, str]:
-    """Write the two real views of a CSI file's split as CSI files with the
-    input's direction and SNR; returns their paths."""
-    paths = {
-        "predictable": str(_out(args, "predictable.csi", predictable_path)),
-        "unpredictable": str(_out(args, "unpredictable.csi", unpredictable_path)),
-    }
-    for part, path in zip(split, paths.values()):
-        write_csi_file(from_real_view(part, direction=csi.direction, snr_db=csi.snr_db), path)
-    return paths
-
-
-def cmd_decompose(args) -> None:
-    csi = read_csi_file(args.input)
-    # pca and kpca fit on the one view they split and need no geometry
-    (split,), details, _ = pl.DECOMPOSERS[args.method](_pipeline_config(args), [to_real_view(csi)], None)
-    paths = _write_split(args, csi, split, args.output_predictable, args.output_unpredictable)
-    paths["details"] = str(_out(args, "decompose.json"))
-    pl.write_report(details, paths["details"])
-    print(json.dumps(paths, sort_keys=True, indent=2))
-
-
-def cmd_ae_train(args) -> None:
-    cfg = _pipeline_config(args, method="ae1" if args.loss == "e1" else "ae2")
+def cmd_fit(args) -> None:
+    cfg = _pipeline_config(args)
     view = to_real_view(read_csi_file(args.input))
-    # the e1 loss trains on node columns alone and does not read a given geometry
-    geom = pl.read_geometry(args.geometry_path) if args.geometry_path and args.loss == "e2" else None
-    log_path = _out(args, "ae_train_log.jsonl", args.log)
-    model = pl.fit_ae(cfg, view, geom, log_path=log_path)
-    weights_path = _out(args, "ae.weights", args.weights_out)
-    write_weights(model, weights_path)
-    print(json.dumps({"weights": str(weights_path), "final_loss": model.final_loss, "log": str(log_path)}))
+    # only ae2's pairs read a given geometry: the other methods fit on node columns alone
+    geom = pl.read_geometry(args.geometry_path) if args.geometry_path and cfg.method == "ae2" else None
+    log_path = _out(args, "ae_train_log.jsonl", args.log) if cfg.method in ("ae1", "ae2") else None
+    fitted = pl.fit(cfg, view, geom, log_path=log_path)
+    paths = {"model": str(_out(args, "model.bin")), "details": str(_out(args, "fit.json"))}
+    pl.write_model(fitted, paths["model"])
+    pl.write_report(pl.describe(fitted), paths["details"])
+    print(json.dumps({**paths, **({"log": str(log_path)} if log_path else {})}, sort_keys=True, indent=2))
 
 
-def cmd_ae_decompose(args) -> None:
+def cmd_split(args) -> None:
+    fitted = pl.read_model(args.model)
     csi = read_csi_file(args.input)
     geom = pl.read_geometry(args.geometry_path) if args.geometry_path else None
-    split = pl.ae_split(read_weights(args.weights), to_real_view(csi), geom, args.k_neighbors)
-    print(json.dumps(_write_split(args, csi, split), sort_keys=True, indent=2))
+    parts = pl.split(fitted, to_real_view(csi), geom)
+    paths = {"predictable": str(_out(args, "predictable.csi")), "unpredictable": str(_out(args, "unpredictable.csi"))}
+    for part, path in zip(parts, paths.values()):
+        write_csi_file(from_real_view(part, direction=csi.direction, snr_db=csi.snr_db), path)
+    print(json.dumps(paths, sort_keys=True, indent=2))
 
 
 def _node_index(token: str) -> int:
@@ -337,8 +316,9 @@ _FLAGS = {
     "alpha": dict(type=float, default=_DEFAULTS.alpha, help="test significance level"),
 }
 _KPCA_FLAGS = ("gamma", "sigma", "kernel-variant")
-_AE_FLAGS = ("mu", "ae-epochs", "ae-batch-size", "ae-learning-rate", "ae-mode")
-_METHOD_FLAGS = ("d-hat", "d1", "d2", *_KPCA_FLAGS, *_AE_FLAGS)
+#: the options that ``fit`` reads: every method option but the pipeline's --ae-mode
+_FIT_FLAGS = ("d-hat", "d1", "d2", *_KPCA_FLAGS, "mu", "ae-epochs", "ae-batch-size", "ae-learning-rate")
+_METHOD_FLAGS = (*_FIT_FLAGS, "ae-mode")
 _SCORE_FLAGS = ("k", "delta-pairs", "b", "alpha")
 
 
@@ -362,24 +342,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sim_flags(p)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("decompose", parents=[common], help="PCA or kernel-PCA split of a CSI file")
-    p.add_argument("--method", choices=("pca", "kpca"), default="pca", help="decomposition method")
-    _add_flags(p, "input", "d-hat", "d1", "d2", *_KPCA_FLAGS)
-    p.add_argument("--output-predictable", default=None)
-    p.add_argument("--output-unpredictable", default=None)
-    p.set_defaults(func=cmd_decompose)
+    p = sub.add_parser("fit", parents=[common], help="fit a method on a CSI file and write its model file")
+    p.add_argument("--method", choices=pl.METHODS[1:], default=_DEFAULTS.method, help="decomposition method")
+    _add_flags(p, "input", "geometry", *_FIT_FLAGS, "k")
+    p.add_argument("--log", default=None, help="JSON-lines training log path (ae1 and ae2)")
+    p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("ae-train", parents=[common], help="train an autoencoder on a CSI file")
-    _add_flags(p, "input", "geometry", "d-hat", "ae-epochs", "ae-batch-size", "ae-learning-rate", "mu", "k")
-    p.add_argument("--loss", choices=("e1", "e2"), default="e1")
-    p.add_argument("--weights-out", default=None)
-    p.add_argument("--log", default=None, help="JSON-lines training log path")
-    p.set_defaults(func=cmd_ae_train)
-
-    p = sub.add_parser("ae-decompose", parents=[common], help="apply trained weights to a CSI file")
-    _add_flags(p, "input", "geometry", "k")
-    p.add_argument("--weights", required=True)
-    p.set_defaults(func=cmd_ae_decompose)
+    p = sub.add_parser("split", parents=[common], help="split a CSI file with a model file")
+    _add_flags(p, "input", "geometry")
+    p.add_argument("--model", required=True, help="model file written by fit")
+    p.set_defaults(func=cmd_split)
 
     p = sub.add_parser("dhsic", parents=[common], help="independence test between node sequences")
     _add_flags(p, "input", "alpha", "b")

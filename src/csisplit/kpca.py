@@ -194,7 +194,7 @@ def decompose_kpca(model: KpcaModel, csi: CsiMatrix) -> Decomposition:
     V^T, plus the exact residual."""
     from scipy import linalg
     if csi.data.shape != model.shape:
-        raise ValueError("matrix shape differs from the fitted columns")
+        raise ValueError(f"CSI of shape {csi.data.shape}, the model was fitted on columns of shape {model.shape}")
     view = to_real_view(csi)
     predictable = view - model.diagnostics.gamma * linalg.cho_solve(model.factor, view.T).T
     return Decomposition(predictable, view - predictable)

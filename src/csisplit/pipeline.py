@@ -15,6 +15,7 @@ import dataclasses
 import json
 import math
 import os
+import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -22,6 +23,7 @@ import numpy as np
 
 from . import __version__
 from .autoencoder import (
+    MlpSpec,
     TrainConfig,
     TrainedModel,
     build_pair_dataset,
@@ -46,8 +48,8 @@ from .core import (
 # tracer re-binds every module's copy of the name, this one included
 from .dependence import MIN_REPLICATES, avg_neighbor_cc, avg_neighbor_delta_bar, neighbor_cc  # noqa: F401
 from .fingerprint import DEFAULT_BINS, avg_neighbor_tvd
-from .kpca import decompose_kpca, fit_kpca
-from .pca import DecompConfig, decompose, fit_pca
+from .kpca import KpcaDiagnostics, KpcaModel, decompose_kpca, fit_kpca
+from .pca import DecompConfig, PcaBasis, decompose, fit_pca
 from .simulate import SimConfig, SimOutput, simulate
 from .skg import avg_mp
 
@@ -184,13 +186,13 @@ def read_geometry(path) -> NodeGeometry:
     raw = read_capped(path, MAX_GEOMETRY_BYTES, GeometryError)
     try:
         obj = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # a ValueError: bad UTF-8 or JSON, or an int of over 4,300 digits
         raise GeometryError(f"{path}: not a UTF-8 JSON geometry file: {exc}") from exc
     if not isinstance(obj, dict) or "positions" not in obj:
         raise GeometryError("geometry must be a JSON object with a 'positions' key")
     try:
         positions = np.asarray(obj["positions"], dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # an OverflowError: an int beyond float64
         raise GeometryError(f"geometry 'positions' is not a numeric matrix: {exc}") from exc
     try:
         return NodeGeometry(positions=positions, k=obj.get("k", 8))
@@ -242,43 +244,6 @@ def load_dataset(cfg: PipelineConfig) -> tuple[CsiMatrix, CsiMatrix, NodeGeometr
         return ul, dl, geom
 
 
-def _decompose_none(cfg: PipelineConfig, views, geom) -> tuple[list[Decomposition], dict, dict]:
-    return [Decomposition(view, view) for view in views], {"method": "none"}, {}
-
-
-def _decompose_pca(cfg: PipelineConfig, views, geom) -> tuple[list[Decomposition], dict, dict]:
-    basis = fit_pca(views[0], top=max(cfg.d_hat, cfg.d2))
-    dcfg = DecompConfig(d_hat=cfg.d_hat, d1=cfg.d1, d2=cfg.d2)
-    details = {"method": "pca", "d_hat": cfg.d_hat, "d1": cfg.d1, "d2": cfg.d2}
-    return [decompose(view, basis, dcfg) for view in views], details, {}
-
-
-def _decompose_kpca(cfg: PipelineConfig, views, geom) -> tuple[list[Decomposition], dict, dict]:
-    csis = [from_real_view(view) for view in views]
-    model = fit_kpca(csis[0], cfg.d_hat, sigma=cfg.sigma, variant=cfg.kernel_variant, gamma=cfg.gamma)
-    parts = [decompose_kpca(model, csi) for csi in csis]
-    details = {
-        "method": "kpca",
-        "d_hat": model.alphas.shape[1],
-        "eigenvalues": model.eigenvalues,
-        "eigenvalue_sum": model.eigenvalue_sum,
-        **dataclasses.asdict(model.diagnostics),
-    }
-    return parts, details, {}
-
-
-def ae_split(model: TrainedModel, view: np.ndarray, geom: NodeGeometry | None, k: int) -> Decomposition:
-    """Split by a trained autoencoder: a per-node model when its input width
-    is the view's, a (node, neighbor) pair model when it is twice that."""
-    if model.spec.input_dim == view.shape[0]:
-        return decompose_ae(model, view)
-    if model.spec.input_dim != 2 * view.shape[0]:
-        raise ValueError(f"model expects input dim {model.spec.input_dim}, the real view has {view.shape[0]}")
-    if geom is None:
-        raise ValueError("a pair-input model needs the node geometry")
-    return decompose_ae_pairs(model, view, geom, k)
-
-
 def train_config(cfg: PipelineConfig, seed: int | None = None) -> TrainConfig:
     """The training settings of an autoencoder method's options, with
     ``seed`` or else ``cfg.seed``: ae1 trains on the reconstruction loss e1,
@@ -307,53 +272,194 @@ def fit_ae(cfg: PipelineConfig, view: np.ndarray, geom: NodeGeometry | None, see
     return train(data, default_mlp_spec(data.shape[0], cfg.d_hat), train_config(cfg, seed), log_path=log_path)
 
 
-def _decompose_ae(cfg: PipelineConfig, views, geom) -> tuple[list[Decomposition], dict, dict]:
-    """``views`` = (uplink, downlink). Centralized, one model trained on the
-    uplink's data splits both views; localized, each view trains its own
-    model, the uplink's first, each with a seed spawned from ``cfg.seed``.
-    A pair model's split gathers its pairs again, block by block.
-    The diagnostics hold each direction's per-epoch training loss."""
-    if cfg.ae_mode == "centralized":
-        models = [fit_ae(cfg, views[0], geom)] * 2
-    else:
-        seeds = [int(seq.generate_state(1)[0]) for seq in np.random.SeedSequence(cfg.seed).spawn(2)]
-        models = [fit_ae(cfg, view, geom, seed) for view, seed in zip(views, seeds)]
-    details = {
-        "method": cfg.method,
-        "d_hat": cfg.d_hat,
-        "mode": cfg.ae_mode,
-        "epochs": cfg.ae_epochs,
-        "final_loss_ul": models[0].final_loss,
-        "final_loss_dl": models[1].final_loss,
-    }
-    diagnostics = {"loss_history_ul": models[0].history, "loss_history_dl": models[1].history}
-    parts = [ae_split(model, view, geom, cfg.k_neighbors) for model, view in zip(models, views)]
-    return parts, details, diagnostics
+@dataclass(frozen=True)
+class Fitted:
+    """A split fitted on one view, with every setting its :func:`split`
+    reads: pca's truncated basis and ranks, kpca's model, or an
+    autoencoder's trained model and, for ae2, its neighbor count."""
+
+    method: str
+    model: PcaBasis | KpcaModel | TrainedModel | None = None
+    ranks: DecompConfig | None = None  # pca
+    k: int | None = None  # ae2
 
 
-#: method -> decompose(cfg, views, geom) -> (one Decomposition per view,
-#: details, diagnostics); the fit runs on views[0], the uplink
-DECOMPOSERS = {
-    "none": _decompose_none,
-    "pca": _decompose_pca,
-    "kpca": _decompose_kpca,
-    "ae1": _decompose_ae,
-    "ae2": _decompose_ae,
+def fit(cfg: PipelineConfig, view: np.ndarray, geom: NodeGeometry | None, seed=None, log_path=None) -> Fitted:
+    """``cfg``'s method fitted on one real view. pca keeps the max(d_hat,
+    d2) leading components that its split reads; an autoencoder is
+    :func:`fit_ae`'s, trained with ``seed`` and logged to ``log_path``."""
+    if cfg.method == "pca":
+        top, ranks = max(cfg.d_hat, cfg.d2), DecompConfig(cfg.d_hat, cfg.d1, cfg.d2)
+        basis = fit_pca(view, top=top)
+        ranks.validate(len(basis.eigenvectors))
+        return Fitted("pca", PcaBasis(basis.eigenvectors[:top], basis.eigenvalues[:top], basis.mean), ranks)
+    if cfg.method == "kpca":
+        csi = from_real_view(view)
+        return Fitted("kpca", fit_kpca(csi, cfg.d_hat, sigma=cfg.sigma, variant=cfg.kernel_variant, gamma=cfg.gamma))
+    if cfg.method in ("ae1", "ae2"):
+        k = cfg.k_neighbors if cfg.method == "ae2" else None
+        return Fitted(cfg.method, fit_ae(cfg, view, geom, seed, log_path), k=k)
+    return Fitted("none")
+
+
+def split(fitted: Fitted, view: np.ndarray, geom: NodeGeometry | None) -> Decomposition:
+    """One real view split by a fitted method. A view of another width than
+    the fit's, or a pair model without the geometry, raises a ValueError."""
+    method, model = fitted.method, fitted.model
+    if method == "none":
+        return Decomposition(view, view)
+    if method == "pca":
+        return decompose(view, model, fitted.ranks)
+    if method == "kpca":
+        return decompose_kpca(model, from_real_view(view))
+    rows = model.spec.input_dim // (2 if method == "ae2" else 1)
+    if view.shape[0] != rows:
+        raise ValueError(f"the {method} model splits real views of {rows} rows, this one has {view.shape[0]}")
+    if method == "ae1":
+        return decompose_ae(model, view)
+    if geom is None:
+        raise ValueError(f"a pair-input model needs the node geometry: it pairs each node with {fitted.k} neighbors")
+    return decompose_ae_pairs(model, view, geom, fitted.k)
+
+
+def describe(fitted: Fitted) -> dict:
+    """A fitted split's details: pca's ranks; kpca's kept rank, eigenvalues
+    and diagnostics; an autoencoder's rank and final loss, and ae2's k."""
+    model = fitted.model
+    if fitted.method in ("none", "pca"):
+        return {"method": fitted.method, **(dataclasses.asdict(fitted.ranks) if fitted.ranks else {})}
+    if fitted.method == "kpca":
+        details = {"method": "kpca", "d_hat": model.alphas.shape[1], "eigenvalues": model.eigenvalues}
+        return {**details, "eigenvalue_sum": model.eigenvalue_sum, **dataclasses.asdict(model.diagnostics)}
+    details = {"method": fitted.method, "d_hat": model.spec.layer_dims[model.spec.bottleneck]}
+    return {**details, "final_loss": model.final_loss, **({"k": fitted.k} if fitted.k else {})}
+
+
+MODEL_MAGIC = b"CSM1"
+_MODEL_PREFIX = struct.Struct("<4sII")  # magic | u32 version | u32 header length
+#: largest model file read, in bytes: 1 GiB, a kpca factor of over 11,000 nodes
+MAX_MODEL_BYTES = 1 << 30
+_KPCA_FLOATS = (*(f.name for f in dataclasses.fields(KpcaDiagnostics)), "eigenvalue_sum")
+_AE_SETTINGS = {"layer_dims": list, "activations": list, "input_scale": float}
+#: method -> (each header setting's JSON type, the array names in file order)
+_MODEL_FIELDS = {
+    "pca": ({"d_hat": int, "d1": int, "d2": int}, ("eigenvectors", "eigenvalues", "mean")),
+    "kpca": ({**dict.fromkeys(_KPCA_FLOATS, float), "lower": bool, "shape": list}, ("alphas", "eigenvalues", "factor")),
+    "ae1": (_AE_SETTINGS, ("params", "history")),
+    "ae2": ({**_AE_SETTINGS, "k": int}, ("params", "history")),
 }
-METHODS = tuple(DECOMPOSERS)
+
+
+class ModelFileError(ValueError):
+    """Malformed model file: oversized, bad prefix or header, wrong size, non-finite or inconsistent."""
+
+
+def write_model(fitted: Fitted, path) -> None:
+    """The model file of a fitted split: magic "CSM1" | u32 version 1 | u32
+    header length | a UTF-8 JSON header of the method, its scalar settings
+    and each array's shape by name | the arrays in the header's order, each
+    row-major little-endian float64."""
+    model = fitted.model
+    if fitted.method == "pca":
+        settings, arrays = dataclasses.asdict(fitted.ranks), [model.eigenvectors, model.eigenvalues, model.mean]
+    elif fitted.method == "kpca":
+        settings = {**dataclasses.asdict(model.diagnostics), "eigenvalue_sum": model.eigenvalue_sum}
+        settings.update(lower=model.factor[1], shape=list(model.shape))
+        arrays = [model.alphas, model.eigenvalues, model.factor[0]]
+    else:
+        spec, k = model.spec, {"k": fitted.k} if fitted.k else {}
+        settings = {"layer_dims": list(spec.layer_dims), "activations": list(spec.activations), **k}
+        settings, arrays = {**settings, "input_scale": model.input_scale}, [model.params, np.array(model.history)]
+    shapes = {name: list(a.shape) for name, a in zip(_MODEL_FIELDS[fitted.method][1], arrays)}
+    header = json.dumps({"method": fitted.method, "settings": settings, "arrays": shapes}).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(_MODEL_PREFIX.pack(MODEL_MAGIC, 1, len(header)) + header)
+        for a in arrays:
+            fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
+
+
+def read_model(path) -> Fitted:
+    """The fitted split of a model file of at most ``MAX_MODEL_BYTES``. The
+    arrays' sizes are checked against the file's before any array is made,
+    and the model for consistency (basis against mean, factor against the
+    fitted shape, parameters against the architecture) before it is
+    returned; a bad file raises a ModelFileError that names it."""
+    raw = read_capped(path, MAX_MODEL_BYTES, ModelFileError)
+    try:
+        magic, version, length = _MODEL_PREFIX.unpack_from(raw) if len(raw) >= _MODEL_PREFIX.size else (b"", 0, 0)
+        start = _MODEL_PREFIX.size + length
+        if magic != MODEL_MAGIC or version != 1 or start > len(raw):
+            raise ValueError(f"no model file: {len(raw)} bytes, magic {magic!r}, version {version}, {length}-B header")
+        header = json.loads(raw[_MODEL_PREFIX.size : start].decode("utf-8"))
+        method = header.get("method") if isinstance(header, dict) else None
+        if method not in _MODEL_FIELDS:
+            raise ValueError(f"the header names no method among {list(_MODEL_FIELDS)}")
+        (kinds, names), s, shapes = _MODEL_FIELDS[method], header.get("settings"), header.get("arrays")
+        if not isinstance(s, dict) or any(type(s.get(key)) is not kind for key, kind in kinds.items()):
+            raise ValueError(f"the {method} settings are {({key: t.__name__ for key, t in kinds.items()})}")
+        if not isinstance(shapes, dict) or list(shapes) != list(names) or not all(
+            isinstance(shape, list) and all(type(d) is int and d >= 0 for d in shape) for shape in shapes.values()
+        ):
+            raise ValueError(f"the {method} arrays are {list(names)}, each shaped by a list of sizes")
+        sizes = [math.prod(shape) for shape in shapes.values()]
+        if start + 8 * sum(sizes) != len(raw):
+            raise ValueError(f"{len(raw) - start} bytes after the header, the arrays need {8 * sum(sizes)}")
+        flat = np.frombuffer(raw, "<f8", sum(sizes), start).astype(np.float64)
+        if not np.isfinite(flat).all():
+            raise ValueError("an array holds a value that is not finite")
+        arrays = [part.reshape(shape) for part, shape in zip(np.split(flat, np.cumsum(sizes)[:-1]), shapes.values())]
+        if method == "pca":
+            basis, ranks = PcaBasis(*arrays), DecompConfig(s["d_hat"], s["d1"], s["d2"])
+            rows = basis.eigenvectors.shape
+            if len(rows) != 2 or basis.eigenvalues.shape != rows[:1] or basis.mean.shape != rows[1:]:
+                raise ValueError(f"eigenvectors {rows}, eigenvalues {basis.eigenvalues.shape}, mean {basis.mean.shape}")
+            ranks.validate(rows[0])
+            return Fitted("pca", basis, ranks)
+        if method == "kpca":
+            (alphas, eigenvalues, factor), shape = arrays, tuple(s["shape"])
+            n = shape[1] if len(shape) == 2 and all(type(d) is int and d > 0 for d in shape) else -1
+            if factor.shape != (n, n) or eigenvalues.ndim != 1 or alphas.shape != (n, eigenvalues.size):
+                raise ValueError(f"a {factor.shape} factor and {alphas.shape} alphas for a fitted shape {list(shape)}")
+            if not (math.isfinite(s["gamma"]) and s["gamma"] > 0):
+                raise ValueError(f"ridge gamma {s['gamma']} is not positive and finite")
+            diagnostics = KpcaDiagnostics(*(s[name] for name in _KPCA_FLOATS[:-1]))
+            model = KpcaModel(alphas, eigenvalues, s["eigenvalue_sum"], (factor, s["lower"]), shape, diagnostics)
+            return Fitted("kpca", model)
+        (params, history), dims, scale = arrays, s["layer_dims"], s["input_scale"]
+        spec = MlpSpec(dims, s["activations"])
+        if any(type(d) is not int for d in dims) or params.shape != (spec.n_params,) or history.ndim != 1:
+            raise ValueError(f"layers {dims} need integer widths and {spec.n_params} parameters, not {params.shape}")
+        if not (math.isfinite(scale) and scale > 0):
+            raise ValueError(f"input scale {scale} is not positive and finite")
+        if method == "ae2" and (s["k"] < 1 or spec.input_dim % 2):
+            raise ValueError(f"a pair model needs k >= 1 and an even width, not k={s['k']} and {spec.input_dim}")
+        model = TrainedModel(spec, params, scale, history.tolist())
+        return Fitted(method, model, k=s["k"] if method == "ae2" else None)
+    except (TypeError, ValueError, OverflowError, RecursionError) as exc:
+        raise ModelFileError(f"{path}: {exc}") from exc
+
+
+METHODS = ("none", "pca", "kpca", "ae1", "ae2")
 
 
 def apply_method(cfg: PipelineConfig, ul: CsiMatrix, dl: CsiMatrix, geom: NodeGeometry) -> MethodOutput:
+    """Fit ``cfg``'s method on the uplink and split both views. In localized
+    autoencoder mode each view fits its own model, the uplink's first, with
+    seeds spawned from ``cfg.seed``; the details hold both training losses."""
     with _stage("decompose"):
-        parts, details, diagnostics = DECOMPOSERS[cfg.method](cfg, [to_real_view(ul), to_real_view(dl)], geom)
-        (predictable, unpred_ul), (_, unpred_dl) = parts
-        return MethodOutput(
-            fingerprint=np.abs(view_to_complex(predictable)),
-            unpred_ul=unpred_ul,
-            unpred_dl=unpred_dl,
-            details=details,
-            diagnostics=diagnostics,
-        )
+        views = [to_real_view(ul), to_real_view(dl)]
+        if cfg.method in ("ae1", "ae2") and cfg.ae_mode == "localized":
+            seeds = [int(seq.generate_state(1)[0]) for seq in np.random.SeedSequence(cfg.seed).spawn(2)]
+            fits = [fit(cfg, view, geom, seed) for view, seed in zip(views, seeds)]
+        else:
+            fits = [fit(cfg, views[0], geom)] * 2
+        (predictable, unpred_ul), (_, unpred_dl) = (split(f, view, geom) for f, view in zip(fits, views))
+        details, diagnostics = describe(fits[0]), {}
+        if cfg.method in ("ae1", "ae2"):
+            details = {"method": cfg.method, "d_hat": cfg.d_hat, "mode": cfg.ae_mode, "epochs": cfg.ae_epochs}
+            details.update(final_loss_ul=fits[0].model.final_loss, final_loss_dl=fits[1].model.final_loss)
+            diagnostics = {"loss_history_ul": fits[0].model.history, "loss_history_dl": fits[1].model.history}
+        return MethodOutput(np.abs(view_to_complex(predictable)), unpred_ul, unpred_dl, details, diagnostics)
 
 
 def compute_metrics(cfg: PipelineConfig, out: MethodOutput, geom: NodeGeometry) -> tuple[dict, dict]:
@@ -498,8 +604,6 @@ def write_report(report: dict, path) -> None:
 
 def write_rows_csv(rows: list[dict], path) -> None:
     Path(path).parent.mkdir(parents=True, exist_ok=True)
-    if not rows:
-        return
     keys = list(rows[0].keys())
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

@@ -1,34 +1,22 @@
-import hashlib
 import math
-import os
-import struct
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from csisplit import autoencoder, pipeline
 from csisplit.autoencoder import (
-    WEIGHTS_MAGIC,
     TrainConfig,
     TrainedModel,
-    WeightsFileError,
     build_pair_dataset,
     decompose_ae_pairs,
     default_mlp_spec,
     forward,
     gradient,
     init_params,
-    read_weights,
     train,
-    write_weights,
 )
-from csisplit.core import nearest_neighbors, to_real_view
+from csisplit.core import from_real_view, nearest_neighbors, to_real_view
 from csisplit.simulate import SimConfig, simulate
 
 
@@ -201,7 +189,7 @@ def test_localized_ae2_trains_each_side_as_the_per_layer_loop(small_view, monkey
         ae_epochs=2,
         seed=11,
     )
-    pipeline.DECOMPOSERS["ae2"](cfg, [view, dl_view], geom)
+    pipeline.apply_method(cfg, from_real_view(view), from_real_view(dl_view), geom)
     # the uplink's model first, each side with its own seed spawned from the pipeline's
     seeds = np.random.SeedSequence(11).spawn(2)
     spec = default_mlp_spec(2 * view.shape[0], 2)
@@ -248,131 +236,17 @@ def test_forward_holds_only_the_running_activation():
     assert peak <= 2 * x.nbytes
 
 
-# ---------------------------------------------------------------------------
-# weights file
-# ---------------------------------------------------------------------------
-
-
-def _weights_bytes(tmp_path, input_dim=6, d_hat=2, seed=9):
-    spec = default_mlp_spec(input_dim, d_hat)
-    model = TrainedModel(spec=spec, params=init_params(spec, np.random.default_rng(seed)), input_scale=0.75)
-    path = tmp_path / "model.weights"
-    write_weights(model, path)
-    return model, path.read_bytes()
-
-
-def test_weights_round_trip(tmp_path):
-    model, _ = _weights_bytes(tmp_path)
-    back = read_weights(tmp_path / "model.weights")
-    assert back.spec == model.spec and back.input_scale == model.input_scale
-    assert np.array_equal(model.params, back.params)
-
-
-def test_weights_file_layout_is_pinned(tmp_path):
-    _, raw = _weights_bytes(tmp_path)
-    assert len(raw) == 109_088
-    assert hashlib.sha256(raw).hexdigest() == "3efa44dc6afa47b8b5121417d042f1354d0e93f675b3637580b4d2a457015aeb"
-    write_weights(read_weights(tmp_path / "model.weights"), tmp_path / "again.weights")
-    assert (tmp_path / "again.weights").read_bytes() == raw
-
-
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-def test_non_finite_parameters_raise_a_typed_error(tmp_path, value):
-    _, raw = _weights_bytes(tmp_path)
-    path = tmp_path / "model.weights"
-    path.write_bytes(raw[:-8] + struct.pack("<d", value))  # the last bias
-    with pytest.raises(WeightsFileError, match="not finite"):
-        read_weights(path)
-
-
 @pytest.mark.parametrize("lr", [math.nan, math.inf, -math.inf, 0.0, -1.0])
 def test_train_config_rejects_a_learning_rate_that_is_not_finite_and_positive(lr):
     with pytest.raises(ValueError, match="learning_rate"):
         TrainConfig(learning_rate=lr)
 
 
-def _header(n_dims, dims, codes, scale=1.0):
-    return (
-        WEIGHTS_MAGIC
-        + struct.pack("<II", 1, n_dims)
-        + struct.pack(f"<{len(dims)}I", *dims)
-        + bytes(codes)
-        + struct.pack("<d", scale)
-    )
-
-
-@pytest.mark.parametrize(
-    "raw, match",
-    [
-        (b"", "truncated header"),
-        (WEIGHTS_MAGIC + b"\x01\x00", "truncated header"),
-        (b"NOPE" + bytes(8), "magic"),
-        (WEIGHTS_MAGIC + struct.pack("<II", 2, 2), "version"),
-        (_header(0, (), ()), "layer dims"),
-        (_header(1, (3,), ()), "layer dims"),
-        (WEIGHTS_MAGIC + struct.pack("<II", 1, 2**32 - 1) + bytes(64), "layer dims"),
-        (_header(2, (2, 2), (9,)), "activation code"),
-        (_header(2, (2, 2), (0,), scale=math.nan), "scale"),
-        (_header(2, (2, 2), (0,), scale=-1.0), "scale"),
-        (_header(2, (2, 2), (0,)) + bytes(8 * 6 - 1), "payload"),
-        (_header(2, (2, 2), (0,)) + bytes(8 * 6 + 1), "payload"),
-        (_header(2, (2**31, 2**31), (0,)), "payload"),
-        (_header(2, (2, 3), (0,)) + bytes(8 * 9), "architecture"),
-    ],
-)
-def test_bad_weights_raise_a_typed_error(tmp_path, raw, match):
-    path = tmp_path / "bad.weights"
-    path.write_bytes(raw)
-    with pytest.raises(WeightsFileError, match=match):
-        read_weights(path)
-
-
-_TRAILING_BYTES_CHILD = """
-import resource, sys
-from csisplit.autoencoder import WeightsFileError, read_weights
-before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-try:
-    read_weights(sys.argv[1])
-except WeightsFileError as exc:
-    print("WeightsFileError", exc, file=sys.stderr)
-rise_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
-print(rise_kib)
-"""
-
-
-@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
-def test_trailing_bytes_are_refused_without_reading_them(tmp_path):
-    _weights_bytes(tmp_path)
-    path = tmp_path / "model.weights"
-    os.truncate(path, path.stat().st_size + 256 * 2**20)  # sparse: no disk blocks
-    # a fresh interpreter, whose peak resident size this call alone can raise
-    src = str(Path(autoencoder.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    proc = subprocess.run(
-        [sys.executable, "-c", _TRAILING_BYTES_CHILD, str(path)], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert "WeightsFileError payload needs" in proc.stderr
-    assert int(proc.stdout) < 64 * 1024
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_mutated_weights_either_load_or_raise_a_typed_error(tmp_path_factory, data):
-    directory = tmp_path_factory.mktemp("weights")
-    _, raw = _weights_bytes(directory, input_dim=3, d_hat=1)
-    raw = bytearray(raw)
-    for _ in range(data.draw(st.integers(1, 4))):
-        pos = data.draw(st.integers(0, 40))  # the header and the start of the payload
-        raw[pos] = data.draw(st.integers(0, 255))
-    cut = data.draw(st.integers(0, len(raw)))
-    path = directory / "fuzz.weights"
-    path.write_bytes(bytes(raw[:cut]) + data.draw(st.binary(max_size=16)))
-    try:
-        model = read_weights(path)
-    except WeightsFileError:
-        return
-    assert model.spec.input_dim == model.spec.layer_dims[-1]
+def test_train_scales_an_all_zero_dataset_by_one():
+    # its RMS is 0, which no input can be divided by
+    model = train(np.zeros((4, 10)), default_mlp_spec(4, 1), TrainConfig(epochs=2, batch_size=4))
+    assert model.input_scale == 1.0
+    assert np.all(np.isfinite(model.params)) and math.isfinite(model.final_loss)
 
 
 @pytest.mark.parametrize("loss, width, mu", [("e1", 6, 0.0), ("e2", 8, 1.0)])

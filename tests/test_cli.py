@@ -13,17 +13,16 @@ import pytest
 
 import csisplit
 from csisplit import cli, pipeline
-from csisplit.autoencoder import decompose_ae, read_weights, train
-from csisplit.core import CsiMatrix, read_csi_file, to_real_view, write_csi_file
+from csisplit.autoencoder import decompose_ae, decompose_ae_pairs, train
+from csisplit.core import CsiMatrix, Direction, read_csi_file, to_real_view, write_csi_file
 from csisplit.distfit import ALL_FAMILIES, PHASE_FAMILIES, fit_families
 from csisplit.pca import fit_pca, sweep
 from csisplit.simulate import SimConfig
 
 SUBCOMMANDS = (
     "simulate",
-    "decompose",
-    "ae-train",
-    "ae-decompose",
+    "fit",
+    "split",
     "dhsic",
     "tvd-curve",
     "skg-mp",
@@ -413,42 +412,43 @@ def test_compare_repeated_method_exits_1(dataset, tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
-def test_decompose_kpca_rejects_d_hat_zero(dataset, tmp_path, capsys):
-    argv = ["decompose", "--method", "kpca", "--d-hat", "0", "--input", str(dataset / "uplink.csi")]
+def test_fit_kpca_rejects_d_hat_zero(dataset, tmp_path, capsys):
+    argv = ["fit", "--method", "kpca", "--d-hat", "0", "--input", str(dataset / "uplink.csi")]
     assert cli.main([*argv, "--output-dir", str(tmp_path)]) == 1
     assert "d_hat must be at least 1 for method kpca, got 0" in capsys.readouterr().err
-    assert not (tmp_path / "predictable.csi").exists()
+    assert not list(tmp_path.iterdir())
 
 
-def test_decompose_kpca_exits_1_on_a_singular_ridge_system(tmp_path, capsys):
+def test_fit_kpca_exits_1_on_a_singular_ridge_system(tmp_path, capsys):
     # 4 duplicated columns give duplicated scores, and K_Y + 1e-300 I is singular
     rng = np.random.default_rng(18)
     base = rng.standard_normal((6, 20)) + 1j * rng.standard_normal((6, 20))
     write_csi_file(CsiMatrix(np.concatenate([base, base[:, :4]], axis=1)), tmp_path / "ul.csi")
-    argv = ["decompose", "--method", "kpca", "--d-hat", "2", "--gamma", "1e-300", "--input", str(tmp_path / "ul.csi")]
+    argv = ["fit", "--method", "kpca", "--d-hat", "2", "--gamma", "1e-300", "--input", str(tmp_path / "ul.csi")]
     assert cli.main([*argv, "--output-dir", str(tmp_path / "out")]) == 1
     assert "score Gram is singular" in capsys.readouterr().err
-    assert not (tmp_path / "out" / "predictable.csi").exists()
+    assert not (tmp_path / "out" / "model.bin").exists()
 
 
 @pytest.fixture(scope="module")
-def weights(dataset, tmp_path_factory):
-    """Two-epoch e1 (per-node) and e2 (pair) weights trained on the uplink."""
-    directory = tmp_path_factory.mktemp("weights")
+def models(dataset, tmp_path_factory):
+    """Model files fitted on the uplink: pca, kpca, and two-epoch ae1
+    (per-node) and ae2 (pair) models at k=3."""
+    directory = tmp_path_factory.mktemp("models")
     paths = {}
-    for loss in ("e1", "e2"):
-        paths[loss] = directory / f"{loss}.weights"
-        argv = ["ae-train", "--input", str(dataset / "uplink.csi"), "--geometry", str(dataset / "geometry.json")]
-        argv += ["--loss", loss, "--ae-epochs", "2", "--weights-out", str(paths[loss]), "--output-dir", str(directory)]
-        assert cli.main(argv) == 0
+    for method in ("pca", "kpca", "ae1", "ae2"):
+        argv = ["fit", "--method", method, "--input", str(dataset / "uplink.csi")]
+        argv += ["--geometry", str(dataset / "geometry.json"), "--d-hat", "2", "--ae-epochs", "2", "--k", "3"]
+        assert cli.main([*argv, "--output-dir", str(directory / method)]) == 0
+        paths[method] = directory / method / "model.bin"
     return paths
 
 
-def test_ae_decompose_e1_files_equal_decompose_ae(dataset, weights, tmp_path):
-    argv = ["ae-decompose", "--input", str(dataset / "uplink.csi"), "--weights", str(weights["e1"])]
+def test_split_ae1_files_equal_decompose_ae(dataset, models, tmp_path):
+    argv = ["split", "--input", str(dataset / "uplink.csi"), "--model", str(models["ae1"])]
     assert cli.main([*argv, "--output-dir", str(tmp_path)]) == 0
     ul = read_csi_file(dataset / "uplink.csi")
-    dec = decompose_ae(read_weights(weights["e1"]), to_real_view(ul))
+    dec = decompose_ae(pipeline.read_model(models["ae1"]).model, to_real_view(ul))
     pred, unpred = read_csi_file(tmp_path / "predictable.csi"), read_csi_file(tmp_path / "unpredictable.csi")
     assert np.array_equal(to_real_view(pred), dec.predictable)
     assert np.array_equal(to_real_view(unpred), dec.unpredictable)
@@ -456,22 +456,91 @@ def test_ae_decompose_e1_files_equal_decompose_ae(dataset, weights, tmp_path):
     assert pred.snr_db == unpred.snr_db == ul.snr_db
 
 
-def test_ae_decompose_pair_model_without_geometry_exits_1(dataset, weights, tmp_path, capsys):
-    argv = ["ae-decompose", "--input", str(dataset / "uplink.csi"), "--weights", str(weights["e2"])]
+@pytest.mark.parametrize("method", ["pca", "kpca", "ae1", "ae2"])
+def test_fit_on_the_uplink_and_split_of_the_downlink_equal_the_pipelines_downlink_split(dataset, tmp_path, method):
+    # the pipeline fits on the uplink and splits the downlink with that fit; the
+    # fit and split commands do the same through the model file
+    files = ["--geometry", str(dataset / "geometry.json")]
+    argv = ["fit", "--method", method, "--input", str(dataset / "uplink.csi"), *files]
+    assert cli.main([*argv, "--d-hat", "2", "--ae-epochs", "2", "--k", "3", "--output-dir", str(tmp_path)]) == 0
+    argv = ["split", "--model", str(tmp_path / "model.bin"), "--input", str(dataset / "downlink.csi"), *files]
+    assert cli.main([*argv, "--output-dir", str(tmp_path)]) == 0
+    paths = dict(ul_path=str(dataset / "uplink.csi"), dl_path=str(dataset / "downlink.csi"), geometry_path=files[1])
+    cfg = pipeline.PipelineConfig(source="files", **paths, method=method, d_hat=2, ae_epochs=2, k_neighbors=3)
+    out = pipeline.apply_method(cfg, *pipeline.load_dataset(cfg))
+    unpred = read_csi_file(tmp_path / "unpredictable.csi")
+    assert np.array_equal(to_real_view(unpred), out.unpred_dl)
+    assert unpred.direction == Direction.DOWNLINK
+    if method in ("pca", "kpca"):  # fit.json holds the details of the pipeline's report
+        written = json.loads((tmp_path / "fit.json").read_text(encoding="utf-8"))
+        assert written == pipeline._jsonify(out.details)
+
+
+def test_a_pair_model_splits_at_its_fitted_k_and_split_takes_no_k(dataset, models, tmp_path, capsys):
+    assert json.loads((models["ae2"].parent / "fit.json").read_text(encoding="utf-8"))["k"] == 3
+    geometry = dataset / "geometry.json"
+    argv = ["split", "--model", str(models["ae2"]), "--input", str(dataset / "downlink.csi")]
+    argv += ["--geometry", str(geometry)]
+    assert cli.main([*argv, "--output-dir", str(tmp_path)]) == 0
+    fitted = pipeline.read_model(models["ae2"])
+    view = to_real_view(read_csi_file(dataset / "downlink.csi"))
+    dec = decompose_ae_pairs(fitted.model, view, pipeline.read_geometry(geometry), 3)
+    assert fitted.k == 3
+    assert np.array_equal(to_real_view(read_csi_file(tmp_path / "unpredictable.csi")), dec.unpredictable)
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main([*argv, "--k", "3", "--output-dir", str(tmp_path / "with-k")])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --k 3" in capsys.readouterr().err
+    assert not (tmp_path / "with-k").exists()
+
+
+def test_split_pair_model_without_geometry_exits_1(dataset, models, tmp_path, capsys):
+    argv = ["split", "--input", str(dataset / "uplink.csi"), "--model", str(models["ae2"])]
     assert cli.main([*argv, "--output-dir", str(tmp_path)]) == 1
-    assert "a pair-input model needs the node geometry" in capsys.readouterr().err
+    assert "a pair-input model needs the node geometry: it pairs each node with 3 neighbors" in capsys.readouterr().err
     assert not (tmp_path / "predictable.csi").exists()
 
 
-def test_ae_decompose_width_mismatch_exits_1(dataset, weights, tmp_path, capsys):
-    # 6 of the 16 snapshots: a 12-row view, whose width is neither the e1
-    # model's 32 inputs nor half of them
+@pytest.mark.parametrize(
+    "method, rows, cols, message",
+    [
+        ("pca", 6, 16, "view has 12 features, basis expects 32"),
+        ("ae1", 6, 16, "the ae1 model splits real views of 32 rows, this one has 12"),
+        ("ae2", 6, 16, "the ae2 model splits real views of 32 rows, this one has 12"),
+        ("kpca", 6, 16, "CSI of shape (6, 16), the model was fitted on columns of shape (16, 16)"),
+        ("kpca", 16, 12, "CSI of shape (16, 12), the model was fitted on columns of shape (16, 16)"),
+    ],
+    ids=["pca-12-rows", "ae1-12-rows", "ae2-12-rows", "kpca-6-snapshots", "kpca-12-nodes"],
+)
+def test_split_of_another_shape_exits_1_naming_both(dataset, models, tmp_path, capsys, method, rows, cols, message):
+    # the models were fitted on 16 snapshots of 16 nodes: a 32-row real view
     ul = read_csi_file(dataset / "uplink.csi")
-    write_csi_file(CsiMatrix(ul.data[:6], direction=ul.direction, snr_db=ul.snr_db), tmp_path / "short.csi")
-    argv = ["ae-decompose", "--input", str(tmp_path / "short.csi"), "--weights", str(weights["e1"])]
-    assert cli.main([*argv, "--output-dir", str(tmp_path)]) == 1
-    assert "model expects input dim 32, the real view has 12" in capsys.readouterr().err
+    other = CsiMatrix(ul.data[:rows, :cols], direction=ul.direction, snr_db=ul.snr_db)
+    write_csi_file(other, tmp_path / "other.csi")
+    argv = ["split", "--input", str(tmp_path / "other.csi"), "--model", str(models[method])]
+    assert cli.main([*argv, "--geometry", str(dataset / "geometry.json"), "--output-dir", str(tmp_path)]) == 1
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "predictable.csi").exists()
+
+
+def test_fit_pca_and_splits_with_pca_and_ae1_models_load_no_scipy_module(dataset, models, tmp_path):
+    code = "\n".join(
+        [
+            "import sys",
+            "from csisplit import cli",
+            "ul, dl, ae1, out = sys.argv[1:]",
+            "assert cli.main(['fit', '--method', 'pca', '--input', ul, '--output-dir', out + '/pca']) == 0",
+            "pca = ['--model', out + '/pca/model.bin', '--input', dl, '--output-dir', out + '/pca']",
+            "assert cli.main(['split', *pca]) == 0",
+            "assert cli.main(['split', '--model', ae1, '--input', dl, '--output-dir', out + '/ae1']) == 0",
+            _SCIPY_LOADED,
+        ]
+    )
+    paths = [str(dataset / "uplink.csi"), str(dataset / "downlink.csi"), str(models["ae1"])]
+    proc = _fresh_python(code, *paths, str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
+    assert (tmp_path / "pca" / "unpredictable.csi").is_file() and (tmp_path / "ae1" / "unpredictable.csi").is_file()
 
 
 def _golden_text(payload) -> str:
@@ -574,22 +643,23 @@ def test_skg_mp_report_matches_golden(dataset, tmp_path, capsys):
     assert json.loads(capsys.readouterr().out) == {"avg_mp": GOLDEN_SKG_MP["avg_mp"]}
 
 
-def test_ae_train_makes_the_directories_of_given_log_and_weights_paths(dataset, tmp_path):
+def test_fit_makes_the_directories_of_its_output_and_a_given_log_path(dataset, tmp_path):
     fresh = tmp_path / "fresh" / "run"
-    argv = ["ae-train", "--input", str(dataset / "uplink.csi"), "--ae-epochs", "1", "--output-dir", str(fresh)]
-    argv += ["--log", str(fresh / "log.jsonl"), "--weights-out", str(tmp_path / "w" / "ae.weights")]
+    argv = ["fit", "--method", "ae1", "--input", str(dataset / "uplink.csi"), "--ae-epochs", "1"]
+    argv += ["--log", str(tmp_path / "log" / "train.jsonl"), "--output-dir", str(fresh)]
     assert cli.main(argv) == 0
-    assert len((fresh / "log.jsonl").read_text(encoding="utf-8").splitlines()) == 1
-    assert read_weights(tmp_path / "w" / "ae.weights").spec.input_dim == 32
+    assert len((tmp_path / "log" / "train.jsonl").read_text(encoding="utf-8").splitlines()) == 1
+    assert pipeline.read_model(fresh / "model.bin").model.spec.input_dim == 32
+    assert not (fresh / "ae_train_log.jsonl").exists()
 
 
-@pytest.mark.parametrize("loss, method", [("e1", "ae1"), ("e2", "ae2")])
-def test_ae_train_weights_equal_the_pipelines_centralized_uplink_model(dataset, tmp_path, monkeypatch, loss, method):
+@pytest.mark.parametrize("method", ["ae1", "ae2"])
+def test_fit_model_equals_the_pipelines_centralized_uplink_model(dataset, tmp_path, monkeypatch, method):
     options = ["--d-hat", "2", "--ae-epochs", "2", "--ae-batch-size", "8", "--ae-learning-rate", "3e-3"]
     options += ["--mu", "2", "--k", "3", "--seed", "4"]
-    argv = ["ae-train", "--input", str(dataset / "uplink.csi"), "--geometry", str(dataset / "geometry.json")]
-    assert cli.main([*argv, "--loss", loss, *options, "--output-dir", str(tmp_path)]) == 0
-    written = read_weights(tmp_path / "ae.weights")
+    argv = ["fit", "--input", str(dataset / "uplink.csi"), "--geometry", str(dataset / "geometry.json")]
+    assert cli.main([*argv, "--method", method, *options, "--output-dir", str(tmp_path)]) == 0
+    written = pipeline.read_model(tmp_path / "model.bin")
 
     models = []
 
@@ -600,16 +670,18 @@ def test_ae_train_weights_equal_the_pipelines_centralized_uplink_model(dataset, 
     monkeypatch.setattr(pipeline, "train", recording_train)
     settings = dict(ae_epochs=2, ae_batch_size=8, ae_learning_rate=3e-3, ae_loss_mu=2.0, k_neighbors=3)
     cfg = pipeline.PipelineConfig(sim=SimConfig(seed=4), method=method, d_hat=2, seed=4, **settings)
-    views = [to_real_view(read_csi_file(dataset / f"{side}.csi")) for side in ("uplink", "downlink")]
-    pipeline.DECOMPOSERS[method](cfg, views, pipeline.read_geometry(dataset / "geometry.json"))
+    ul, dl = (read_csi_file(dataset / f"{side}.csi") for side in ("uplink", "downlink"))
+    pipeline.apply_method(cfg, ul, dl, pipeline.read_geometry(dataset / "geometry.json"))
     (model,) = models
-    assert written.spec == model.spec
-    assert written.input_scale == model.input_scale
-    assert np.array_equal(written.params, model.params)
+    assert written.model.spec == model.spec
+    assert written.model.input_scale == model.input_scale
+    assert np.array_equal(written.model.params, model.params)
+    assert written.model.history == model.history
+    assert written.k == (3 if method == "ae2" else None)
 
 
-def test_ae_train_d_hat_zero_exits_1_naming_d_hat(dataset, tmp_path, capsys):
-    argv = ["ae-train", "--d-hat", "0", "--ae-epochs", "1", "--input", str(dataset / "uplink.csi")]
+def test_fit_ae1_d_hat_zero_exits_1_naming_d_hat(dataset, tmp_path, capsys):
+    argv = ["fit", "--method", "ae1", "--d-hat", "0", "--ae-epochs", "1", "--input", str(dataset / "uplink.csi")]
     assert cli.main([*argv, "--output-dir", str(tmp_path)]) == 1
     assert "d_hat must be at least 1 for method ae1, got 0" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
@@ -647,22 +719,11 @@ def test_pipeline_on_files_rejects_a_bad_simulator_option(dataset, tmp_path, cap
     assert not list(tmp_path.iterdir())
 
 
-def test_ae_train_e2_without_geometry_exits_1(dataset, tmp_path, capsys):
-    argv = ["ae-train", "--loss", "e2", "--ae-epochs", "1", "--input", str(dataset / "uplink.csi")]
+def test_fit_ae2_without_geometry_exits_1(dataset, tmp_path, capsys):
+    argv = ["fit", "--method", "ae2", "--ae-epochs", "1", "--input", str(dataset / "uplink.csi")]
     assert cli.main([*argv, "--output-dir", str(tmp_path)]) == 1
     assert "a pair-input model needs the node geometry" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
-
-
-def test_decompose_makes_the_directories_of_given_output_paths(dataset, tmp_path):
-    pred, unpred = tmp_path / "p" / "pred.csi", tmp_path / "u" / "unpred.csi"
-    argv = ["decompose", "--method", "pca", "--input", str(dataset / "uplink.csi")]
-    argv += ["--output-predictable", str(pred), "--output-unpredictable", str(unpred)]
-    assert cli.main([*argv, "--output-dir", str(tmp_path / "out")]) == 0
-    default = ["decompose", "--method", "pca", "--input", str(dataset / "uplink.csi"), "--output-dir"]
-    assert cli.main([*default, str(tmp_path / "default")]) == 0
-    assert pred.read_bytes() == (tmp_path / "default" / "predictable.csi").read_bytes()
-    assert unpred.read_bytes() == (tmp_path / "default" / "unpredictable.csi").read_bytes()
 
 
 def test_sweep_with_delta_pairs_matches_the_library_sweep(dataset, tmp_path):

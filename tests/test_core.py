@@ -1,4 +1,5 @@
 import io
+import os
 import struct
 
 import numpy as np
@@ -409,3 +410,30 @@ def test_size_mismatch_rejected_before_the_payload_is_read(tmp_path, monkeypatch
     with pytest.raises(CsiFileError, match=message):
         read_csi_file(path)
     assert sum(reads) <= 21  # the header alone
+
+
+def test_a_file_that_shrank_after_fstat_is_a_truncated_payload(tmp_path, monkeypatch):
+    path = tmp_path / "shrunk.csi"
+    write_csi_file(CsiMatrix(np.ones((4, 4), dtype=complex)), path)
+    path.write_bytes(path.read_bytes()[:-8])
+    fstat = os.fstat
+    # fstat saw the full 277 bytes; the read finds 269
+    monkeypatch.setattr(os, "fstat", lambda fd: os.stat_result((*fstat(fd)[:6], 277, *fstat(fd)[7:])))
+    with pytest.raises(CsiFileError, match="truncated payload: 269 bytes, need 277"):
+        read_csi_file(path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_mutated_csi_files_either_load_or_raise_a_csi_file_error(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("csi") / "fuzz.csi"
+    write_csi_file(CsiMatrix(np.arange(6).reshape(2, 3) * (1 + 2j), snr_db=10.0), path)
+    raw = bytearray(data.draw(st.sampled_from([path.read_bytes(), b""])))
+    for _ in range(data.draw(st.integers(0, 4)) if raw else 0):
+        raw[data.draw(st.integers(0, len(raw) - 1))] = data.draw(st.integers(0, 255))
+    path.write_bytes(bytes(raw[: data.draw(st.integers(0, len(raw)))]) + data.draw(st.binary(max_size=24)))
+    try:
+        csi = read_csi_file(path)
+    except CsiFileError:
+        return
+    assert os.path.getsize(path) == 21 + 16 * csi.m * csi.n

@@ -332,7 +332,7 @@ def _grid(rows, cols, k=8):
     return NodeGeometry(np.column_stack([xs.ravel(), ys.ravel()]), k=k)
 
 
-@pytest.mark.parametrize("method", sorted(pipeline.DECOMPOSERS))
+@pytest.mark.parametrize("method", sorted(pipeline.METHODS))
 def test_neighbor_cc_matches_the_per_pair_loop_on_every_method(method):
     cfg = pipeline.PipelineConfig(sim=SimConfig(grid_shape=(4, 4), m=32), method=method, ae_epochs=2)
     ul, dl, geom = pipeline.load_dataset(cfg)

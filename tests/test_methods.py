@@ -1,6 +1,6 @@
 """Golden metrics and oracles for the decomposition methods: the pipeline,
-``compare`` and the ``decompose`` command must give what the methods' own
-fit and decompose functions give."""
+``compare`` and the ``fit`` and ``split`` commands must give what the
+methods' own fit and decompose functions give."""
 
 import dataclasses
 import json
@@ -65,12 +65,12 @@ def test_pipeline_metrics_match_golden(method):
         assert abs(metrics[key] - want) <= 1e-9, key
 
 
-@pytest.mark.parametrize("method", sorted(pipeline.DECOMPOSERS))
+@pytest.mark.parametrize("method", sorted(pipeline.METHODS))
 def test_every_decomposer_splits_each_view_into_one_real_view_decomposition(dataset, method):
     ul, dl, geom = dataset
     views = [to_real_view(ul), to_real_view(dl)]
-    splits, _, _ = pipeline.DECOMPOSERS[method](_cfg(method, d_hat=2), views, geom)
-    assert len(splits) == len(views)
+    fitted = pipeline.fit(_cfg(method, d_hat=2), views[0], geom)
+    splits = [pipeline.split(fitted, view, geom) for view in views]
     for split, view in zip(splits, views):
         assert type(split) is Decomposition
         for part in split:
@@ -246,15 +246,18 @@ def test_compare_rejects_a_repeated_method_before_it_reads_the_dataset(monkeypat
 
 
 def _run_cli(tmp_path, argv):
-    assert cli.main(argv + ["--output-dir", str(tmp_path)]) == 0
-    details = json.loads((tmp_path / "decompose.json").read_text(encoding="utf-8"))
+    """fit with ``argv`` on ul.csi, then split ul.csi with the model file."""
+    assert cli.main(["fit", "--input", str(tmp_path / "ul.csi"), *argv, "--output-dir", str(tmp_path)]) == 0
+    argv = ["split", "--model", str(tmp_path / "model.bin"), "--input", str(tmp_path / "ul.csi")]
+    assert cli.main([*argv, "--output-dir", str(tmp_path)]) == 0
+    details = json.loads((tmp_path / "fit.json").read_text(encoding="utf-8"))
     return read_csi_file(tmp_path / "predictable.csi"), read_csi_file(tmp_path / "unpredictable.csi"), details
 
 
-def test_cli_pca_decompose_files_equal_the_direct_split(tmp_path, dataset):
+def test_cli_pca_fit_and_split_files_equal_the_direct_split(tmp_path, dataset):
     ul = dataset[0]
     write_csi_file(ul, tmp_path / "ul.csi")
-    argv = ["decompose", "--input", str(tmp_path / "ul.csi"), "--d-hat", "2", "--d2", "10"]
+    argv = ["--d-hat", "2", "--d2", "10"]
     pred, unpred, details = _run_cli(tmp_path, argv)
     view = to_real_view(ul)
     # the pca split fits only the max(d_hat, d2) components it reads
@@ -266,7 +269,7 @@ def test_cli_pca_decompose_files_equal_the_direct_split(tmp_path, dataset):
     assert details == {"method": "pca", "d_hat": 2, "d1": 3, "d2": 10}
 
 
-def test_cli_decompose_splits_its_view_once(tmp_path, dataset, monkeypatch):
+def test_cli_split_splits_its_view_once(tmp_path, dataset, monkeypatch):
     views = []
 
     def counting_decompose(view, basis, cfg):
@@ -275,14 +278,14 @@ def test_cli_decompose_splits_its_view_once(tmp_path, dataset, monkeypatch):
 
     monkeypatch.setattr(pipeline, "decompose", counting_decompose)
     write_csi_file(dataset[0], tmp_path / "ul.csi")
-    _run_cli(tmp_path, ["decompose", "--input", str(tmp_path / "ul.csi")])
+    _run_cli(tmp_path, [])
     assert len(views) == 1 and np.array_equal(views[0], to_real_view(dataset[0]))
 
 
-def test_cli_kpca_decompose_files_equal_the_direct_split(tmp_path, dataset):
+def test_cli_kpca_fit_and_split_files_equal_the_direct_split(tmp_path, dataset):
     ul = dataset[0]
     write_csi_file(ul, tmp_path / "ul.csi")
-    argv = ["decompose", "--method", "kpca", "--input", str(tmp_path / "ul.csi"), "--d-hat", "2", "--gamma", "0.01"]
+    argv = ["--method", "kpca", "--d-hat", "2", "--gamma", "0.01"]
     pred, unpred, details = _run_cli(tmp_path, argv)
     model = fit_kpca(ul, 2, gamma=0.01)
     want_pred, want_unpred = decompose_kpca(model, ul)

@@ -1,13 +1,16 @@
 import dataclasses
 import json
+import math
 import os
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csisplit import cli, pipeline
-from csisplit.autoencoder import decompose_ae_pairs, read_weights
+from csisplit.autoencoder import decompose_ae_pairs
 from csisplit.core import CsiMatrix, read_csi_file, to_real_view, write_csi_file
 from csisplit.dependence import dhsic_test, select_delta_pairs
 from csisplit.simulate import SimConfig, simulate
@@ -178,6 +181,10 @@ def test_simulated_run_rejects_a_seed_that_differs_from_the_simulators():
         ('{"positions": [[0, 0], [1, 0]], "k": 1.5}', "'k'"),
         ('{"positions": [[0, 0], [1, 0]], "k": true}', "'k'"),
         ('{"positions": [[0, 0], [1, 0]], "k": "8"}', "'k'"),
+        # a JSON int beyond float64: numpy raises an OverflowError, not a ValueError
+        pytest.param(
+            '{"positions": [[' + "9" * 400 + ', 0], [1, 1]]}', "'positions' is not a numeric", id="int-beyond-float64"
+        ),
     ],
 )
 def test_bad_geometry_file_raises_a_geometry_error_naming_the_key(tmp_path, text, match):
@@ -194,8 +201,10 @@ def test_bad_geometry_file_raises_a_geometry_error_naming_the_key(tmp_path, text
         b'{"positions": [[0, 0], [1, 0]',
         # valid JSON of 200 kB, far below the size cap, nested deeper than the decoder recurses
         b'{"positions": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+        # an int of more digits than Python converts: json raises a plain ValueError
+        b'{"positions": [[0, 0], [1, 0]], "k": ' + b"1" * 5000 + b"}",
     ],
-    ids=["not-utf8", "malformed-json", "nested-too-deeply"],
+    ids=["not-utf8", "malformed-json", "nested-too-deeply", "int-of-5000-digits"],
 )
 def test_geometry_file_that_is_not_utf8_json_raises_a_geometry_error_naming_it(tmp_path, raw):
     path = tmp_path / "geometry.json"
@@ -217,6 +226,45 @@ def test_oversized_geometry_file_is_refused_without_being_read(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 2**20  # reading the file would allocate its 64 MiB
+
+
+_VALID_GEOMETRY = b'{"k": 2, "positions": [[0.0, 0.0], [1.5, 0.0], [0.0, 2.0]]}'
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_mutated_geometry_files_either_load_or_raise_a_geometry_error(tmp_path_factory, data):
+    raw = bytearray(data.draw(st.sampled_from([_VALID_GEOMETRY, b""])))
+    for _ in range(data.draw(st.integers(0, 4)) if raw else 0):
+        raw[data.draw(st.integers(0, len(raw) - 1))] = data.draw(st.sampled_from(b'[]{},:"-.e0123456789 kx\xff'))
+    path = tmp_path_factory.mktemp("geometry") / "geometry.json"
+    path.write_bytes(bytes(raw[: data.draw(st.integers(0, len(raw)))]) + data.draw(st.binary(max_size=8)))
+    try:
+        geom = pipeline.read_geometry(path)
+    except pipeline.GeometryError:
+        return
+    assert geom.positions.shape[1] in (2, 3) and geom.k >= 1
+
+
+def test_capped_read_refuses_a_file_that_grew_after_fstat(tmp_path, monkeypatch):
+    path = tmp_path / "grown.json"
+    path.write_bytes(b"x" * 10)
+    fstat = os.fstat
+    # the size fstat saw, 4 bytes, is within the limit; the 10 read are not
+    monkeypatch.setattr(os, "fstat", lambda fd: os.stat_result((*fstat(fd)[:6], 4, *fstat(fd)[7:])))
+    with pytest.raises(pipeline.GeometryError, match="more than the 4-byte limit"):
+        pipeline.read_capped(path, 4, pipeline.GeometryError)
+
+
+def test_report_writes_numpy_scalars_as_numbers_and_infinities_as_strings(tmp_path):
+    report = {"count": np.int64(3), "ratio": np.float32(0.5), "bounds": (-math.inf, math.inf), "row": np.arange(2)}
+    pipeline.write_report(report, tmp_path / "out" / "report.json")
+    assert json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8")) == {
+        "bounds": ["-inf", "inf"],
+        "count": 3,
+        "ratio": 0.5,
+        "row": [0, 1],
+    }
 
 
 def _stage_of(call) -> str:
@@ -274,16 +322,16 @@ def test_geometry_file_round_trip(tmp_path):
     assert np.array_equal(back.positions, geom.positions) and back.k == geom.k
 
 
-def test_cli_ae_decompose_applies_the_trained_pair_model(tmp_path):
+def test_cli_split_applies_the_fitted_pair_model_at_its_k(tmp_path):
     out = simulate(SMALL)
     write_csi_file(out.uplink, tmp_path / "uplink.csi")
     pipeline.write_geometry(out.geometry, tmp_path / "geometry.json")
-    files = ["--input", str(tmp_path / "uplink.csi"), "--geometry", str(tmp_path / "geometry.json"), "--k", "4"]
+    files = ["--input", str(tmp_path / "uplink.csi"), "--geometry", str(tmp_path / "geometry.json")]
     common = ["--output-dir", str(tmp_path)]
-    assert cli.main(["ae-train", *files, "--loss", "e2", "--ae-epochs", "1", *common]) == 0
-    assert cli.main(["ae-decompose", *files, "--weights", str(tmp_path / "ae.weights"), *common]) == 0
+    assert cli.main(["fit", *files, "--method", "ae2", "--k", "4", "--ae-epochs", "1", *common]) == 0
+    assert cli.main(["split", *files, "--model", str(tmp_path / "model.bin"), *common]) == 0
     view = to_real_view(out.uplink)
-    dec = decompose_ae_pairs(read_weights(tmp_path / "ae.weights"), view, out.geometry, 4)
+    dec = decompose_ae_pairs(pipeline.read_model(tmp_path / "model.bin").model, view, out.geometry, 4)
     assert np.array_equal(to_real_view(read_csi_file(tmp_path / "predictable.csi")), dec.predictable)
     assert np.array_equal(to_real_view(read_csi_file(tmp_path / "unpredictable.csi")), dec.unpredictable)
 
