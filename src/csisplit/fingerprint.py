@@ -4,8 +4,11 @@ The fingerprint statistic is the amplitude (modulus) of each node's
 predictable-component time series; a pair of nodes is compared through
 histograms on a shared equal-width grid spanning the pooled sample range.
 
-One binning rule (:func:`_pair_edges`, :func:`_bin_counts`) scores every pair;
-:func:`pairwise_tvd`, its one-pair case, stays public for the benchmark's count.
+One counting rule scores every pair: on the grid of :func:`_pair_edges`, a
+bin holds the samples below its upper edge minus those below its lower
+edge, counted by binary search in the node's sorted samples
+(:func:`_bin_probs`). :func:`pairwise_tvd`, its one-pair case, stays public
+for the benchmark's count.
 """
 
 from __future__ import annotations
@@ -40,28 +43,26 @@ def _pair_edges(lo: np.ndarray, hi: np.ndarray, bins: int) -> np.ndarray:
     return edges
 
 
-def _bin_counts(samples: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """(pairs, bins) counts of column p of ``samples`` on row p of ``edges``.
+def _bin_probs(sorted_samples: np.ndarray, node: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """(pairs, bins) shares of row node[p] of ``sorted_samples`` (ascending
+    rows of one length) in the bins of row p of ``edges``.
 
-    Every sample lies on its pair's grid. Its bin is the number of interior
-    edges at or below it, which is numpy.histogram's rule for explicit
-    edges: bins are half open except the last, which holds the top edge.
-    The bin is first estimated by arithmetic, then moved one edge at a time
-    until that rule holds.
+    Every sample lies in its pair's [lo, hi]. One binary search per node
+    counts #{x < e} for the interior edges e of all its pairs, and a bin
+    holds the count below its upper edge minus the count below its lower
+    one. A sample on an interior edge lands in the bin above it and one on
+    the top edge in the last bin: numpy.histogram's rule for explicit edges.
     """
-    pairs, bins = edges.shape[0], edges.shape[1] - 1
-    pair = np.arange(pairs)
-    lo, width = edges[:, 0], edges[:, -1] - edges[:, 0]
-    guess = np.clip((samples - lo) / width * bins, 0, bins - 1).astype(np.intp)
-    lower = pair * (bins + 1)  # flat index of each pair's first edge
-    index = lower + guess
-    flat = edges.ravel()
-    while (down := samples < flat[index]).any():
-        index -= down
-    while (up := (index < lower + bins - 1) & (samples >= flat[index + 1])).any():
-        index += up
-    bin_of_pair = index - lower + pair * bins
-    return np.bincount(bin_of_pair.ravel(), minlength=pairs * bins).reshape(pairs, bins)
+    order = np.argsort(node, kind="stable")  # each node's pairs in one run
+    inner = edges[order, 1:-1]
+    bounds = np.searchsorted(node[order], np.arange(len(sorted_samples) + 1)).tolist()
+    below = np.empty(inner.shape, dtype=np.intp)
+    for samples, start, stop in zip(sorted_samples, bounds, bounds[1:]):
+        below[start:stop] = np.searchsorted(samples, inner[start:stop])
+    size = sorted_samples.shape[1]
+    probs = np.empty((node.size, edges.shape[1] - 1))
+    probs[order] = np.diff(below, prepend=0, append=size) / size
+    return probs
 
 
 def pairwise_tvd(samples_a, samples_b, bins: int = DEFAULT_BINS) -> float:
@@ -72,8 +73,7 @@ def pairwise_tvd(samples_a, samples_b, bins: int = DEFAULT_BINS) -> float:
     if a.size < 1 or b.size < 1 or not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise ValueError("need finite samples, at least one on each side")
     edges = _pair_edges(np.array([min(a.min(), b.min())]), np.array([max(a.max(), b.max())]), bins)
-    probs_a = _bin_counts(a[:, None], edges)[0] / a.size
-    probs_b = _bin_counts(b[:, None], edges)[0] / b.size
+    probs_a, probs_b = (_bin_probs(np.sort(x)[None], np.zeros(1, np.intp), edges)[0] for x in (a, b))
     return float(0.5 * np.sum(np.abs(probs_a - probs_b)))
 
 
@@ -89,8 +89,9 @@ def avg_neighbor_tvd(
     (samples, n). Each pair gets its own shared 'bins'-bin grid over the
     pooled min/max, and its TVD equals :func:`pairwise_tvd` of the two
     columns. That TVD is symmetric bit for bit, so each unordered pair is
-    scored once, in chunks of at most n // 2 pairs, and its value is
-    scattered back to both directed pairs; ``pair_tvd`` stays node-major.
+    scored once, on the columns sorted once and one side at a time, and its
+    value is scattered back to both directed pairs; ``pair_tvd`` stays
+    node-major.
     """
     fp = np.asarray(fingerprints, dtype=np.float64)
     if fp.ndim != 2 or fp.shape[1] != geom.n:
@@ -98,20 +99,16 @@ def avg_neighbor_tvd(
     if not np.all(np.isfinite(fp)):
         raise ValueError("fingerprints contain non-finite values")
     other = geom.neighbors(k).ravel()
-    n, samples = geom.n, fp.shape[0]
+    n = geom.n
     node = np.repeat(np.arange(n), k)
     keys, directed = np.unique(np.minimum(node, other) * n + np.maximum(node, other), return_inverse=True)
     left, right = keys // n, keys % n
-    lo_node, hi_node = fp.min(axis=0), fp.max(axis=0)
-    unique_tvd = np.empty(keys.size)
-    chunk = n // 2  # n >= 2, or neighbors(k) has raised
-    for start in range(0, keys.size, chunk):
-        a, b = left[start : start + chunk], right[start : start + chunk]
-        edges = _pair_edges(np.minimum(lo_node[a], lo_node[b]), np.maximum(hi_node[a], hi_node[b]), bins)
-        probs_a = _bin_counts(fp[:, a], edges) / samples
-        probs_b = _bin_counts(fp[:, b], edges) / samples
-        unique_tvd[start : start + chunk] = 0.5 * np.sum(np.abs(probs_a - probs_b), axis=1)
-    vals = unique_tvd[directed]
+    sorted_fp = np.sort(fp.T, axis=1)
+    lo, hi = sorted_fp[:, 0], sorted_fp[:, -1]
+    edges = _pair_edges(np.minimum(lo[left], lo[right]), np.maximum(hi[left], hi[right]), bins)
+    gap = _bin_probs(sorted_fp, left, edges)
+    gap -= _bin_probs(sorted_fp, right, edges)
+    vals = (0.5 * np.sum(np.abs(gap, out=gap), axis=1))[directed]
     pairs = np.column_stack([node, other])
     vals.setflags(write=False)
     pairs.setflags(write=False)

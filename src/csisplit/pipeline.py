@@ -565,6 +565,8 @@ def tvd_curve(ul: CsiMatrix, geom: NodeGeometry, d_hat_max: int, k: int, bins: i
     predictable part of :func:`pca.decompose` at d_hat = d."""
     if d_hat_max < 0:
         raise ValueError(f"d_hat_max must be at least 0, got {d_hat_max}")
+    if ul.n != geom.n:
+        raise ValueError(f"the CSI file has {ul.n} nodes, the geometry {geom.n}")
     view = to_real_view(ul)
     if d_hat_max > view.shape[0]:
         raise ValueError(f"d_hat_max {d_hat_max} exceeds the {view.shape[0]} rows of the real view")

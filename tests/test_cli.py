@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import csisplit
 from csisplit import cli, pipeline
@@ -254,6 +256,32 @@ def test_oversized_config_file_is_refused_without_being_read(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 2**18  # reading the file would allocate its 1 MiB
+
+
+_VALID_CONFIG = b"# a run\ncomponent = phase\ngrid_rows=4  # rows\nm = -5\n\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_mutated_config_files_either_parse_or_raise_a_config_error(tmp_path_factory, data):
+    raw = bytearray(data.draw(st.sampled_from([_VALID_CONFIG, b""])))
+    for _ in range(data.draw(st.integers(0, 4)) if raw else 0):
+        at = data.draw(st.integers(0, len(raw) - 1))
+        byte = data.draw(st.sampled_from(b"=#_- \n\r\tkm05\x00\x85\xc3\xff"))
+        edit = data.draw(st.sampled_from(["flip", "insert", "delete"]))
+        if edit == "flip":
+            raw[at] = byte
+        elif edit == "insert":
+            raw.insert(at, byte)
+        else:
+            del raw[at]
+    path = tmp_path_factory.mktemp("config") / "run.conf"
+    path.write_bytes(bytes(raw) + data.draw(st.binary(max_size=8)))
+    try:
+        tokens = cli._config_tokens(path)
+    except cli.ConfigError:
+        return
+    assert all(isinstance(token, str) and token.startswith("--") and "=" in token for token in tokens)
 
 
 def test_config_line_without_a_key_names_file_and_line(dataset, tmp_path, capsys):
@@ -634,6 +662,19 @@ def test_tvd_curve_rejects_a_d_hat_max_beyond_the_view(dataset, tmp_path, capsys
     # the full rank is a curve
     assert cli.main([*argv, "--d-hat-max", "32", "--output-dir", str(tmp_path)]) == 0
     assert len(json.loads((tmp_path / "tvd_curve.json").read_text(encoding="utf-8"))["curve"]) == 33
+
+
+def test_tvd_curve_with_a_geometry_of_another_node_count_exits_1_before_it_fits(
+    dataset, tmp_path, capsys, monkeypatch
+):
+    other = tmp_path / "3x4"
+    assert cli.main(["simulate", "--grid-rows", "3", "--grid-cols", "4", "--m", "16", "--output-dir", str(other)]) == 0
+    monkeypatch.setattr(pipeline, "fit_pca", lambda *args, **kwargs: pytest.fail("tvd-curve fitted pca"))
+    argv = ["tvd-curve", "--input", str(dataset / "uplink.csi"), "--geometry", str(other / "geometry.json")]
+    capsys.readouterr()
+    assert cli.main([*argv, "--output-dir", str(tmp_path / "out")]) == 1
+    assert "the CSI file has 16 nodes, the geometry 12" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "tvd_curve.json").exists()
 
 
 def test_skg_mp_report_matches_golden(dataset, tmp_path, capsys):

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from csisplit.core import NodeGeometry
 from csisplit.fingerprint import avg_neighbor_tvd, pairwise_tvd
 from csisplit.simulate import SimConfig, simulate
 
 # The reference: per-pair TVD through np.histogram, against which the
-# package's one binning rule (fingerprint._pair_edges and _bin_counts) is
+# package's one counting rule (fingerprint._pair_edges and _bin_probs) is
 # compared with exact equality.
 
 
@@ -271,3 +272,32 @@ def test_avg_neighbor_tvd_rejects_non_finite_or_misshaped_fingerprints():
         avg_neighbor_tvd(fp, geom, k=1)
     with pytest.raises(ValueError, match="one column per node"):
         avg_neighbor_tvd(np.ones((5, 2)), geom, k=1)
+
+
+# samples on a coarse lattice: many sit on a pair's interior edges and on its
+# pooled min and max
+lattice_steps = st.sampled_from([0.1, 0.25, 1.0, 3.0])
+lattice_bins = st.sampled_from([1, 2, 3, 32])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_avg_neighbor_tvd_equals_per_pair_loop_on_lattice_fingerprints(data):
+    n = data.draw(st.integers(4, 7))
+    points = data.draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=n, max_size=n, unique=True))
+    geom = NodeGeometry(positions=np.array(points, dtype=float))
+    fp = data.draw(arrays(np.int64, (data.draw(st.integers(1, 12)), n), elements=st.integers(0, 6)))
+    fp = fp * data.draw(lattice_steps)
+    k, bins = data.draw(st.sampled_from([1, 3])), data.draw(lattice_bins)
+    assert np.array_equal(avg_neighbor_tvd(fp, geom, k=k, bins=bins).pair_tvd, _per_pair_tvd(fp, geom, k, bins))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_pairwise_tvd_equals_the_reference_on_lattice_sets_of_unequal_length(data):
+    size_a = data.draw(st.integers(1, 12))
+    size_b = data.draw(st.integers(1, 12).filter(lambda size: size != size_a))
+    step, bins = data.draw(lattice_steps), data.draw(lattice_bins)
+    a = data.draw(arrays(np.int64, size_a, elements=st.integers(0, 6))) * step
+    b = data.draw(arrays(np.int64, size_b, elements=st.integers(0, 6))) * step
+    assert pairwise_tvd(a, b, bins=bins) == reference_tvd(a, b, bins)
